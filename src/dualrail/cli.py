@@ -27,11 +27,9 @@ from dualrail.core import (
 from dualrail.hamiltonians import (
     DUAL_RAIL_BASIS,
     SINGLE_RAIL_BASIS,
-    h_dual_rail,
-    h_four_field,
-    h_single_rail,
+    dual_rail_rotation,
 )
-from dualrail.propagator import ComplexState, EvolutionError, evolve
+from dualrail.propagator import ComplexState, propagate_atom
 
 JSON_SCHEMA_VERSION = 1
 
@@ -96,36 +94,37 @@ def _write_json(path: str, payload: dict) -> None:
 
 def cmd_excite(args) -> int:
     cfg = _resolve_config(args)
-    k = cfg.wavevectors.k_excite
-    omega = mhz_to_rad_per_us(args.omega_mhz)
-    builders = {
-        "four-field": (DUAL_RAIL_BASIS, h_four_field),
-        "dual-rail": (DUAL_RAIL_BASIS, h_dual_rail),
-        "single-rail": (SINGLE_RAIL_BASIS, h_single_rail),
-    }
-    basis, builder = builders[args.drive]
-    state = ComplexState.from_label(basis, "1")
-    h = lambda t: builder(t, omega, k, args.z0, args.v)
+    params = SimulationParams(omega=mhz_to_rad_per_us(args.omega_mhz),
+                              z0_um=args.z0, v_mps=args.v)
+    if not 0.0 <= args.t < math.inf:
+        raise UsageError("--t must be a nonnegative duration")
+    # The cos/sin drive is the two-rail drive at sqrt(2)*Omega in the
+    # rotated basis (r-, r+, 1); its amplitudes are rotated back below.
+    levels, amp, couplings = {
+        "four-field": (DUAL_RAIL_BASIS, math.sqrt(2.0) * params.omega, gate.OPTICAL_DUAL),
+        "dual-rail": (DUAL_RAIL_BASIS, params.omega, gate.OPTICAL_DUAL),
+        "single-rail": (SINGLE_RAIL_BASIS, params.omega, gate.OPTICAL_SINGLE),
+    }[args.drive]
+    drive = gate.AtomDrive(amp, cfg.wavevectors.k_excite, couplings)
+    ts = np.linspace(0.0, args.t, args.samples + 1) if args.output else [0.0, args.t]
+    stages = [gate.GateStage(t0, t1, control=drive) for t0, t1 in zip(ts[:-1], ts[1:])]
+    states, _ = propagate_atom(levels, stages, params.v_mps, params.z0_um)
+    amps = [ComplexState.from_label(levels, "1").amplitudes]
+    amps += [s.amplitudes for s in states]
+    if args.drive == "four-field":
+        rotate_back = dual_rail_rotation().conj().T
+        amps = [rotate_back @ a for a in amps]
     if args.output:
-        ts = np.linspace(0.0, args.t, args.samples + 1)
-        amps = [state.amplitudes]
-        cur = state
-        for t0, t1 in zip(ts[:-1], ts[1:]):
-            cur = evolve(cur, h, t0, t1)
-            amps.append(cur.amplitudes)
-        final = cur
         with open(args.output, "w", newline="") as fh:
-            header = ["t_us"] + [f"pop_{l}" for l in basis] + [f"phase_{l}" for l in basis]
+            header = ["t_us"] + [f"pop_{l}" for l in levels] + [f"phase_{l}" for l in levels]
             fh.write(",".join(header) + "\n")
             for t, a in zip(ts, amps):
                 row = [f"{t:.11e}"]
                 row += [f"{abs(x) ** 2:.11e}" for x in a]
                 row += [f"{float(np.angle(x)):.11e}" for x in a]
                 fh.write(",".join(row) + "\n")
-    else:
-        final = evolve(state, h, 0.0, args.t)
-    pop = final.population("1")
-    print(f"population_1 = {pop:.6e}")
+    final = ComplexState(levels, amps[-1])
+    print(f"population_1 = {final.population('1'):.6e}")
     print(f"phase_1_rad = {final.phase('1'):.6e}")
     return 0
 
@@ -245,11 +244,12 @@ def cmd_gate(args) -> int:
     cfg = _resolve_config(args)
     params = _gate_params(args, cfg)
     started = time.perf_counter()
-    result = gate.fidelity(
+    grid = gate.averaged_rotation_error(
         params, args.temp_uk, args.method,
         n_grid=args.grid_points, jobs=_jobs(args),
     )
     report = gate.gate_report(params, 0.0, 0.0, args.method)
+    result = gate.FidelityReport.combine(grid, report)
     wall = time.perf_counter() - started
     print(f"method = {result.method}")
     print(f"fidelity = {result.fidelity:.6f}")
@@ -274,10 +274,6 @@ def cmd_gate(args) -> int:
             **report.to_dict(),
         })
     if args.grid_output:
-        grid = gate.averaged_rotation_error(
-            params, args.temp_uk, args.method,
-            n_grid=args.grid_points, jobs=_jobs(args),
-        )
         gate.grid_to_csv(grid, args.grid_output)
     return 0
 
@@ -288,6 +284,8 @@ def cmd_sweep(args) -> int:
     if args.num < 2:
         raise UsageError("sweep needs at least two points")
     axis = np.linspace(args.start, args.stop, args.num)
+    if not np.all(np.isfinite(axis)):
+        raise UsageError("sweep bounds must be finite")
     if args.protocol == "phase":
         if args.axis != "v":
             raise UsageError("the phase sweep is defined over the v axis")
@@ -541,7 +539,6 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (
-        EvolutionError,
         protocols.ConvergenceError,
         protocols.OptimizationError,
         protocols.PhaseExtractionError,

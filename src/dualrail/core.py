@@ -16,7 +16,7 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -126,8 +126,8 @@ class InteractionTable:
     separation_um: float
 
     def __post_init__(self) -> None:
-        if self.separation_um <= 0:
-            raise ValueError("separation must be positive")
+        if not 0 < self.separation_um < math.inf:
+            raise ValueError("separation must be positive and finite")
         normalized = {}
         for (a, b), c6 in self.entries.items():
             key = (min(a, b), max(a, b))
@@ -184,6 +184,14 @@ class AtomLaserConfig:
         )
 
 
+def require_finite_fields(params) -> None:
+    """Reject a NaN or infinite numeric field of a parameter dataclass."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, (int, float)) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SimulationParams:
     """Drive amplitudes, kinematics and thermal settings for one run.
@@ -204,6 +212,7 @@ class SimulationParams:
     temperature_uk: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite_fields(self)
         if self.t_wait_us < 0:
             raise ValueError("wait time must be nonnegative")
         if self.temperature_uk < 0:
@@ -247,8 +256,8 @@ def gap_wait_time(n_cycles: int, omega_if: float) -> float:
 
 def thermal_rms_speed(temperature_uk: float, species: AtomSpecies) -> float:
     """One-dimensional rms speed sqrt(kB*T/m) in m/s."""
-    if temperature_uk <= 0:
-        raise ValueError("temperature must be positive")
+    if not 0 < temperature_uk < math.inf:
+        raise ValueError("temperature must be positive and finite")
     t_kelvin = temperature_uk * 1.0e-6
     return math.sqrt(BOLTZMANN_J_PER_K * t_kelvin / species.mass_kg)
 
@@ -377,21 +386,38 @@ def get_config(name: str | None = None) -> AtomLaserConfig:
         ) from None
 
 
+_REQUIRED_KEYS = (
+    "mass_kg", "tau_us", "lambda_lower_nm", "lambda_upper_nm", "lambda_ir_nm"
+)
+
+
 def load_configs(path: str) -> list[AtomLaserConfig]:
     """Load presets from an INI file, one section per preset.
 
     Required keys: mass_kg, tau_us, lambda_lower_nm, lambda_upper_nm,
     lambda_ir_nm.  Optional: species (display name), counterpropagating
     (default true), L_um plus any number of c6_<na>_<nb> entries in
-    THz*um^6 forming the interaction table.
+    THz*um^6 forming the interaction table; L_um is required once a c6
+    entry is present.  A missing key or a malformed file raises ValueError.
     """
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ValueError(f"malformed config file {path}: {exc}") from None
     if not read:
         raise FileNotFoundError(path)
     configs = []
     for section in parser.sections():
         sec = parser[section]
+        required = list(_REQUIRED_KEYS)
+        if any(key.startswith("c6_") for key in sec):
+            required.append("l_um")
+        missing = [key for key in required if key not in sec]
+        if missing:
+            raise ValueError(
+                f"preset {section!r} in {path} lacks {', '.join(missing)}"
+            )
         species = AtomSpecies(
             name=sec.get("species", section),
             mass_kg=sec.getfloat("mass_kg"),

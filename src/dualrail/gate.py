@@ -14,7 +14,9 @@ half-amplitudes and whose diagonal picks up the static Doppler rates
 stage then gives the exact time-ordered propagator and exact
 time-integrated Rydberg occupations, with frame factors applied at the
 stage edges.  This is what makes the 100 x 100 velocity-grid average
-cheap while matching the adaptive integrator to solver precision.
+cheap while matching the adaptive integrator to solver precision.  It is
+the package's only production engine: the single-atom protocols run on it
+too, through :func:`dualrail.propagator.propagate_atom`.
 """
 
 from __future__ import annotations
@@ -28,8 +30,10 @@ import numpy as np
 
 from dualrail.core import (
     AtomLaserConfig,
+    AtomSpecies,
     gap_wait_time,
     maxwell_weight,
+    require_finite_fields,
 )
 from dualrail.hamiltonians import pi_time
 
@@ -266,6 +270,10 @@ class GateParams:
     )
 
     def __post_init__(self) -> None:
+        require_finite_fields(self)
+        for name in ("omega", "omega_dp", "omega_t", "omega_if"):
+            if getattr(self, name) == 0:
+                raise ValueError(f"{name} must be nonzero")
         if self.target_deexcite not in ("mirror", "optimized"):
             raise ValueError("target_deexcite must be 'mirror' or 'optimized'")
         if self.omega_t > 0 and self.target_window > self.t_wait + 1e-12:
@@ -598,8 +606,9 @@ def averaged_rotation_error(
 
     The two atomic velocities run over the same uniform grid; weights are
     the product of one-dimensional Maxwell factors, normalized by their
-    sum.  a depends only on the target velocity and b only on the control
-    velocity, so they are computed once per grid line.
+    sum (:func:`maxwell_grid_average`).  a depends only on the target
+    velocity and b only on the control velocity, so they are computed once
+    per grid line.
     """
     velocities = velocity_grid(n_grid, v_bound)
     amps_a = [
@@ -616,10 +625,26 @@ def averaged_rotation_error(
         rows = [_row_errors(t) for t in tasks]
     errors = np.vstack(rows)
 
-    weights = maxwell_weight(velocities, temperature_uk, params.config.species)
-    w2 = np.outer(weights, weights)
-    averaged = float(np.sum(w2 * errors) / np.sum(w2))
+    averaged = maxwell_grid_average(
+        errors, velocities, temperature_uk, params.config.species
+    )
     return RotationErrorGrid(velocities, errors, averaged, method, temperature_uk)
+
+
+def maxwell_grid_average(
+    values: np.ndarray,
+    velocities: np.ndarray,
+    temperature_uk: float,
+    species: AtomSpecies,
+) -> float:
+    """Maxwell-weighted mean of values[i, j] at (velocities[i], velocities[j]).
+
+    Only the weights depend on the temperature, so one grid of values
+    serves every temperature.
+    """
+    weights = maxwell_weight(velocities, temperature_uk, species)
+    w2 = np.outer(weights, weights)
+    return float(np.sum(w2 * values) / np.sum(w2))
 
 
 @dataclass(frozen=True)
@@ -632,6 +657,18 @@ class FidelityReport:
     duration_us: float
     method: str
     temperature_uk: float
+
+    @classmethod
+    def combine(cls, grid: RotationErrorGrid, report: GateReport) -> "FidelityReport":
+        """F from a grid average and a report's decay error and duration."""
+        return cls(
+            fidelity=1.0 - grid.averaged - report.decay_error,
+            rotation_error_avg=grid.averaged,
+            decay_error=report.decay_error,
+            duration_us=report.duration_us,
+            method=grid.method,
+            temperature_uk=grid.temperature_uk,
+        )
 
 
 def fidelity(
@@ -647,15 +684,7 @@ def fidelity(
     grid = averaged_rotation_error(
         params, temperature_uk, method, n_grid, v_bound, jobs
     )
-    report = gate_report(params, 0.0, 0.0, method)
-    return FidelityReport(
-        fidelity=1.0 - grid.averaged - report.decay_error,
-        rotation_error_avg=grid.averaged,
-        decay_error=report.decay_error,
-        duration_us=report.duration_us,
-        method=method,
-        temperature_uk=temperature_uk,
-    )
+    return FidelityReport.combine(grid, gate_report(params, 0.0, 0.0, method))
 
 
 def grid_to_csv(grid: RotationErrorGrid, path: str) -> None:

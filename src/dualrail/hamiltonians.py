@@ -1,10 +1,15 @@
-"""Dense Hermitian Hamiltonians for the driven ground-Rydberg systems.
+"""Level orders, pulse lengths and lab-frame reference Hamiltonians.
 
-Every builder evaluates the lab-frame Hamiltonian at an arbitrary time t
-(in us) and returns a complex ndarray indexed by a fixed, documented level
-order.  Couplings carry a moving-atom phase k*(z0 + v*t); all diagonals of
-the single-atom builders are zero (resonant drive in the rotating frame).
-Stated Rabi amplitudes enter as Omega/2 off-diagonal elements.
+The simulations themselves run on the exact stage engine
+(:func:`dualrail.gate.propagate_stages`), which builds its Hamiltonians
+from coupling tables.  The dense builders here evaluate the same lab-frame
+Hamiltonians at an arbitrary time t (in us), written out by hand for one
+fixed, documented level order each; the DOP853 oracle of
+:mod:`dualrail.propagator` integrates them in the tests and in the c1
+transfer benchmark.  Couplings carry a moving-atom phase k*(z0 + v*t); all
+diagonals of the single-atom builders are zero (resonant drive in the
+rotating frame).  Stated Rabi amplitudes enter as Omega/2 off-diagonal
+elements.
 
 Sign conventions, fixed throughout the package:
 
@@ -19,8 +24,6 @@ is fixed to +i here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
@@ -33,54 +36,11 @@ NINE_BASIS = (
     "r1r2", "r1r1", "r11",
 )
 
-StageKind = Literal["excite", "wait_with_infrared", "wait_idle", "deexcite"]
-
-_STAGE_KINDS = ("excite", "wait_with_infrared", "wait_idle", "deexcite")
-
-
-@dataclass(frozen=True)
-class DriveStage:
-    """One piecewise-constant drive window of a pulse sequence.
-
-    ``rabi`` is the signed amplitude (rad/us) of the active coupling pair
-    and ``wavevector`` the signed magnitude (rad/um) attached as +k to the
-    r1 rail and -k to the r2 rail.  Optical stages (excite/deexcite) drive
-    1 <-> r1,r2; the infrared stage drives r3 <-> r1,r2; wait_idle drives
-    nothing.
-    """
-
-    kind: StageKind
-    rabi: float
-    wavevector: float
-    duration: float
-
-    def __post_init__(self) -> None:
-        if self.kind not in _STAGE_KINDS:
-            raise ValueError(f"unknown stage kind {self.kind!r}")
-        if self.duration <= 0:
-            raise ValueError("stage duration must be positive")
-        if self.kind == "wait_idle" and self.rabi != 0.0:
-            raise ValueError("idle stage must carry no drive")
-
-
-def idle_stage(duration: float) -> DriveStage:
-    return DriveStage("wait_idle", 0.0, 0.0, duration)
-
-
-def excite_stage(omega: float, k: float, duration: float) -> DriveStage:
-    return DriveStage("excite", omega, k, duration)
-
-
-def deexcite_stage(omega_dp: float, k: float, duration: float) -> DriveStage:
-    return DriveStage("deexcite", omega_dp, k, duration)
-
-
-def infrared_stage(omega_if: float, k_wait: float, duration: float) -> DriveStage:
-    return DriveStage("wait_with_infrared", omega_if, k_wait, duration)
-
 
 def pi_time(omega: float) -> float:
     """Duration pi/(sqrt(2)|Omega|) of a dual-rail pi pulse."""
+    if omega == 0:
+        raise ValueError("a zero Rabi amplitude has no pulse length")
     return math.pi / (math.sqrt(2.0) * abs(omega))
 
 
@@ -135,33 +95,6 @@ def dual_rail_rotation() -> np.ndarray:
     return np.array(
         [[-s, s, 0.0], [s, s, 0.0], [0.0, 0.0, 1.0]], dtype=complex
     )
-
-
-def h_gap_four_level(t: float, stage: DriveStage, z0: float, v: float) -> np.ndarray:
-    """Stage-selected four-level Hamiltonian, basis ("1", "r1", "r2", "r3").
-
-    Optical stages couple 1 <-> r1,r2 with +-stage.wavevector; the
-    infrared stage couples r3 <-> r1,r2 with +-stage.wavevector; the idle
-    stage returns the zero matrix.
-    """
-    h = np.zeros((4, 4), dtype=complex)
-    if stage.kind == "wait_idle":
-        return h
-    phase = np.exp(1j * stage.wavevector * (z0 + v * t))
-    amp = 0.5 * stage.rabi
-    if stage.kind in ("excite", "deexcite"):
-        h[1, 0] = amp * phase           # <r1|H|1>
-        h[2, 0] = amp * np.conj(phase)  # <r2|H|1>
-        h[0, 1] = np.conj(h[1, 0])
-        h[0, 2] = np.conj(h[2, 0])
-    elif stage.kind == "wait_with_infrared":
-        h[1, 3] = amp * phase           # <r1|H|r3>
-        h[2, 3] = amp * np.conj(phase)  # <r2|H|r3>
-        h[3, 1] = np.conj(h[1, 3])
-        h[3, 2] = np.conj(h[2, 3])
-    else:  # pragma: no cover - guarded by DriveStage validation
-        raise ValueError(f"unknown stage kind {stage.kind!r}")
-    return h
 
 
 # Interaction-shift keys of the nine-level system: (a, b) refers to the

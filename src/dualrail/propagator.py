@@ -1,13 +1,20 @@
-"""Time-ordered state propagation under time-dependent Hamiltonians.
+"""Exact single-atom propagation, and the adaptive oracle that checks it.
+
+``propagate_atom`` runs one atom through a list of drive stages on the
+exact stage engine of :mod:`dualrail.gate`: inside a stage every drive
+phase k*(z0 + v*t) is absorbed into a rotating frame, one eigendecomposition
+gives the time-ordered propagator, and the Rydberg residence time comes
+out in closed form.  Every protocol of :mod:`dualrail.protocols` and the
+``dualrail excite`` command run on it.
 
 ``evolve`` integrates the Schrodinger equation i d|psi>/dt = H(t)|psi>
 with an adaptive eighth-order Runge-Kutta stepper (DOP853) at a default
-relative tolerance of 1e-10.  The norm is never renormalized; drift away
+relative tolerance of 1e-10, on the lab-frame builders of
+:mod:`dualrail.hamiltonians`.  The norm is never renormalized; drift away
 from 1 is a solver diagnostic.  ``evolve_oracle`` is an independent
 piecewise-constant midpoint matrix-exponential product used to
-cross-check the stepper.  ``run_sequence`` schedules piecewise drive
-stages with a continuous atomic coordinate z0 + v*t across stage
-boundaries and accumulates the time spent in Rydberg levels.
+cross-check the stepper.  Both are oracles: the tests and the c1 transfer
+benchmark use them, the production route does not.
 """
 
 from __future__ import annotations
@@ -16,18 +23,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import simpson, solve_ivp
+from scipy.integrate import solve_ivp
 
-from dualrail.core import SimulationParams
-from dualrail.hamiltonians import (
-    DUAL_RAIL_BASIS,
-    GAP_BASIS,
-    SINGLE_RAIL_BASIS,
-    DriveStage,
-    h_dual_rail,
-    h_gap_four_level,
-    h_single_rail,
-)
+from dualrail.gate import GateStage, TwoAtomSpace, propagate_stages
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
@@ -71,26 +69,6 @@ class ComplexState:
         return float(np.linalg.norm(self.amplitudes))
 
 
-@dataclass(frozen=True)
-class TrajectoryResult:
-    """Final state plus sampled populations/phases and Rydberg residence.
-
-    ``times`` is strictly increasing across the whole sequence;
-    ``populations`` and ``phases`` have one column per basis level.
-    ``rydberg_time_us`` integrates the total population of the r* levels
-    over the full sequence; ``boundary_states`` holds the state at the
-    end of each stage.
-    """
-
-    final_state: ComplexState
-    times: np.ndarray
-    populations: np.ndarray
-    phases: np.ndarray
-    rydberg_time_us: float
-    boundary_states: tuple[ComplexState, ...]
-    stage_edges: tuple[float, ...]
-
-
 def evolve(
     state: ComplexState,
     h_builder: Callable[[float], np.ndarray],
@@ -104,23 +82,12 @@ def evolve(
         raise ValueError("t1 must be >= t0")
     if t1 == t0:
         return state
-    sol = _integrate(state.amplitudes, h_builder, t0, t1, rtol, atol)
-    return ComplexState(state.basis, sol.y[:, -1])
 
-
-def _integrate(y0, h_builder, t0, t1, rtol, atol, t_eval=None, dense_output=False):
     def rhs(t, y):
         return -1j * (h_builder(t) @ y)
 
     sol = solve_ivp(
-        rhs,
-        (t0, t1),
-        np.asarray(y0, dtype=complex),
-        method="DOP853",
-        rtol=rtol,
-        atol=atol,
-        t_eval=t_eval,
-        dense_output=dense_output,
+        rhs, (t0, t1), state.amplitudes, method="DOP853", rtol=rtol, atol=atol
     )
     if not sol.success:
         raise EvolutionError(
@@ -131,7 +98,7 @@ def _integrate(y0, h_builder, t0, t1, rtol, atol, t_eval=None, dense_output=Fals
         raise EvolutionError(
             f"norm drifted to {norm!r} on [{t0}, {t1}]; tolerances too loose"
         )
-    return sol
+    return ComplexState(state.basis, sol.y[:, -1])
 
 
 def evolve_oracle(
@@ -160,98 +127,27 @@ def evolve_oracle(
     return ComplexState(state.basis, psi)
 
 
-def _stage_builder(
-    basis: tuple[str, ...], stage: DriveStage, params: SimulationParams
-) -> Callable[[float], np.ndarray]:
-    z0, v = params.z0_um, params.v_mps
-    n = len(basis)
-    if stage.kind == "wait_idle":
-        zero = np.zeros((n, n), dtype=complex)
-        return lambda t: zero
-    if basis == GAP_BASIS:
-        return lambda t: h_gap_four_level(t, stage, z0, v)
-    if basis == DUAL_RAIL_BASIS:
-        if stage.kind not in ("excite", "deexcite"):
-            raise ValueError(f"stage {stage.kind!r} undefined for the 3-level basis")
-        return lambda t: h_dual_rail(t, stage.rabi, stage.wavevector, z0, v)
-    if basis == SINGLE_RAIL_BASIS:
-        if stage.kind not in ("excite", "deexcite"):
-            raise ValueError(f"stage {stage.kind!r} undefined for the 2-level basis")
-        return lambda t: h_single_rail(t, stage.rabi, stage.wavevector, z0, v)
-    raise ValueError(f"no stage dispatch for basis {basis!r}")
+def propagate_atom(
+    levels: Sequence[str],
+    stages: Sequence[GateStage],
+    v: float,
+    z0: float,
+) -> tuple[list[ComplexState], float]:
+    """Exact staged evolution of one atom that starts in its level "1".
 
-
-def run_sequence(
-    initial: ComplexState,
-    stages: Sequence[DriveStage],
-    params: SimulationParams,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
-    samples_per_stage: int = 1000,
-) -> TrajectoryResult:
-    """Propagate through contiguous stages starting at t = 0.
-
-    Each stage is integrated on its own interval so no step spans an
-    amplitude discontinuity, while the atomic coordinate z0 + v*t keeps
-    running across boundaries.  Rydberg residence time is accumulated by
-    Simpson quadrature on the dense solver interpolant, independently of
-    the coarse sample grid.
+    The atom takes the control slot of a :class:`TwoAtomSpace` whose
+    target is the uncoupled spectator ("0",), so the stages carry its
+    drives as ``control``.  Its coordinate z0 + v*t runs on across stage
+    boundaries.  Returns the state at the end of every stage and the time
+    spent in the Rydberg levels (labels starting with "r").
     """
-    rydberg_idx = [i for i, lab in enumerate(initial.basis) if lab.startswith("r")]
-    t_start = 0.0
-    psi = initial.amplitudes
-    times, pops, phases = [], [], []
-    boundary_states = []
-    stage_edges = []
-    rydberg_time = 0.0
-
-    for i, stage in enumerate(stages):
-        t_end = t_start + stage.duration
-        builder = _stage_builder(initial.basis, stage, params)
-        grid = np.linspace(t_start, t_end, samples_per_stage + 1)
-        sol = _integrate(
-            psi, builder, t_start, t_end, rtol, atol,
-            t_eval=grid, dense_output=True,
-        )
-        keep = slice(None) if i == 0 else slice(1, None)
-        times.append(sol.t[keep])
-        pops.append(np.abs(sol.y[:, keep].T) ** 2)
-        phases.append(np.angle(sol.y[:, keep].T))
-
-        if rydberg_idx:
-            fine = np.linspace(t_start, t_end, 4001)
-            dense = sol.sol(fine)
-            occupancy = np.sum(np.abs(dense[rydberg_idx, :]) ** 2, axis=0)
-            rydberg_time += float(simpson(occupancy, x=fine))
-
-        psi = sol.y[:, -1]
-        boundary_states.append(ComplexState(initial.basis, psi))
-        stage_edges.append(t_end)
-        t_start = t_end
-
-    return TrajectoryResult(
-        final_state=ComplexState(initial.basis, psi),
-        times=np.concatenate(times),
-        populations=np.vstack(pops),
-        phases=np.vstack(phases),
-        rydberg_time_us=rydberg_time,
-        boundary_states=tuple(boundary_states),
-        stage_edges=tuple(stage_edges),
-    )
-
-
-def trajectory_to_csv(result: TrajectoryResult, path: str) -> None:
-    """Write the sampled trajectory as CSV with 12-significant-digit fields."""
-    basis = result.final_state.basis
-    header = (
-        ["t_us"]
-        + [f"pop_{lab}" for lab in basis]
-        + [f"phase_{lab}" for lab in basis]
-    )
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in range(result.times.shape[0]):
-            fields = [f"{result.times[row]:.11e}"]
-            fields += [f"{p:.11e}" for p in result.populations[row]]
-            fields += [f"{p:.11e}" for p in result.phases[row]]
-            fh.write(",".join(fields) + "\n")
+    levels = tuple(levels)
+    space = TwoAtomSpace(levels, ("0",))
+    rows = space.single_rydberg_indices()
+    psi = ComplexState.from_label(levels, "1").amplitudes
+    states, rydberg_time = [], 0.0
+    for stage in stages:
+        psi, occupation = propagate_stages(psi, space, [stage], v, 0.0, z0, 0.0, rows)
+        states.append(ComplexState(levels, psi))
+        rydberg_time += occupation
+    return states, rydberg_time

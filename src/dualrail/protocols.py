@@ -8,6 +8,12 @@ excitation.  A negative Omega_dp additionally imprints the pi phase a
 controlled-Z gate needs.  The traditional baseline drives a single rail
 and is kept for comparison; its restored phase carries the uncompensated
 Doppler term.
+
+Every protocol is a chain of drive stages on one atom, run by
+:func:`dualrail.propagator.propagate_atom` on the exact stage engine: one
+eigendecomposition per stage, closed-form Rydberg residence.  Because the
+restored ground phase comes out of an exact computation, a phase of pi can
+come back as +pi or -pi by roundoff; compare phases modulo 2*pi.
 """
 
 from __future__ import annotations
@@ -32,23 +38,14 @@ from dualrail.core import (
     rad_per_us_to_mhz,
     mhz_to_rad_per_us,
 )
+from dualrail.gate import INFRARED, OPTICAL_DUAL, OPTICAL_SINGLE, AtomDrive, GateStage
 from dualrail.hamiltonians import (
     DUAL_RAIL_BASIS,
     GAP_BASIS,
     SINGLE_RAIL_BASIS,
-    DriveStage,
-    deexcite_stage,
-    excite_stage,
-    idle_stage,
-    infrared_stage,
     pi_time,
 )
-from dualrail.propagator import (
-    DEFAULT_RTOL,
-    ComplexState,
-    TrajectoryResult,
-    run_sequence,
-)
+from dualrail.propagator import ComplexState, propagate_atom
 
 
 class ConvergenceError(RuntimeError):
@@ -130,57 +127,38 @@ def analytic_w(t, omega: float, k: float, z0: float, v: float):
     return out[0], out[1]
 
 
-def restore_stages(omega: float, omega_dp: float, k: float) -> list[DriveStage]:
-    """Pi excitation followed by the 3*pi restoring pulse."""
-    return [
-        excite_stage(omega, k, pi_time(omega)),
-        deexcite_stage(omega_dp, k, 3.0 * pi_time(omega_dp)),
-    ]
+def _chain(*pulses: tuple[float, AtomDrive | None]) -> list[GateStage]:
+    """Contiguous stages from t = 0, one per (duration, drive) pair."""
+    stages, t = [], 0.0
+    for duration, drive in pulses:
+        stages.append(GateStage(t, t + duration, control=drive))
+        t += duration
+    return stages
 
 
-def gap_stages(
-    omega: float,
-    omega_dp: float,
-    omega_if: float,
-    wavevectors: WavevectorSet,
-    n_cycles: int,
-) -> list[DriveStage]:
-    """Excite, shelve through n infrared cycles, then restore."""
-    return [
-        excite_stage(omega, wavevectors.k_excite, pi_time(omega)),
-        infrared_stage(
-            omega_if, wavevectors.k_wait, gap_wait_time(n_cycles, omega_if)
-        ),
-        deexcite_stage(omega_dp, wavevectors.k_excite, 3.0 * pi_time(omega_dp)),
-    ]
-
-
-def _outcome_from_trajectory(
-    result: TrajectoryResult, r3_leak: float = 0.0
+def _outcome(
+    final: ComplexState, rydberg_time: float, r3_leak: float = 0.0
 ) -> ProtocolOutcome:
-    final = result.final_state
     return ProtocolOutcome(
         ground_population=final.population("1"),
         ground_phase=final.phase("1"),
         r3_leak=r3_leak,
-        rydberg_time_us=result.rydberg_time_us,
+        rydberg_time_us=rydberg_time,
     )
 
 
-def run_excite_restore(
-    params: SimulationParams, k: float, rtol: float = DEFAULT_RTOL
-) -> ProtocolOutcome:
+def run_excite_restore(params: SimulationParams, k: float) -> ProtocolOutcome:
     """Immediate pi + 3*pi state transfer and restoration, no wait window."""
-    stages = restore_stages(params.omega, params.omega_dp, k)
-    initial = ComplexState.from_label(DUAL_RAIL_BASIS, "1")
-    traj = run_sequence(initial, stages, params, rtol=rtol)
-    return _outcome_from_trajectory(traj)
+    stages = _chain(
+        (pi_time(params.omega), AtomDrive(params.omega, k, OPTICAL_DUAL)),
+        (3.0 * pi_time(params.omega_dp), AtomDrive(params.omega_dp, k, OPTICAL_DUAL)),
+    )
+    states, t_r = propagate_atom(DUAL_RAIL_BASIS, stages, params.v_mps, params.z0_um)
+    return _outcome(states[-1], t_r)
 
 
 def run_gap_protocol(
-    params: SimulationParams,
-    wavevectors: WavevectorSet,
-    rtol: float = DEFAULT_RTOL,
+    params: SimulationParams, wavevectors: WavevectorSet
 ) -> ProtocolOutcome:
     """Restoration with an infrared-shelved wait window between the pulses.
 
@@ -197,53 +175,42 @@ def run_gap_protocol(
             f"wait time {params.t_wait_us} breaks the full-cycle condition; "
             f"expected {expected} for n={params.n_gap_cycles}"
         )
-    stages = gap_stages(
-        params.omega,
-        params.omega_dp,
-        params.omega_if,
-        wavevectors,
-        params.n_gap_cycles,
+    k = wavevectors.k_excite
+    stages = _chain(
+        (pi_time(params.omega), AtomDrive(params.omega, k, OPTICAL_DUAL)),
+        (expected, AtomDrive(params.omega_if, wavevectors.k_wait, INFRARED)),
+        (3.0 * pi_time(params.omega_dp), AtomDrive(params.omega_dp, k, OPTICAL_DUAL)),
     )
-    initial = ComplexState.from_label(GAP_BASIS, "1")
-    traj = run_sequence(initial, stages, params, rtol=rtol)
-    leak = traj.boundary_states[1].population("r3")
-    return _outcome_from_trajectory(traj, r3_leak=leak)
+    states, t_r = propagate_atom(GAP_BASIS, stages, params.v_mps, params.z0_um)
+    return _outcome(states[-1], t_r, r3_leak=states[1].population("r3"))
 
 
-def run_traditional_restore(
-    params: SimulationParams, k: float, rtol: float = DEFAULT_RTOL
-) -> ProtocolOutcome:
+def run_traditional_restore(params: SimulationParams, k: float) -> ProtocolOutcome:
     """Single-rail pi / idle wait / pi baseline.
 
     Both pulses use the same wavevector sign, so the Doppler phase
     k*v*t_wait accumulated in the Rydberg state survives into the
     restored ground-state phase.
     """
-    t_pi = math.pi / abs(params.omega)
-    stages = [excite_stage(params.omega, k, t_pi)]
-    if params.t_wait_us > 0:
-        stages.append(idle_stage(params.t_wait_us))
-    stages.append(deexcite_stage(params.omega, k, t_pi))
-    initial = ComplexState.from_label(SINGLE_RAIL_BASIS, "1")
-    traj = run_sequence(initial, stages, params, rtol=rtol)
-    return _outcome_from_trajectory(traj)
+    t_pi = math.sqrt(2.0) * pi_time(params.omega)  # pi/|Omega| on one rail
+    drive = AtomDrive(params.omega, k, OPTICAL_SINGLE)
+    wait = ((params.t_wait_us, None),) if params.t_wait_us > 0 else ()
+    stages = _chain((t_pi, drive), *wait, (t_pi, drive))
+    states, t_r = propagate_atom(SINGLE_RAIL_BASIS, stages, params.v_mps, params.z0_um)
+    return _outcome(states[-1], t_r)
 
 
-def extract_phase_phi(
-    omega: float, k: float, v: float, rtol: float = DEFAULT_RTOL
-) -> float:
+def extract_phase_phi(omega: float, k: float, v: float) -> float:
     """Doppler phase modulation of the rail amplitudes after a pi pulse.
 
     Propagates from the ground state for pi/(sqrt(2)*Omega) at z0 = 0 and
     returns phi with C_r1 = -i C_r e^{+i phi}, C_r2 = -i C_r e^{-i phi};
     phi(v=0) = 0 fixes the branch.
     """
-    params = SimulationParams(omega=omega, v_mps=v)
-    stages = [excite_stage(omega, k, pi_time(omega))]
-    initial = ComplexState.from_label(DUAL_RAIL_BASIS, "1")
-    traj = run_sequence(initial, stages, params, rtol=rtol, samples_per_stage=2)
-    c_r1 = traj.final_state.amplitude("r1")
-    c_r2 = traj.final_state.amplitude("r2")
+    stages = _chain((pi_time(omega), AtomDrive(omega, k, OPTICAL_DUAL)))
+    (final,), _ = propagate_atom(DUAL_RAIL_BASIS, stages, v, 0.0)
+    c_r1 = final.amplitude("r1")
+    c_r2 = final.amplitude("r2")
     if min(abs(c_r1), abs(c_r2)) < 1e-6:
         raise PhaseExtractionError(
             "rail amplitudes too small for a well-defined phase"
@@ -252,11 +219,11 @@ def extract_phase_phi(
 
 
 def phase_linearity(
-    omega: float, k: float, velocities: Sequence[float], rtol: float = DEFAULT_RTOL
+    omega: float, k: float, velocities: Sequence[float]
 ) -> PhaseFit:
     """Fit phi(pi/(sqrt(2)*Omega)) against its linear Doppler form."""
     velocities = np.asarray(velocities, dtype=float)
-    phis = np.array([extract_phase_phi(omega, k, v, rtol) for v in velocities])
+    phis = np.array([extract_phase_phi(omega, k, v) for v in velocities])
     ratios = phis * omega / (2.0 * math.pi * k * velocities)
     slope = float(np.mean(ratios))
     residual = float(np.max(np.abs(ratios - slope)))
@@ -270,7 +237,6 @@ def optimize_deexcitation(
     sign: int = +1,
     bracket_fraction: float = 0.10,
     xatol_mhz: float = 1e-6,
-    rtol: float = DEFAULT_RTOL,
 ) -> float:
     """Deexcitation amplitude minimizing the restored-population error.
 
@@ -299,7 +265,7 @@ def optimize_deexcitation(
             omega_dp=sign * mhz_to_rad_per_us(x_mhz),
             v_mps=v_ref,
         )
-        return run_excite_restore(params, k, rtol=rtol).error
+        return run_excite_restore(params, k).error
 
     res = minimize_scalar(
         objective,

@@ -30,6 +30,7 @@ from dualrail.gate import (
     decay_error_analytic,
     gate_duration,
     gate_report,
+    maxwell_grid_average,
     rotation_error,
 )
 from dualrail.hamiltonians import (
@@ -371,12 +372,18 @@ def test_c7_gate_durations():
 
 @pytest.fixture(scope="module")
 def gate_table():
-    values = {}
+    # the error grid does not depend on temperature, only its Maxwell
+    # weights do: one grid per (method, n) serves both temperatures
+    values, grids = {}, {}
     for method, temp, n_cycles, _, _ in GATE_ROWS:
-        grid = averaged_rotation_error(
-            make_gate_params(n_cycles), temp, method
+        if (method, n_cycles) not in grids:
+            grids[(method, n_cycles)] = averaged_rotation_error(
+                make_gate_params(n_cycles), temp, method
+            )
+        grid = grids[(method, n_cycles)]
+        values[(method, temp, n_cycles)] = maxwell_grid_average(
+            grid.errors, grid.velocities, temp, CFG.species
         )
-        values[(method, temp, n_cycles)] = grid.averaged
     return values
 
 

@@ -1,9 +1,14 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import dualrail
+from dualrail import gate
 from dualrail.cli import main
 
 
@@ -200,3 +205,84 @@ def test_excite_trajectory_output(capsys, tmp_path):
     lines = path.read_text().strip().split("\n")
     assert lines[0].startswith("t_us,pop_")
     assert len(lines) == 22
+
+
+def test_gate_grid_output_computes_grid_and_report_once(capsys, tmp_path, monkeypatch):
+    calls = {"averaged_rotation_error": 0, "gate_report": 0}
+    for name in calls:
+        original = getattr(gate, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(gate, name, counting)
+    report, grid = tmp_path / "gate.json", tmp_path / "grid.csv"
+    code, _, _ = run_cli(
+        capsys, "gate", "--grid-points", "4", "--serial",
+        "--output", str(report), "--grid-output", str(grid),
+    )
+    assert code == 0
+    assert calls == {"averaged_rotation_error": 1, "gate_report": 1}
+    assert len(grid.read_text().strip().split("\n")) == 17
+
+
+def _write_ini(tmp_path, body):
+    ini = tmp_path / "cfg.ini"
+    ini.write_text(body)
+    return str(ini)
+
+
+PRESET_KEYS = (
+    "mass_kg = 1.44316e-25\n"
+    "lambda_lower_nm = 795.0\n"
+    "lambda_upper_nm = 474.0\n"
+    "lambda_ir_nm = 2272.0\n"
+)
+
+
+@pytest.mark.parametrize("argv", [
+    ("restore", "--omega-mhz", "0"),
+    ("restore", "--omega-mhz", "2", "--omega-dp-mhz", "0"),
+    ("gap", "--v", "0", "--omega-dp-mhz", "0"),
+    ("gap", "--v", "0", "--omega-dp-mhz", "inf"),
+    ("restore", "--omega-mhz", "2", "--omega-dp-mhz", "inf"),
+    ("gate", "--method", "traditional", "--omega-mhz", "0", "--serial",
+     "--grid-points", "4"),
+    ("excite", "--t", "-0.5"),
+])
+def test_bad_numbers_are_usage_errors(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("usage error:")
+
+
+@pytest.mark.parametrize("body", [
+    "[p]\n" + PRESET_KEYS,  # no tau_us
+    "[p]\ntau_us = 787.0\n" + PRESET_KEYS + "c6_95_95 = -14.0\n",  # c6 without l_um
+    PRESET_KEYS,  # no section header
+])
+def test_malformed_config_is_usage_error(capsys, tmp_path, body):
+    path = _write_ini(tmp_path, body)
+    code, _, err = run_cli(capsys, "gap", "--v", "0", "--config", path, "--preset", "p")
+    assert code == 2
+    assert err.startswith("usage error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("gap", "--v", "nan"),
+    ("restore", "--omega-mhz", "2", "--omega-dp-mhz", "-2.0399", "--z0", "nan"),
+    ("excite", "--v", "nan"),
+    ("gate", "--l-um", "nan", "--serial", "--grid-points", "4"),
+])
+def test_nan_input_is_usage_error_not_hang(argv):
+    # a subprocess with a timeout, so that a hang fails this test
+    src = os.path.dirname(os.path.dirname(dualrail.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dualrail.cli", *argv],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("usage error:")

@@ -188,6 +188,16 @@ def test_params_validation_and_gap_wait():
     assert p.t_wait_us == pytest.approx(math.sqrt(2.0))
 
 
+@pytest.mark.parametrize("field", [
+    "omega", "omega_dp", "omega_if", "omega_t", "z0_um", "v_mps", "t_wait_us",
+    "temperature_uk",
+])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_params_reject_non_finite_fields(field, value):
+    with pytest.raises(ValueError, match=field):
+        SimulationParams(**{field: value})
+
+
 def test_config_file_roundtrip(tmp_path):
     path = tmp_path / "presets.ini"
     path.write_text(

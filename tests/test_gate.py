@@ -16,6 +16,7 @@ from dualrail.gate import (
     gate_report,
     grid_to_csv,
     lab_hamiltonian,
+    maxwell_grid_average,
     propagate_stages,
     rotation_error,
     simulate_gate_input,
@@ -106,6 +107,16 @@ def test_target_train_must_fit_wait_window():
     with pytest.raises(ValueError):
         # slow target: 4*pi/(sqrt(2)*omega_t) > t_wait
         make_params(omega_t=mhz_to_rad_per_us(1.5))
+
+
+@pytest.mark.parametrize("bad", [
+    dict(omega=float("nan")), dict(omega_dp=float("inf")),
+    dict(omega_if=float("nan")), dict(z0_target_um=float("nan")),
+    dict(omega=0.0), dict(omega_dp=0.0), dict(omega_t=0.0),
+])
+def test_params_reject_non_finite_and_zero_amplitudes(bad):
+    with pytest.raises(ValueError):
+        make_params(**bad)
 
 
 def test_target_deexcite_mode_validation():
@@ -359,6 +370,15 @@ def test_averaged_error_parallel_matches_serial():
     parallel = averaged_rotation_error(PARAMS, 10.0, n_grid=8, jobs=2)
     assert serial.averaged == pytest.approx(parallel.averaged, rel=1e-12)
     assert np.array_equal(serial.errors, parallel.errors)
+
+
+def test_one_grid_serves_every_temperature():
+    cold = averaged_rotation_error(PARAMS, 10.0, n_grid=6)
+    hot = averaged_rotation_error(PARAMS, 200.0, n_grid=6)
+    assert np.array_equal(cold.errors, hot.errors)
+    assert maxwell_grid_average(
+        cold.errors, cold.velocities, 200.0, CFG.species
+    ) == hot.averaged
 
 
 def test_rotation_grid_nonnegative():

@@ -5,21 +5,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualrail.core import interaction_shifts, mhz_to_rad_per_us, RB_D_STATE_C6
+from dualrail.gate import (
+    INFRARED,
+    OPTICAL_DUAL,
+    AtomDrive,
+    GateStage,
+    TwoAtomSpace,
+    lab_hamiltonian,
+)
 from dualrail.hamiltonians import (
     DUAL_RAIL_BASIS,
     GAP_BASIS,
     NINE_BASIS,
-    DriveStage,
-    deexcite_stage,
     dual_rail_rotation,
-    excite_stage,
     h_dual_rail,
     h_four_field,
-    h_gap_four_level,
     h_gate_nine,
     h_single_rail,
-    idle_stage,
-    infrared_stage,
     pi_time,
 )
 
@@ -86,37 +88,41 @@ def test_four_field_rotates_onto_dual_rail(t, z0, v):
     assert np.max(np.abs(r @ hf @ r.conj().T - hd)) < 1e-12 * OMEGA
 
 
-def test_stage_validation():
+def test_pi_time_rejects_zero_amplitude():
+    assert pi_time(-OMEGA) == pytest.approx(math.pi / (math.sqrt(2.0) * OMEGA))
     with pytest.raises(ValueError):
-        DriveStage("bogus", 1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        DriveStage("excite", 1.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        DriveStage("wait_idle", 1.0, 0.0, 1.0)
+        pi_time(0.0)
+
+
+# The four-level gap system (1, r1, r2, r3) of one atom, as the stage engine
+# describes it: the atom in the control slot, an uncoupled spectator target.
+GAP_SPACE = TwoAtomSpace(GAP_BASIS, ("0",))
+
+
+def _gap_h(drive, t, z0, v):
+    return lab_hamiltonian(GAP_SPACE, GateStage(0.0, 1.0, control=drive), t, v, 0.0, z0, 0.0)
 
 
 def test_gap_idle_is_zero():
-    h = h_gap_four_level(0.7, idle_stage(1.0), 3.0, 0.2)
+    h = _gap_h(None, 0.7, 3.0, 0.2)
     assert np.all(h == 0.0)
 
 
 def test_gap_excite_embeds_dual_rail():
-    stage = excite_stage(OMEGA, K_REF, pi_time(OMEGA))
     t, z0, v = 0.13, 1.7, 0.05
-    h4 = h_gap_four_level(t, stage, z0, v)
+    h4 = _gap_h(AtomDrive(OMEGA, K_REF, OPTICAL_DUAL), t, z0, v)
     h3 = h_dual_rail(t, OMEGA, K_REF, z0, v)
     # gap basis (1, r1, r2, r3) vs rail basis (r2, r1, 1)
-    assert h4[1, 0] == h3[1, 2]
-    assert h4[2, 0] == h3[0, 2]
+    assert h4[1, 0] == pytest.approx(h3[1, 2], abs=1e-15 * OMEGA)
+    assert h4[2, 0] == pytest.approx(h3[0, 2], abs=1e-15 * OMEGA)
     assert np.all(h4[3, :] == 0.0) and np.all(h4[:, 3] == 0.0)
     assert np.max(np.abs(h4 - h4.conj().T)) == 0.0
 
 
 def test_gap_infrared_signs():
     k_w = 5.53
-    stage = infrared_stage(OMEGA, k_w, 0.5)
     t, z0, v = 0.4, 0.9, 0.11
-    h = h_gap_four_level(t, stage, z0, v)
+    h = _gap_h(AtomDrive(OMEGA, k_w, INFRARED), t, z0, v)
     z = z0 + v * t
     assert h[1, 3] == pytest.approx(0.5 * OMEGA * np.exp(1j * k_w * z))
     assert h[2, 3] == pytest.approx(0.5 * OMEGA * np.exp(-1j * k_w * z))
@@ -124,8 +130,7 @@ def test_gap_infrared_signs():
 
 
 def test_gap_deexcite_sign_flip():
-    stage = deexcite_stage(-OMEGA, K_REF, 1.0)
-    h = h_gap_four_level(0.0, stage, 0.0, 0.0)
+    h = _gap_h(AtomDrive(-OMEGA, K_REF, OPTICAL_DUAL), 0.0, 0.0, 0.0)
     assert h[1, 0] == pytest.approx(-OMEGA / 2.0)
 
 

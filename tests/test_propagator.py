@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from dualrail.core import SimulationParams, mhz_to_rad_per_us
+from dualrail.core import mhz_to_rad_per_us
+from dualrail.gate import INFRARED, OPTICAL_DUAL, AtomDrive, GateStage
 from dualrail.hamiltonians import (
     DUAL_RAIL_BASIS,
     SINGLE_RAIL_BASIS,
-    deexcite_stage,
-    excite_stage,
     h_dual_rail,
     h_four_field,
     h_single_rail,
@@ -18,8 +17,7 @@ from dualrail.propagator import (
     ComplexState,
     evolve,
     evolve_oracle,
-    run_sequence,
-    trajectory_to_csv,
+    propagate_atom,
 )
 
 K_REF = 5.352287460140241
@@ -136,86 +134,65 @@ def test_four_field_and_dual_rail_ground_trajectories_agree():
         assert abs(af - ad) < 1e-9
 
 
-def _restore_params(v=0.0, z0=0.0):
-    return SimulationParams(omega=OMEGA, omega_dp=OMEGA, v_mps=v, z0_um=z0)
+def _optical(amp, t0, t1):
+    return GateStage(t0, t1, control=AtomDrive(amp, K_REF, OPTICAL_DUAL))
+
+
+def _run(stages, v=0.0, z0=0.0):
+    return propagate_atom(DUAL_RAIL_BASIS, stages, v, z0)
 
 
 def test_sequence_two_pi_pulses_give_minus_one():
-    stages = [
-        excite_stage(OMEGA, K_REF, pi_time(OMEGA)),
-        deexcite_stage(OMEGA, K_REF, pi_time(OMEGA)),
-    ]
-    traj = run_sequence(GROUND, stages, _restore_params())
-    amp = traj.final_state.amplitude("1")
-    assert abs(amp + 1.0) < 1e-10
-    assert abs(traj.final_state.phase("1")) == pytest.approx(math.pi, abs=1e-10)
+    t_pi = pi_time(OMEGA)
+    states, _ = _run([_optical(OMEGA, 0.0, t_pi), _optical(OMEGA, t_pi, 2.0 * t_pi)])
+    final = states[-1]
+    assert abs(final.amplitude("1") + 1.0) < 1e-10
+    assert abs(final.phase("1")) == pytest.approx(math.pi, abs=1e-10)
 
 
 def test_sequence_stage_split_is_continuous():
     # splitting a stage anywhere must not reset the drive phase
-    params = _restore_params(v=0.08, z0=2.3)
-    whole = run_sequence(
-        GROUND, [excite_stage(OMEGA, K_REF, 0.4)], params
-    ).final_state
-    split = run_sequence(
-        GROUND,
-        [excite_stage(OMEGA, K_REF, 0.17), excite_stage(OMEGA, K_REF, 0.23)],
-        params,
-    ).final_state
-    assert np.max(np.abs(whole.amplitudes - split.amplitudes)) < 1e-10
+    whole, t_whole = _run([_optical(OMEGA, 0.0, 0.4)], v=0.08, z0=2.3)
+    split, t_split = _run(
+        [_optical(OMEGA, 0.0, 0.17), _optical(OMEGA, 0.17, 0.4)], v=0.08, z0=2.3
+    )
+    assert np.max(np.abs(whole[-1].amplitudes - split[-1].amplitudes)) < 1e-10
+    assert t_split == pytest.approx(t_whole, abs=1e-12)
 
 
 def test_rydberg_time_analytic_pi_pulse():
     # from the ground state, total Rydberg population is sin^2(Omega t / sqrt 2);
     # its integral over the pi time is exactly half the duration
     t_pi = pi_time(OMEGA)
-    traj = run_sequence(GROUND, [excite_stage(OMEGA, K_REF, t_pi)], _restore_params())
-    assert traj.rydberg_time_us == pytest.approx(t_pi / 2.0, rel=1e-6)
+    _, t_r = _run([_optical(OMEGA, 0.0, t_pi)])
+    assert t_r == pytest.approx(t_pi / 2.0, rel=1e-12)
 
 
 def test_rydberg_time_in_range_and_samples_monotone():
-    stages = [
-        excite_stage(OMEGA, K_REF, pi_time(OMEGA)),
-        deexcite_stage(OMEGA, K_REF, 3.0 * pi_time(OMEGA)),
-    ]
-    traj = run_sequence(GROUND, stages, _restore_params(v=0.05))
-    total = sum(s.duration for s in stages)
-    assert 0.0 <= traj.rydberg_time_us <= total
-    assert np.all(np.diff(traj.times) > 0)
-    assert traj.times[0] == 0.0
-    assert traj.times[-1] == pytest.approx(total)
-    assert len(traj.boundary_states) == 2
-    assert traj.stage_edges[-1] == pytest.approx(total)
+    t_pi = pi_time(OMEGA)
+    total = 4.0 * t_pi
+    states, t_r = _run(
+        [_optical(OMEGA, 0.0, t_pi), _optical(OMEGA, t_pi, total)], v=0.05
+    )
+    assert 0.0 <= t_r <= total
+    assert len(states) == 2
+    # the Rydberg time grows monotonically with the sampled end time
+    times = [propagate_atom(DUAL_RAIL_BASIS, [_optical(OMEGA, 0.0, t)], 0.05, 0.0)[1]
+             for t in np.linspace(0.0, total, 9)]
+    assert times[0] == 0.0
+    assert np.all(np.diff(times) > 0)
 
 
 def test_sequence_norm_preserved():
-    stages = [
-        excite_stage(OMEGA, K_REF, pi_time(OMEGA)),
-        deexcite_stage(-OMEGA, K_REF, 3.0 * pi_time(OMEGA)),
-    ]
-    traj = run_sequence(GROUND, stages, _restore_params(v=0.1))
-    assert abs(traj.final_state.norm - 1.0) < 1e-9
-
-
-def test_trajectory_csv(tmp_path):
-    traj = run_sequence(
-        GROUND, [excite_stage(OMEGA, K_REF, 0.2)], _restore_params(v=0.05),
-        samples_per_stage=50,
+    t_pi = pi_time(OMEGA)
+    states, _ = _run(
+        [_optical(OMEGA, 0.0, t_pi), _optical(-OMEGA, t_pi, 4.0 * t_pi)], v=0.1
     )
-    path = tmp_path / "traj.csv"
-    trajectory_to_csv(traj, str(path))
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "t_us,pop_r2,pop_r1,pop_1,phase_r2,phase_r1,phase_1"
-    assert len(lines) == 52
-    data = np.loadtxt(str(path), delimiter=",", skiprows=1)
-    phases = data[:, 4:]
-    assert np.all(phases > -math.pi - 1e-12) and np.all(phases <= math.pi + 1e-12)
+    assert abs(states[-1].norm - 1.0) < 1e-12
 
 
 def test_rejected_stage_kind_for_basis():
-    from dualrail.hamiltonians import infrared_stage
-
+    # the infrared drive needs r3, which the three-level basis lacks
+    stage = GateStage(0.0, 0.1, control=AtomDrive(OMEGA, 5.53, INFRARED))
     with pytest.raises(ValueError):
-        run_sequence(
-            GROUND, [infrared_stage(OMEGA, 5.53, 0.1)], _restore_params()
-        )
+        _run([stage])
