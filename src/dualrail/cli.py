@@ -20,7 +20,6 @@ from dualrail import core, gate, protocols
 from dualrail.core import (
     SimulationParams,
     get_config,
-    load_configs,
     mhz_to_rad_per_us,
     rad_per_us_to_mhz,
 )
@@ -65,20 +64,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", help="output file path")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                        help="parallel workers for grid averages")
+                        help="parallel workers for the gate's velocity grid")
     parser.add_argument("--serial", action="store_true",
                         help="force single-process execution")
-
-
-def _resolve_config(args) -> core.AtomLaserConfig:
-    if args.config:
-        pool = {c.name: c for c in core.builtin_configs()}
-        for cfg in load_configs(args.config):
-            pool[cfg.name] = cfg
-        if args.preset not in pool:
-            raise KeyError(f"unknown preset {args.preset!r}")
-        return pool[args.preset]
-    return get_config(args.preset)
 
 
 def _jobs(args) -> int:
@@ -93,7 +81,7 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def cmd_excite(args) -> int:
-    cfg = _resolve_config(args)
+    cfg = get_config(args.preset, args.config)
     params = SimulationParams(omega=mhz_to_rad_per_us(args.omega_mhz),
                               z0_um=args.z0, v_mps=args.v)
     if not 0.0 <= args.t < math.inf:
@@ -142,7 +130,7 @@ def _print_average(avg: protocols.AveragedOutcome) -> None:
 
 
 def cmd_restore(args) -> int:
-    cfg = _resolve_config(args)
+    cfg = get_config(args.preset, args.config)
     k = cfg.wavevectors.k_excite
     omega = mhz_to_rad_per_us(args.omega_mhz)
     if args.omega_dp_mhz is not None:
@@ -157,7 +145,6 @@ def cmd_restore(args) -> int:
             partial(protocols.restore_runner, params, k),
             args.temp_uk, cfg.species,
             velocities=core.maxwell_grid(args.temp_uk, cfg.species, args.grid_points),
-            jobs=_jobs(args),
         )
         _print_average(avg)
         if args.output:
@@ -172,7 +159,7 @@ def cmd_restore(args) -> int:
 
 
 def cmd_gap(args) -> int:
-    cfg = _resolve_config(args)
+    cfg = get_config(args.preset, args.config)
     omega = mhz_to_rad_per_us(args.omega_mhz)
     params = SimulationParams(
         omega=omega,
@@ -187,7 +174,6 @@ def cmd_gap(args) -> int:
             partial(protocols.gap_runner, params, cfg.wavevectors),
             args.temp_uk, cfg.species,
             velocities=core.maxwell_grid(args.temp_uk, cfg.species, args.grid_points),
-            jobs=_jobs(args),
         )
         _print_average(avg)
     else:
@@ -199,7 +185,7 @@ def cmd_gap(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    cfg = _resolve_config(args)
+    cfg = get_config(args.preset, args.config)
     k = cfg.wavevectors.k_excite
     omega = mhz_to_rad_per_us(args.omega_mhz)
     omega_dp = protocols.optimize_deexcitation(
@@ -241,7 +227,7 @@ def _gate_params(args, cfg) -> gate.GateParams:
 
 
 def cmd_gate(args) -> int:
-    cfg = _resolve_config(args)
+    cfg = get_config(args.preset, args.config)
     params = _gate_params(args, cfg)
     started = time.perf_counter()
     grid = gate.averaged_rotation_error(
@@ -279,7 +265,7 @@ def cmd_gate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _resolve_config(args)
+    cfg = get_config(args.preset, args.config)
     k = cfg.wavevectors.k_excite
     if args.num < 2:
         raise UsageError("sweep needs at least two points")
@@ -337,8 +323,7 @@ def cmd_sweep(args) -> int:
                 "gap": partial(protocols.gap_runner, p, cfg.wavevectors),
                 "traditional": partial(protocols.traditional_runner, p, k),
             }[args.protocol]
-            avg = protocols.maxwell_average(runner, float(x), cfg.species,
-                                            jobs=_jobs(args))
+            avg = protocols.maxwell_average(runner, float(x), cfg.species)
             out = protocols.ProtocolOutcome(
                 avg.ground_population, avg.mean_abs_phase,
                 avg.r3_leak, avg.rydberg_time_us,
@@ -355,13 +340,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_table(args) -> int:
-    cfg = _resolve_config(args)
-    jobs = _jobs(args)
+    cfg = get_config(args.preset, args.config)
     rows = args.rows or None
     if args.which == 1:
-        _run_table1(cfg, rows, jobs)
+        _run_table1(cfg, rows)
     else:
-        _run_table2(cfg, rows, jobs, args.grid_points)
+        _run_table2(cfg, rows, _jobs(args), args.grid_points)
     return 0
 
 
@@ -384,7 +368,7 @@ def compute_restoration_row(cfg, row) -> tuple[float, float]:
     return avg.ground_population, avg.mean_abs_phase
 
 
-def _run_table1(cfg, rows, jobs) -> None:
+def _run_table1(cfg, rows) -> None:
     print("row  method        T_uK   computed_pop  reference_pop  rel_dev    "
           "computed_|phase|  reference_|phase|")
     for i, row in enumerate(RESTORATION_BENCHMARK, start=1):

@@ -366,15 +366,16 @@ def builtin_configs() -> list[AtomLaserConfig]:
     return list(_BUILTIN)
 
 
-def get_config(name: str | None = None) -> AtomLaserConfig:
-    """Look up a preset by name, consulting DUALRAIL_CONFIG if set.
+def get_config(name: str | None = None, path: str | None = None) -> AtomLaserConfig:
+    """Look up a preset by name among the bundled presets and those of an
+    INI file: ``path`` if given, else the file DUALRAIL_CONFIG names.
 
-    Presets loaded from the environment-provided file take precedence
-    over bundled ones of the same name.
+    Presets loaded from the file take precedence over bundled ones of the
+    same name.  An unknown name raises KeyError.
     """
     wanted = name or DEFAULT_CONFIG_NAME
     pool: dict[str, AtomLaserConfig] = {c.name: c for c in _BUILTIN}
-    path = os.environ.get(CONFIG_PATH_ENV_VAR)
+    path = path or os.environ.get(CONFIG_PATH_ENV_VAR)
     if path:
         for cfg in load_configs(path):
             pool[cfg.name] = cfg

@@ -8,15 +8,22 @@ error; Rydberg residence times feed the decay error.
 
 Propagation uses per-stage rotating frames: inside one stage every drive
 phase k*(z0 + v*t) is absorbed into level phases that grow linearly in
-time, leaving a time-independent Hamiltonian whose off-diagonals are the
-half-amplitudes and whose diagonal picks up the static Doppler rates
--k*v per rail (plus the interaction shifts).  One eigendecomposition per
-stage then gives the exact time-ordered propagator and exact
-time-integrated Rydberg occupations, with frame factors applied at the
-stage edges.  This is what makes the 100 x 100 velocity-grid average
-cheap while matching the adaptive integrator to solver precision.  It is
-the package's only production engine: the single-atom protocols run on it
-too, through :func:`dualrail.propagator.propagate_atom`.
+time, leaving a time-independent real symmetric Hamiltonian whose
+off-diagonals are the half-amplitudes and whose diagonal picks up the
+static Doppler rates -k*v per rail (plus the interaction shifts).  One
+eigendecomposition per stage then gives the exact time-ordered propagator
+and exact time-integrated Rydberg occupations, with frame factors applied
+at the stage edges.  It is the package's only production engine: the
+single-atom protocols run on it too, through
+:func:`dualrail.propagator.propagate_atom`.
+
+The engine takes scalar velocities or arrays of velocity pairs.  Only the
+Doppler diagonal depends on the velocities, so each stage builds its
+Hamiltonian once, broadcasts the diagonal over the pairs and
+diagonalizes the whole stack in one ``eigh`` call (a stage without drives
+is diagonal already and needs none).  The 100 x 100 grid
+average runs one such batch per grid row (one control velocity against
+every target velocity), which keeps each stack to one row.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Literal, Mapping, Sequence
 
 import numpy as np
@@ -100,6 +108,11 @@ class TwoAtomSpace:
             (c, t) for c in self.control_levels for t in self.target_levels
         ]
 
+    @cached_property
+    def shift_diagonal(self) -> np.ndarray:
+        """Interaction shift of every basis state, in basis order."""
+        return np.array([self.shifts.get(label, 0.0) for label in self.labels()])
+
     def single_rydberg_indices(self) -> list[int]:
         out = []
         for i, (c, t) in enumerate(self.labels()):
@@ -108,53 +121,36 @@ class TwoAtomSpace:
         return out
 
 
-def _frame_factors(levels: tuple[str, ...], drive: AtomDrive | None) -> np.ndarray:
-    """Per-level phase rates f such that theta(t) = f * (z0 + v t).
-
-    Chosen to cancel the drive phases: a coupling anchor->driven with
-    phase s*k*z forces f(driven) = f(anchor) - s*k, anchors at 0.
-    """
-    f = np.zeros(len(levels))
-    if drive is not None:
-        for anchor, driven, sign in drive.couplings:
-            f[levels.index(driven)] = -sign * drive.k
-    return f
-
-
-def _rotating_hamiltonian(
-    space: TwoAtomSpace,
-    stage: GateStage,
-    v_control: float,
-    v_target: float,
+def _stage_hamiltonian(
+    space: TwoAtomSpace, stage: GateStage
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Static in-frame Hamiltonian plus the per-atom frame factors."""
+    """Velocity-independent in-frame Hamiltonian of a stage (real
+    symmetric: half-amplitudes off the diagonal, interaction shifts on it)
+    plus the control and target frame rates of every basis state.
+
+    The rates f make theta(t) = f_c (z0_c + v_c t) + f_t (z0_t + v_t t)
+    cancel the drive phases: a coupling anchor->driven with phase s*k*z
+    forces f(driven) = f(anchor) - s*k, anchors at 0.  The Doppler rates
+    -(f_c v_c + f_t v_t) still belong on the diagonal.
+    """
     nc, nt = len(space.control_levels), len(space.target_levels)
-    f_c = _frame_factors(space.control_levels, stage.control)
-    f_t = _frame_factors(space.target_levels, stage.target)
-
-    h = np.zeros((space.dim, space.dim), dtype=complex)
-    for i, (cl, tl) in enumerate(space.labels()):
-        shift = space.shifts.get((cl, tl), 0.0)
-        rate = f_c[space.control_levels.index(cl)] * v_control
-        rate += f_t[space.target_levels.index(tl)] * v_target
-        h[i, i] = shift - rate
-
-    if stage.control is not None:
-        for anchor, driven, _sign in stage.control.couplings:
-            for tl in space.target_levels:
-                i, j = space.index(driven, tl), space.index(anchor, tl)
-                h[i, j] += 0.5 * stage.control.amp
-                h[j, i] += 0.5 * stage.control.amp
-    if stage.target is not None:
-        for anchor, driven, _sign in stage.target.couplings:
-            for cl in space.control_levels:
-                i, j = space.index(cl, driven), space.index(cl, anchor)
-                h[i, j] += 0.5 * stage.target.amp
-                h[j, i] += 0.5 * stage.target.amp
-
-    frame_c = np.repeat(f_c, nt)
-    frame_t = np.tile(f_t, nc)
-    return h, frame_c, frame_t
+    h = np.diag(space.shift_diagonal).reshape(nc, nt, nc, nt)
+    frames = np.zeros((2, nc, nt))
+    # The target's couplings act on the (target, control) transposed views.
+    for drive, levels, h_atom, frame in (
+        (stage.control, space.control_levels, h, frames[0]),
+        (stage.target, space.target_levels, h.transpose(1, 0, 3, 2), frames[1].T),
+    ):
+        if drive is None:
+            continue
+        half = 0.5 * drive.amp
+        for anchor, driven, sign in drive.couplings:
+            i, j = levels.index(driven), levels.index(anchor)
+            for other in range(h_atom.shape[1]):
+                h_atom[i, other, j, other] += half
+                h_atom[j, other, i, other] += half
+            frame[i] = -sign * drive.k
+    return h.reshape(space.dim, space.dim), frames[0].ravel(), frames[1].ravel()
 
 
 def lab_hamiltonian(
@@ -194,56 +190,71 @@ def _occupation_integral(
     coeffs: np.ndarray,
     eigenvalues: np.ndarray,
     duration: float,
-    rows: Sequence[int],
-) -> float:
-    """Exact integral of the summed populations of ``rows`` over a stage."""
-    if not rows:
-        return 0.0
-    gaps = eigenvalues[:, None] - eigenvalues[None, :]
+    rows: np.ndarray,
+) -> np.ndarray:
+    """Exact integral of the summed populations of ``rows`` over a stage,
+    for one eigensystem or a stack of them (leading batch axis)."""
+    gaps = eigenvalues[..., :, None] - eigenvalues[..., None, :]
     small = np.abs(gaps) < 1e-12
-    safe = np.where(small, 1.0, gaps)
-    integrals = np.where(
-        small, duration, (1.0 - np.exp(-1j * safe * duration)) / (1j * safe)
-    )
-    total = 0.0
-    for s in rows:
-        amp_coeffs = vectors[s, :] * coeffs
-        total += float(np.real(np.outer(amp_coeffs, amp_coeffs.conj()) * integrals).sum())
-    return total
+    safe = gaps + small
+    integrals = 1j * ((np.exp(-1j * duration * safe) - 1.0) / safe)
+    integrals[small] = duration
+    amps = vectors[..., rows, :] * coeffs[..., None, :]
+    return np.real(((amps @ integrals) * amps.conj()).sum(axis=(-2, -1)))
 
 
 def propagate_stages(
     psi: np.ndarray,
     space: TwoAtomSpace,
     stages: Sequence[GateStage],
-    v_control: float,
-    v_target: float,
+    v_control: float | np.ndarray,
+    v_target: float | np.ndarray,
     z0_control: float,
     z0_target: float,
     occupation_rows: Sequence[int] = (),
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float | np.ndarray]:
     """Exact staged evolution; returns the final state and the summed
-    time-integrated population of ``occupation_rows``."""
-    psi = np.asarray(psi, dtype=complex).copy()
-    occupation = 0.0
+    time-integrated population of ``occupation_rows``.
+
+    ``v_control`` and ``v_target`` are scalars or 1-D arrays of one length
+    N (a scalar pairs with every entry of the other).  With arrays, every
+    stage takes one stacked eigendecomposition of the N velocity pairs,
+    all starting from ``psi``, and the results are an (N, dim) state stack
+    and an (N,) occupation array.  Scalars keep every array one axis
+    smaller, which is cheaper for a single pair.
+    """
+    v_c = np.asarray(v_control, dtype=float)
+    v_t = np.asarray(v_target, dtype=float)
+    batch = v_c.shape or v_t.shape
+    v_c, v_t = v_c[..., None], v_t[..., None]
+    psi = np.zeros(batch + (space.dim,), dtype=complex) + psi
+    occupation = np.zeros(batch)
+    rows = np.asarray(occupation_rows, dtype=int)
+    identity = np.eye(space.dim)
     for stage in stages:
-        h, frame_c, frame_t = _rotating_hamiltonian(
-            space, stage, v_control, v_target
-        )
-        z_c0 = z0_control + v_control * stage.t0
-        z_t0 = z0_target + v_target * stage.t0
-        z_c1 = z0_control + v_control * stage.t1
-        z_t1 = z0_target + v_target * stage.t1
-        theta0 = frame_c * z_c0 + frame_t * z_t0
-        theta1 = frame_c * z_c1 + frame_t * z_t1
+        if stage.control is None and stage.target is None:
+            # Undriven: no frame, and H is the diagonal of interaction shifts.
+            populations = np.abs(psi[..., rows]) ** 2
+            occupation += stage.duration * populations.sum(axis=-1)
+            psi = np.exp(-1j * stage.duration * space.shift_diagonal) * psi
+            continue
+        h0, frame_c, frame_t = _stage_hamiltonian(space, stage)
+        rates = frame_c * v_c + frame_t * v_t
+        h = h0 - rates[..., None] * identity
+        offset = frame_c * z0_control + frame_t * z0_target
+        theta0 = offset + rates * stage.t0
+        theta1 = offset + rates * stage.t1
 
         eigenvalues, vectors = np.linalg.eigh(h)
-        coeffs = vectors.conj().T @ (np.exp(1j * theta0) * psi)
+        coeffs = ((np.exp(1j * theta0) * psi)[..., None, :] @ vectors)[..., 0, :]
         occupation += _occupation_integral(
-            vectors, coeffs, eigenvalues, stage.duration, occupation_rows
+            vectors, coeffs, eigenvalues, stage.duration, rows
         )
-        phi = vectors @ (np.exp(-1j * eigenvalues * stage.duration) * coeffs)
+        phases = np.exp(-1j * stage.duration * eigenvalues) * coeffs
+        phi = (vectors @ phases[..., None])[..., 0]
         psi = np.exp(-1j * theta1) * phi
+    if occupation.ndim == 0:
+        return psi, float(occupation)
     return psi, occupation
 
 
@@ -438,24 +449,15 @@ def _spaces(params: GateParams, method: Method):
     return full, control_only, target_only
 
 
-def simulate_gate_input(
+def _simulate_input(
     input_label: str,
     params: GateParams,
-    v_control: float = 0.0,
-    v_target: float = 0.0,
-    method: Method = "dual_rail",
-) -> tuple[complex, float]:
-    """Diagonal amplitude <input|U|input> and single-Rydberg residence time.
-
-    Atoms initialized in |0> are uncoupled spectators, so |01> reduces to
-    a target-only run inside the wait window, |10> to a control-only run,
-    and |11> to the full two-atom space with blockade shifts.
-    """
-    if input_label not in GATE_INPUTS:
-        raise ValueError(f"input must be one of {GATE_INPUTS}")
-    if input_label == "00":
-        return 1.0 + 0.0j, 0.0
-
+    v_control: float | np.ndarray,
+    v_target: float | np.ndarray,
+    method: Method,
+) -> tuple[complex | np.ndarray, float | np.ndarray]:
+    """:func:`simulate_gate_input` for input "01", "10" or "11", with
+    scalar or 1-D array velocities as in :func:`propagate_stages`."""
     stages = (
         _dual_rail_stages(params)
         if method == "dual_rail"
@@ -486,12 +488,33 @@ def simulate_gate_input(
         params.z0_target_um,
         occupation_rows=space.single_rydberg_indices(),
     )
-    return complex(psi[space.index(*start)]), t_r
+    return psi[..., space.index(*start)], t_r
+
+
+def simulate_gate_input(
+    input_label: str,
+    params: GateParams,
+    v_control: float = 0.0,
+    v_target: float = 0.0,
+    method: Method = "dual_rail",
+) -> tuple[complex, float]:
+    """Diagonal amplitude <input|U|input> and single-Rydberg residence time.
+
+    Atoms initialized in |0> are uncoupled spectators, so |01> reduces to
+    a target-only run inside the wait window, |10> to a control-only run,
+    and |11> to the full two-atom space with blockade shifts.
+    """
+    if input_label not in GATE_INPUTS:
+        raise ValueError(f"input must be one of {GATE_INPUTS}")
+    if input_label == "00":
+        return 1.0 + 0.0j, 0.0
+    amp, t_r = _simulate_input(input_label, params, v_control, v_target, method)
+    return complex(amp), t_r
 
 
 def rotation_error(a: complex, b: complex, c: complex) -> float:
     """Trace-formula error of diag(1, a, b, c) against the ideal
-    controlled-Z diag(1, -1, -1, -1)."""
+    controlled-Z diag(1, -1, -1, -1); elementwise on arrays."""
     trace = 1.0 - a - b - c
     purity = 1.0 + abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2
     return 1.0 - (abs(trace) ** 2 + purity) / 20.0
@@ -585,13 +608,11 @@ class RotationErrorGrid:
 
 
 def _row_errors(args) -> np.ndarray:
-    params, method, v_c, velocities, amps_a = args
-    b, _ = simulate_gate_input("10", params, v_control=v_c, method=method)
-    row = np.empty(len(velocities))
-    for j, v_t in enumerate(velocities):
-        c, _ = simulate_gate_input("11", params, v_c, v_t, method)
-        row[j] = rotation_error(amps_a[j], b, c)
-    return row
+    """Rotation errors of one grid row: one control velocity (and its b)
+    against every target velocity, in one batched |11> run."""
+    params, method, v_c, b, velocities, amps_a = args
+    c, _ = _simulate_input("11", params, v_c, velocities, method)
+    return rotation_error(amps_a, b, c)
 
 
 def averaged_rotation_error(
@@ -607,16 +628,17 @@ def averaged_rotation_error(
     The two atomic velocities run over the same uniform grid; weights are
     the product of one-dimensional Maxwell factors, normalized by their
     sum (:func:`maxwell_grid_average`).  a depends only on the target
-    velocity and b only on the control velocity, so they are computed once
-    per grid line.
+    velocity and b only on the control velocity, so each line takes one
+    batched run; c takes one batched run per grid row (one control
+    velocity), which bounds the memory of a stack to one row.  With
+    ``jobs`` > 1 the rows are spread over worker processes.
     """
     velocities = velocity_grid(n_grid, v_bound)
-    amps_a = [
-        simulate_gate_input("01", params, v_target=v, method=method)[0]
-        for v in velocities
-    ]
+    amps_a, _ = _simulate_input("01", params, 0.0, velocities, method)
+    amps_b, _ = _simulate_input("10", params, velocities, 0.0, method)
     tasks = [
-        (params, method, v_c, velocities, amps_a) for v_c in velocities
+        (params, method, v_c, b, velocities, amps_a)
+        for v_c, b in zip(velocities, amps_b)
     ]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

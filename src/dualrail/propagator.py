@@ -23,12 +23,20 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from dualrail.gate import GateStage, TwoAtomSpace, propagate_stages
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
+
+
+def solve_ivp(*args, **kwargs):
+    """:func:`scipy.integrate.solve_ivp`, imported on first use: SciPy's
+    import costs more than a whole production run, and only the oracle
+    integrates."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 class EvolutionError(RuntimeError):

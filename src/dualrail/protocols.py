@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+# Unused since the protocol grids run serially; perfbench's tracer patches
+# this name, so it stays until the tracer stops looking it up.
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from dualrail.core import (
     AtomSpecies,
@@ -250,6 +251,10 @@ def optimize_deexcitation(
     At v_ref = 0 every 3*pi-area pulse restores the state exactly and the
     objective is degenerate; the convention is to return sign*|Omega|.
     """
+    # Imported here: scipy.optimize is slow to import and only this
+    # function needs it.
+    from scipy.optimize import minimize_scalar
+
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     if v_ref == 0.0:
@@ -286,13 +291,12 @@ def optimize_deexcitation(
 def grid_outcomes(
     runner: Callable[[float], ProtocolOutcome],
     velocities: Iterable[float],
-    jobs: int = 1,
 ) -> list[ProtocolOutcome]:
-    """Evaluate a protocol at each velocity, in deterministic grid order."""
-    velocities = list(velocities)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(runner, velocities))
+    """Evaluate a protocol at each velocity, in deterministic grid order.
+
+    Serial on purpose: a 201-point grid takes about 0.1 s on the exact
+    engine, less than starting a process pool costs.
+    """
     return [runner(v) for v in velocities]
 
 
@@ -301,7 +305,6 @@ def maxwell_average(
     temperature_uk: float,
     species: AtomSpecies,
     velocities: np.ndarray | None = None,
-    jobs: int = 1,
 ) -> AveragedOutcome:
     """Maxwell-weighted protocol averages over a symmetric velocity grid.
 
@@ -332,7 +335,7 @@ def maxwell_average(
 
     weights = maxwell_weight(velocities, temperature_uk, species)
     weights = weights / np.sum(weights)
-    outcomes = grid_outcomes(runner, velocities, jobs=jobs)
+    outcomes = grid_outcomes(runner, velocities)
 
     pops = np.array([o.ground_population for o in outcomes])
     phases = np.array([abs(o.ground_phase) for o in outcomes])

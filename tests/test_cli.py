@@ -162,9 +162,13 @@ def test_custom_config_file(capsys, tmp_path):
     assert parse_kv(out)["population_error"] < 1e-9
 
 
-def test_unknown_preset_is_usage_error(capsys):
+def test_unknown_preset_is_usage_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "gap", "--v", "0", "--preset", "nope")
     assert code == 2
+    path = _write_ini(tmp_path, "[mypreset]\ntau_us = 787.0\n" + PRESET_KEYS)
+    code, _, err = run_cli(capsys, "gap", "--v", "0", "--config", path, "--preset", "nope")
+    assert code == 2
+    assert "unknown preset 'nope'" in err
 
 
 def test_table1_traditional_row(capsys):
@@ -269,6 +273,12 @@ def test_malformed_config_is_usage_error(capsys, tmp_path, body):
     assert err.startswith("usage error:")
 
 
+def _subprocess_env():
+    src = os.path.dirname(os.path.dirname(dualrail.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 @pytest.mark.parametrize("argv", [
     ("gap", "--v", "nan"),
     ("restore", "--omega-mhz", "2", "--omega-dp-mhz", "-2.0399", "--z0", "nan"),
@@ -277,12 +287,22 @@ def test_malformed_config_is_usage_error(capsys, tmp_path, body):
 ])
 def test_nan_input_is_usage_error_not_hang(argv):
     # a subprocess with a timeout, so that a hang fails this test
-    src = os.path.dirname(os.path.dirname(dualrail.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, "-m", "dualrail.cli", *argv],
-        capture_output=True, text=True, timeout=60, env=env,
+        capture_output=True, text=True, timeout=60, env=_subprocess_env(),
     )
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("usage error:")
+
+
+def test_cli_import_loads_no_scipy():
+    # SciPy serves the optimizer and the test oracle only; importing it
+    # would dominate every short command
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, dualrail.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, timeout=60, env=_subprocess_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

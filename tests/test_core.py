@@ -243,6 +243,24 @@ def test_config_env_var(tmp_path, monkeypatch):
         get_config("not_a_preset")
 
 
+def test_config_path_takes_precedence_over_env_var(tmp_path, monkeypatch):
+    body = (
+        "mass_kg = 1.44316e-25\n"
+        "lambda_lower_nm = 795.0\n"
+        "lambda_upper_nm = 474.0\n"
+        "lambda_ir_nm = 2272.0\n"
+    )
+    env_file, arg_file = tmp_path / "env.ini", tmp_path / "arg.ini"
+    env_file.write_text("[shared]\ntau_us = 100.0\n" + body)
+    arg_file.write_text("[shared]\ntau_us = 200.0\n" + body)
+    monkeypatch.setenv("DUALRAIL_CONFIG", str(env_file))
+    assert get_config("shared").species.rydberg_lifetime_us == 100.0
+    assert get_config("shared", str(arg_file)).species.rydberg_lifetime_us == 200.0
+    assert get_config("rb87_5p12", str(arg_file)).name == "rb87_5p12"
+    with pytest.raises(KeyError):
+        get_config("not_a_preset", str(arg_file))
+
+
 def test_unknown_preset():
     with pytest.raises(KeyError):
         get_config("nonexistent")

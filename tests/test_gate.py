@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dualrail.core import get_config, mhz_to_rad_per_us
 from dualrail.gate import (
@@ -22,7 +22,13 @@ from dualrail.gate import (
     simulate_gate_input,
     velocity_grid,
 )
-from dualrail.gate import _dual_rail_stages, _rotating_hamiltonian, _spaces
+from dualrail.gate import (
+    _dual_rail_stages,
+    _spaces,
+    _stage_hamiltonian,
+    _strip,
+    _traditional_stages,
+)
 from dualrail.hamiltonians import NINE_BASIS, h_dual_rail, h_gate_nine, pi_time
 from dualrail.propagator import ComplexState, evolve
 
@@ -214,9 +220,9 @@ def test_numeric_decay_matches_analytic():
 
 # --- cross-validation of the stage engine -------------------------------------
 
-def test_frame_engine_matches_adaptive_integrator():
-    full, _, _ = _spaces(PARAMS, "dual_rail")
-    stages = _dual_rail_stages(PARAMS)
+def _check_engine_against_adaptive_integrator(method):
+    full, _, _ = _spaces(PARAMS, method)
+    stages = (_dual_rail_stages if method == "dual_rail" else _traditional_stages)(PARAMS)
     v_c, v_t, z0c, z0t = 0.13, -0.07, 0.8, -1.3
     psi0 = np.zeros(full.dim, dtype=complex)
     psi0[full.index("1", "1")] = 1.0
@@ -231,12 +237,55 @@ def test_frame_engine_matches_adaptive_integrator():
     assert np.max(np.abs(state.amplitudes - psi_frame)) < 1e-8
 
 
+def test_frame_engine_matches_adaptive_integrator():
+    _check_engine_against_adaptive_integrator("dual_rail")
+
+
+def test_traditional_engine_matches_adaptive_integrator():
+    # its idle wait stage carries only the blockade shift
+    _check_engine_against_adaptive_integrator("traditional")
+
+
+speeds = st.floats(-0.6, 0.6)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(speeds, speeds), min_size=1, max_size=5),
+    z0=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    method=st.sampled_from(["dual_rail", "traditional"]),
+    which=st.sampled_from(["full", "control_only", "target_only"]),
+)
+def test_batched_stages_match_scalar_calls(pairs, z0, method, which):
+    full, control_only, target_only = _spaces(PARAMS, method)
+    stages = (_dual_rail_stages if method == "dual_rail" else _traditional_stages)(PARAMS)
+    space = {"full": full, "control_only": control_only, "target_only": target_only}[which]
+    stages = _strip(stages, control=which != "target_only",
+                    target=which != "control_only")
+    rng = np.random.default_rng(len(pairs))
+    psi0 = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+    psi0 /= np.linalg.norm(psi0)
+    rows = space.single_rydberg_indices()
+    v_c, v_t = (np.array(v) for v in zip(*pairs))
+    run = lambda vc, vt: propagate_stages(psi0, space, stages, vc, vt, *z0, rows)
+    batched = run(v_c, v_t)
+    # a scalar velocity pairs with every entry of the other array
+    row = run(v_c[0], v_t)
+    for i in range(len(pairs)):
+        psi, occupation = run(v_c[i], v_t[i])
+        assert np.max(np.abs(batched[0][i] - psi)) < 1e-12
+        assert abs(batched[1][i] - occupation) < 1e-12
+        psi, occupation = run(v_c[0], v_t[i])
+        assert np.max(np.abs(row[0][i] - psi)) < 1e-12
+        assert abs(row[1][i] - occupation) < 1e-12
+
+
 def test_wait_stage_block_diagonal():
     # with the control drive off, nothing couples the control-ground
     # block to the shelved block: the piecewise bookkeeping is exact
     full, _, _ = _spaces(PARAMS, "dual_rail")
     stage_b = _dual_rail_stages(PARAMS)[1]
-    h, _, _ = _rotating_hamiltonian(full, stage_b, 0.1, -0.2)
+    h, _, _ = _stage_hamiltonian(full, stage_b)
     ground_block = [full.index("1", t) for t in ("1", "r1", "r2")]
     others = [i for i in range(full.dim) if i not in ground_block]
     assert np.max(np.abs(h[np.ix_(ground_block, others)])) == 0.0
@@ -363,6 +412,25 @@ def test_traditional_grid_symmetry_without_blockade_shift():
         assert rep_a.rotation_error == pytest.approx(
             rep_b.rotation_error, abs=1e-9
         )
+
+
+@pytest.mark.parametrize("method", ["dual_rail", "traditional"])
+@pytest.mark.parametrize("n_cycles", [1, 2])
+def test_batched_grid_matches_pointwise_loop(method, n_cycles):
+    params = make_params(n_cycles, z0_control_um=0.7, z0_target_um=-1.1)
+    grid = averaged_rotation_error(params, 10.0, method, n_grid=9)
+    v = grid.velocities
+    a = [simulate_gate_input("01", params, 0.0, v_t, method)[0] for v_t in v]
+    expected = np.empty((v.size, v.size))
+    for i, v_c in enumerate(v):
+        b, _ = simulate_gate_input("10", params, v_c, 0.0, method)
+        for j, v_t in enumerate(v):
+            c, _ = simulate_gate_input("11", params, v_c, v_t, method)
+            expected[i, j] = rotation_error(a[j], b, c)
+    assert np.max(np.abs(grid.errors - expected)) < 1e-12
+    assert abs(
+        grid.averaged - maxwell_grid_average(expected, v, 10.0, CFG.species)
+    ) < 1e-12
 
 
 def test_averaged_error_parallel_matches_serial():

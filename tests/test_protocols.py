@@ -31,7 +31,6 @@ from dualrail.protocols import (
     OptimizationError,
     analytic_w,
     extract_phase_phi,
-    grid_outcomes,
     maxwell_average,
     optimize_deexcitation,
     phase_linearity,
@@ -41,7 +40,6 @@ from dualrail.protocols import (
     run_traditional_restore,
     summary_report,
     sweep_to_csv,
-    traditional_runner,
 )
 
 CFG = get_config("rb87_5p12")
@@ -248,6 +246,9 @@ def test_traditional_at_rest():
     out = run_traditional_restore(params, K_MINUS)
     assert out.ground_population == pytest.approx(1.0, abs=1e-9)
     assert abs(out.ground_phase) == pytest.approx(math.pi, abs=1e-9)
+    # half of each pi pulse plus the whole wait in the Rydberg state
+    t_pi = math.pi / params.omega
+    assert out.rydberg_time_us == pytest.approx(t_pi + params.t_wait_us, rel=1e-12)
 
 
 def test_traditional_phase_error_grows_with_wait():
@@ -296,19 +297,6 @@ def test_transfer_averages_match_reference():
         pop20.append(evolve(ground, h, 0.0, 2.0).population("1"))
     assert float(w @ np.array(pop05)) == pytest.approx(1.1e-6, rel=0.3)
     assert 1.0 - float(w @ np.array(pop20)) == pytest.approx(2.0e-4, rel=0.25)
-
-
-def test_grid_outcomes_parallel_matches_serial():
-    runner = partial(traditional_runner,
-                     SimulationParams(omega=mhz_to_rad_per_us(2.0 * math.sqrt(2.0)),
-                                      t_wait_us=0.5),
-                     K_MINUS)
-    vels = [-0.05, 0.0, 0.05]
-    serial = grid_outcomes(runner, vels, jobs=1)
-    parallel = grid_outcomes(runner, vels, jobs=2)
-    for a, b in zip(serial, parallel):
-        assert a.ground_population == b.ground_population
-        assert a.ground_phase == b.ground_phase
 
 
 # --- the exact engine against the adaptive oracle --------------------------
