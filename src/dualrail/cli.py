@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import replace
@@ -62,15 +61,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="atom/laser preset name")
     parser.add_argument("--config", help="INI file with additional presets")
     parser.add_argument("--output", help="output file path")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                        help="parallel workers for the gate's velocity grid")
-    parser.add_argument("--serial", action="store_true",
-                        help="force single-process execution")
-
-
-def _jobs(args) -> int:
-    return 1 if args.serial else max(1, args.jobs)
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -86,6 +76,8 @@ def cmd_excite(args) -> int:
                               z0_um=args.z0, v_mps=args.v)
     if not 0.0 <= args.t < math.inf:
         raise UsageError("--t must be a nonnegative duration")
+    if args.samples < 1:
+        raise UsageError("--samples must be at least 1")
     # The cos/sin drive is the two-rail drive at sqrt(2)*Omega in the
     # rotated basis (r-, r+, 1); its amplitudes are rotated back below.
     levels, amp, couplings = {
@@ -231,8 +223,7 @@ def cmd_gate(args) -> int:
     params = _gate_params(args, cfg)
     started = time.perf_counter()
     grid = gate.averaged_rotation_error(
-        params, args.temp_uk, args.method,
-        n_grid=args.grid_points, jobs=_jobs(args),
+        params, args.temp_uk, args.method, n_grid=args.grid_points
     )
     report = gate.gate_report(params, 0.0, 0.0, args.method)
     result = gate.FidelityReport.combine(grid, report)
@@ -342,10 +333,13 @@ def cmd_sweep(args) -> int:
 def cmd_table(args) -> int:
     cfg = get_config(args.preset, args.config)
     rows = args.rows or None
+    table = RESTORATION_BENCHMARK if args.which == 1 else GATE_BENCHMARK
+    if rows and not all(1 <= i <= len(table) for i in rows):
+        raise UsageError(f"table {args.which} has rows 1 to {len(table)}")
     if args.which == 1:
         _run_table1(cfg, rows)
     else:
-        _run_table2(cfg, rows, _jobs(args), args.grid_points)
+        _run_table2(cfg, rows, args.grid_points)
     return 0
 
 
@@ -382,7 +376,9 @@ def _run_table1(cfg, rows) -> None:
         )
 
 
-def compute_gate_row(cfg, row, jobs=1, n_grid=100):
+def compute_gate_row(cfg, row, n_grid=100) -> tuple[float, gate.RotationErrorGrid]:
+    """Duration and velocity-error grid of one Table-2 row; only the grid's
+    average depends on the row's temperature."""
     method, temp, n_cycles, _, _ = row
     params = gate.GateParams(
         omega=mhz_to_rad_per_us(2.0),
@@ -392,20 +388,23 @@ def compute_gate_row(cfg, row, jobs=1, n_grid=100):
         n_gap_cycles=n_cycles,
         config=cfg,
     )
-    duration = gate.gate_duration(params, method)
-    grid = gate.averaged_rotation_error(params, temp, method,
-                                        n_grid=n_grid, jobs=jobs)
-    return duration, grid.averaged
+    grid = gate.averaged_rotation_error(params, temp, method, n_grid=n_grid)
+    return gate.gate_duration(params, method), grid
 
 
-def _run_table2(cfg, rows, jobs, n_grid) -> None:
+def _run_table2(cfg, rows, n_grid) -> None:
     print("row  method        T_uK   n  duration  ref_dur  e_ro_avg    "
           "ref_e_ro    rel_dev")
+    # Rows that differ only in temperature reweight one grid.
+    grids = {}
     for i, row in enumerate(GATE_BENCHMARK, start=1):
         if rows and i not in rows:
             continue
         method, temp, n_cycles, ref_dur, ref_ero = row
-        duration, ero = compute_gate_row(cfg, row, jobs=jobs, n_grid=n_grid)
+        if (method, n_cycles) not in grids:
+            grids[method, n_cycles] = compute_gate_row(cfg, row, n_grid)
+        duration, grid = grids[method, n_cycles]
+        ero = gate.maxwell_grid_average(grid.errors, grid.velocities, temp, cfg.species)
         print(
             f"{i:<4d} {method:<13s} {temp:<6g} {n_cycles}  {duration:.4f}    "
             f"{ref_dur:.3f}    {ero:.4e}  {ref_ero:.2e}  {ero / ref_ero - 1:+.2e}"

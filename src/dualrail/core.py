@@ -149,9 +149,13 @@ class InteractionTable:
         C6 is tabulated as ordinary frequency (THz), so C6/L^6 is first
         expressed in MHz (= 1/us) and then multiplied by 2*pi.
         """
-        c6_thz = self.c6(pair)
-        v_mhz = c6_thz * 1.0e6 / self.separation_um**6
-        return TWO_PI * v_mhz
+        try:
+            shift = TWO_PI * (self.c6(pair) * 1.0e6 / self.separation_um**6)
+        except (OverflowError, ZeroDivisionError):  # L**6 out of float range
+            shift = math.inf
+        if not math.isfinite(shift):
+            raise ValueError(f"separation {self.separation_um!r} um gives no finite shift")
+        return shift
 
 
 def interaction_shifts(table: InteractionTable) -> dict[tuple[int, int], float]:

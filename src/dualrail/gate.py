@@ -18,18 +18,19 @@ single-atom protocols run on it too, through
 :func:`dualrail.propagator.propagate_atom`.
 
 The engine takes scalar velocities or arrays of velocity pairs.  Only the
-Doppler diagonal depends on the velocities, so each stage builds its
-Hamiltonian once, broadcasts the diagonal over the pairs and
-diagonalizes the whole stack in one ``eigh`` call (a stage without drives
-is diagonal already and needs none).  The 100 x 100 grid
-average runs one such batch per grid row (one control velocity against
-every target velocity), which keeps each stack to one row.
+Doppler diagonal depends on the velocities, and only on those of the atoms
+a stage drives, so each stage builds its Hamiltonian once, broadcasts the
+diagonal over the pairs and diagonalizes the stack in one ``eigh`` call; a
+stage that only scalar velocities drive is one matrix for every pair, and a
+stage without drives needs none.  The 100 x 100 grid average runs one batch
+per grid row (one control velocity against every target velocity).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+# Unused; perfbench's tracer patches this name (ROADMAP item 6).
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Literal, Mapping, Sequence
@@ -42,6 +43,7 @@ from dualrail.core import (
     gap_wait_time,
     maxwell_weight,
     require_finite_fields,
+    thermal_rms_speed,
 )
 from dualrail.hamiltonians import pi_time
 
@@ -239,7 +241,10 @@ def propagate_stages(
             psi = np.exp(-1j * stage.duration * space.shift_diagonal) * psi
             continue
         h0, frame_c, frame_t = _stage_hamiltonian(space, stage)
-        rates = frame_c * v_c + frame_t * v_t
+        # An undriven atom has no frame, so its velocities add nothing.
+        rates = frame_c * v_c if stage.control is not None else 0.0
+        if stage.target is not None:
+            rates = rates + frame_t * v_t
         h = h0 - rates[..., None] * identity
         offset = frame_c * z0_control + frame_t * z0_target
         theta0 = offset + rates * stage.t0
@@ -607,21 +612,12 @@ class RotationErrorGrid:
     temperature_uk: float
 
 
-def _row_errors(args) -> np.ndarray:
-    """Rotation errors of one grid row: one control velocity (and its b)
-    against every target velocity, in one batched |11> run."""
-    params, method, v_c, b, velocities, amps_a = args
-    c, _ = _simulate_input("11", params, v_c, velocities, method)
-    return rotation_error(amps_a, b, c)
-
-
 def averaged_rotation_error(
     params: GateParams,
     temperature_uk: float,
     method: Method = "dual_rail",
     n_grid: int = 100,
     v_bound: float = 0.5,
-    jobs: int = 1,
 ) -> RotationErrorGrid:
     """Maxwell-weighted double-grid average of the rotation error.
 
@@ -630,22 +626,20 @@ def averaged_rotation_error(
     sum (:func:`maxwell_grid_average`).  a depends only on the target
     velocity and b only on the control velocity, so each line takes one
     batched run; c takes one batched run per grid row (one control
-    velocity), which bounds the memory of a stack to one row.  With
-    ``jobs`` > 1 the rows are spread over worker processes.
+    velocity), which bounds the memory of a stack to one row.  Within a
+    row, the stages that drive only the control atom share one
+    eigendecomposition across the batch.
     """
+    if n_grid < 2:
+        raise ValueError(f"the velocity grid needs at least 2 points, got {n_grid}")
+    thermal_rms_speed(temperature_uk, params.config.species)  # rejects a bad T early
     velocities = velocity_grid(n_grid, v_bound)
     amps_a, _ = _simulate_input("01", params, 0.0, velocities, method)
     amps_b, _ = _simulate_input("10", params, velocities, 0.0, method)
-    tasks = [
-        (params, method, v_c, b, velocities, amps_a)
-        for v_c, b in zip(velocities, amps_b)
-    ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_row_errors, tasks, chunksize=4))
-    else:
-        rows = [_row_errors(t) for t in tasks]
-    errors = np.vstack(rows)
+    errors = np.empty((n_grid, n_grid))
+    for i, (v_c, b) in enumerate(zip(velocities, amps_b)):
+        c, _ = _simulate_input("11", params, v_c, velocities, method)
+        errors[i] = rotation_error(amps_a, b, c)
 
     averaged = maxwell_grid_average(
         errors, velocities, temperature_uk, params.config.species
@@ -699,13 +693,10 @@ def fidelity(
     method: Method = "dual_rail",
     n_grid: int = 100,
     v_bound: float = 0.5,
-    jobs: int = 1,
 ) -> FidelityReport:
     """Gate fidelity with the decay error taken from the zero-velocity
     residence times (they vary only weakly with velocity)."""
-    grid = averaged_rotation_error(
-        params, temperature_uk, method, n_grid, v_bound, jobs
-    )
+    grid = averaged_rotation_error(params, temperature_uk, method, n_grid, v_bound)
     return FidelityReport.combine(grid, gate_report(params, 0.0, 0.0, method))
 
 

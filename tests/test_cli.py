@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dualrail
 from dualrail import gate
@@ -125,7 +126,7 @@ def test_phase_sweep_slope(capsys):
 def test_gate_json_report(capsys, tmp_path):
     path = tmp_path / "gate.json"
     code, out, _ = run_cli(
-        capsys, "gate", "--temp-uk", "10", "--grid-points", "6", "--serial",
+        capsys, "gate", "--temp-uk", "10", "--grid-points", "6",
         "--output", str(path),
     )
     assert code == 0
@@ -138,7 +139,7 @@ def test_gate_json_report(capsys, tmp_path):
 
 
 def test_gate_json_rerun_byte_identical(capsys, tmp_path):
-    args = ["gate", "--temp-uk", "10", "--grid-points", "4", "--serial"]
+    args = ["gate", "--temp-uk", "10", "--grid-points", "4"]
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     assert run_cli(capsys, *args, "--output", str(p1))[0] == 0
     assert run_cli(capsys, *args, "--output", str(p2))[0] == 0
@@ -181,8 +182,7 @@ def test_table1_traditional_row(capsys):
 
 def test_table2_traditional_row_small_grid(capsys):
     code, out, _ = run_cli(
-        capsys, "table", "--which", "2", "--rows", "2",
-        "--grid-points", "12", "--serial",
+        capsys, "table", "--which", "2", "--rows", "2", "--grid-points", "12",
     )
     assert code == 0
     m = re.search(r"2\s+traditional\s+10\s+1\s+(\d\.\d+)", out)
@@ -223,12 +223,41 @@ def test_gate_grid_output_computes_grid_and_report_once(capsys, tmp_path, monkey
         monkeypatch.setattr(gate, name, counting)
     report, grid = tmp_path / "gate.json", tmp_path / "grid.csv"
     code, _, _ = run_cli(
-        capsys, "gate", "--grid-points", "4", "--serial",
+        capsys, "gate", "--grid-points", "4",
         "--output", str(report), "--grid-output", str(grid),
     )
     assert code == 0
     assert calls == {"averaged_rotation_error": 1, "gate_report": 1}
     assert len(grid.read_text().strip().split("\n")) == 17
+
+
+def test_table2_builds_one_grid_per_method_and_cycle_count(capsys, monkeypatch):
+    # rows 1/3, 2/4, 5/7 and 6/8 differ only in temperature
+    calls = []
+    original = gate.averaged_rotation_error
+
+    def counting(params, temperature_uk, method, **kwargs):
+        calls.append((method, params.n_gap_cycles))
+        return original(params, temperature_uk, method, **kwargs)
+
+    monkeypatch.setattr(gate, "averaged_rotation_error", counting)
+    code, out, _ = run_cli(capsys, "table", "--which", "2", "--grid-points", "4")
+    assert code == 0
+    assert len(out.strip().split("\n")) == 9
+    assert sorted(calls) == [
+        ("dual_rail", 1), ("dual_rail", 2), ("traditional", 1), ("traditional", 2)
+    ]
+
+
+@pytest.mark.parametrize("argv", [
+    ("gate", "--jobs", "2"),
+    ("gate", "--serial"),
+    ("gate", "--format", "json"),
+])
+def test_removed_options_are_unknown(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "unrecognized arguments" in err
 
 
 def _write_ini(tmp_path, body):
@@ -251,9 +280,13 @@ PRESET_KEYS = (
     ("gap", "--v", "0", "--omega-dp-mhz", "0"),
     ("gap", "--v", "0", "--omega-dp-mhz", "inf"),
     ("restore", "--omega-mhz", "2", "--omega-dp-mhz", "inf"),
-    ("gate", "--method", "traditional", "--omega-mhz", "0", "--serial",
-     "--grid-points", "4"),
+    ("gate", "--method", "traditional", "--omega-mhz", "0", "--grid-points", "4"),
     ("excite", "--t", "-0.5"),
+    ("excite", "--samples", "0"),
+    ("gate", "--temp-uk", "-5"),
+    ("gate", "--grid-points", "0"),
+    ("table", "--which", "2", "--rows", "9"),
+    ("gate", "--l-um", "1e-60", "--grid-points", "4"),  # L**6 underflows
 ])
 def test_bad_numbers_are_usage_errors(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
@@ -283,7 +316,7 @@ def _subprocess_env():
     ("gap", "--v", "nan"),
     ("restore", "--omega-mhz", "2", "--omega-dp-mhz", "-2.0399", "--z0", "nan"),
     ("excite", "--v", "nan"),
-    ("gate", "--l-um", "nan", "--serial", "--grid-points", "4"),
+    ("gate", "--l-um", "nan", "--grid-points", "4"),
 ])
 def test_nan_input_is_usage_error_not_hang(argv):
     # a subprocess with a timeout, so that a hang fails this test
@@ -306,3 +339,60 @@ def test_cli_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# Floats the command line accepts: the specials, zero, negatives and extremes.
+FUZZ_FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0]),
+    st.floats(min_value=-5.0, max_value=5.0),
+    st.floats(),
+)
+FUZZ_COUNTS = st.integers(min_value=-2, max_value=40)
+
+
+def _fuzz_argv(argv, **options):
+    """Draw ``argv`` plus up to four ``options`` as ``--name=value``; the
+    options not drawn keep their defaults, so many runs get to compute."""
+    def with_values(names):
+        drawn = st.tuples(argv, *(options[name] for name in names))
+        return drawn.map(lambda d: d[0] + [
+            f"--{name.replace('_', '-')}={value}" for name, value in zip(names, d[1:])
+        ])
+
+    names = st.lists(st.sampled_from(sorted(options)), max_size=4, unique=True)
+    return names.flatmap(with_values)
+
+
+FUZZ_RUNS = st.one_of(
+    _fuzz_argv(
+        st.just(["excite"]),
+        drive=st.sampled_from(["four-field", "dual-rail", "single-rail"]),
+        omega_mhz=FUZZ_FLOATS, v=FUZZ_FLOATS, z0=FUZZ_FLOATS, t=FUZZ_FLOATS,
+        samples=FUZZ_COUNTS, output=st.just(os.devnull),
+    ),
+    _fuzz_argv(
+        st.just(["gap"]),
+        omega_mhz=FUZZ_FLOATS, omega_dp_mhz=FUZZ_FLOATS, omega_if_mhz=FUZZ_FLOATS,
+        n_cycles=st.integers(-1, 3), v=FUZZ_FLOATS, z0=FUZZ_FLOATS,
+        temp_uk=FUZZ_FLOATS, grid_points=FUZZ_COUNTS,
+    ),
+    _fuzz_argv(
+        st.just(["restore"]),
+        omega_mhz=FUZZ_FLOATS, omega_dp_mhz=FUZZ_FLOATS, v=FUZZ_FLOATS,
+        z0=FUZZ_FLOATS, temp_uk=FUZZ_FLOATS, grid_points=FUZZ_COUNTS,
+    ),
+    _fuzz_argv(
+        st.integers(-1, 4).map(lambda n: ["gate", f"--grid-points={n}"]),
+        method=st.sampled_from(["dual_rail", "traditional"]),
+        omega_mhz=FUZZ_FLOATS, omega_dp_mhz=FUZZ_FLOATS, omega_t_mhz=FUZZ_FLOATS,
+        omega_if_mhz=FUZZ_FLOATS, n_cycles=st.integers(-1, 3),
+        temp_uk=FUZZ_FLOATS, l_um=FUZZ_FLOATS,
+    ),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(argv=FUZZ_RUNS)
+def test_fuzzed_arguments_end_with_a_known_exit_code(argv):
+    # no exception may escape main: 0 success, 2 usage, 3 numerical failure
+    assert main(argv) in (0, 2, 3)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dualrail import gate as gate_module
 from dualrail.core import get_config, mhz_to_rad_per_us
 from dualrail.gate import (
     GateParams,
@@ -24,6 +25,7 @@ from dualrail.gate import (
 )
 from dualrail.gate import (
     _dual_rail_stages,
+    _simulate_input,
     _spaces,
     _stage_hamiltonian,
     _strip,
@@ -433,11 +435,31 @@ def test_batched_grid_matches_pointwise_loop(method, n_cycles):
     ) < 1e-12
 
 
-def test_averaged_error_parallel_matches_serial():
-    serial = averaged_rotation_error(PARAMS, 10.0, n_grid=8, jobs=1)
-    parallel = averaged_rotation_error(PARAMS, 10.0, n_grid=8, jobs=2)
-    assert serial.averaged == pytest.approx(parallel.averaged, rel=1e-12)
-    assert np.array_equal(serial.errors, parallel.errors)
+def test_control_only_stages_share_one_eigendecomposition(monkeypatch):
+    matrices = []
+    original = np.linalg.eigh
+
+    def counting(h, *args, **kwargs):
+        matrices.append(h.reshape(-1, *h.shape[-2:]).shape[0])
+        return original(h, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    velocities = velocity_grid(100)
+    _simulate_input("11", PARAMS, 0.12, velocities, "dual_rail")
+    # excite and deexcite drive the control only; the target's two pulses
+    # (with the control's infrared shelving) drive both atoms
+    assert sorted(matrices) == [1, 1, 100, 100]
+
+
+def test_bad_grid_inputs_rejected_before_any_propagation(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("propagated before checking the inputs")
+
+    monkeypatch.setattr(gate_module, "propagate_stages", fail)
+    with pytest.raises(ValueError, match="temperature"):
+        averaged_rotation_error(PARAMS, -5.0)
+    with pytest.raises(ValueError, match="at least 2 points"):
+        averaged_rotation_error(PARAMS, 10.0, n_grid=1)
 
 
 def test_one_grid_serves_every_temperature():
