@@ -1,6 +1,8 @@
 """Command-line front end: protocol runs, sweeps, gates, benchmark tables.
 
-Exit codes: 0 success, 2 usage error, 3 numerical failure.
+Exit codes: 0 success, 2 usage error, 3 numerical failure.  A NumPy
+overflow, invalid operation or division by zero anywhere in a command is a
+numerical failure, so no command prints a NaN and exits 0.
 """
 
 from __future__ import annotations
@@ -117,8 +119,23 @@ def _print_outcome(out: protocols.ProtocolOutcome) -> None:
     print(f"rydberg_time_us = {out.rydberg_time_us:.6e}")
 
 
-def _print_average(avg: protocols.AveragedOutcome) -> None:
+def _run_or_average(args, cfg, runner) -> int:
+    """One ``runner`` call at ``--v``, or its Maxwell average at ``--temp-uk``."""
+    if args.temp_uk is None:
+        out = runner(args.v)
+        _print_outcome(out)
+        if args.output:
+            protocols.sweep_to_csv([(args.v, args.z0, out)], args.output)
+        return 0
+    avg = protocols.maxwell_average(
+        runner, args.temp_uk, cfg.species,
+        velocities=core.maxwell_grid(args.temp_uk, cfg.species, args.grid_points),
+    )
     print(protocols.summary_report(avg), end="")
+    if args.output:
+        with open(args.output, "w") as fh:
+            fh.write(protocols.summary_report(avg))
+    return 0
 
 
 def cmd_restore(args) -> int:
@@ -132,22 +149,7 @@ def cmd_restore(args) -> int:
         print(f"optimized_omega_dp_mhz = {rad_per_us_to_mhz(omega_dp):.6f}")
     params = SimulationParams(omega=omega, omega_dp=omega_dp,
                               z0_um=args.z0, v_mps=args.v)
-    if args.temp_uk is not None:
-        avg = protocols.maxwell_average(
-            partial(protocols.restore_runner, params, k),
-            args.temp_uk, cfg.species,
-            velocities=core.maxwell_grid(args.temp_uk, cfg.species, args.grid_points),
-        )
-        _print_average(avg)
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(protocols.summary_report(avg))
-    else:
-        out = protocols.run_excite_restore(params, k)
-        _print_outcome(out)
-        if args.output:
-            protocols.sweep_to_csv([(args.v, args.z0, out)], args.output)
-    return 0
+    return _run_or_average(args, cfg, partial(protocols.restore_runner, params, k))
 
 
 def cmd_gap(args) -> int:
@@ -161,19 +163,7 @@ def cmd_gap(args) -> int:
         z0_um=args.z0,
         v_mps=args.v,
     )
-    if args.temp_uk is not None:
-        avg = protocols.maxwell_average(
-            partial(protocols.gap_runner, params, cfg.wavevectors),
-            args.temp_uk, cfg.species,
-            velocities=core.maxwell_grid(args.temp_uk, cfg.species, args.grid_points),
-        )
-        _print_average(avg)
-    else:
-        out = protocols.run_gap_protocol(params, cfg.wavevectors)
-        _print_outcome(out)
-        if args.output:
-            protocols.sweep_to_csv([(args.v, args.z0, out)], args.output)
-    return 0
+    return _run_or_average(args, cfg, partial(protocols.gap_runner, params, cfg.wavevectors))
 
 
 def cmd_optimize(args) -> int:
@@ -268,9 +258,8 @@ def cmd_sweep(args) -> int:
             raise UsageError("the phase sweep is defined over the v axis")
         omega = mhz_to_rad_per_us(args.omega_mhz)
         fit = protocols.phase_linearity(omega, k, axis)
-        rows = list(zip(axis, fit.ratios))
         lines = ["v_mps,phi_rad,ratio"]
-        for v, ratio in rows:
+        for v, ratio in zip(axis, fit.ratios):
             phi = ratio * 2.0 * math.pi * k * v / omega
             lines.append(f"{v:.11e},{phi:.11e},{ratio:.11e}")
         text = "\n".join(lines) + "\n"
@@ -298,30 +287,30 @@ def cmd_sweep(args) -> int:
             return protocols.run_gap_protocol(params, cfg.wavevectors)
         return protocols.run_traditional_restore(params, k)
 
-    rows = []
-    for x in axis:
-        if args.axis == "v":
-            p = replace(base, v_mps=float(x))
-        elif args.axis == "z0":
-            p = replace(base, z0_um=float(x))
-        elif args.axis == "omega":
-            p = replace(base, omega=mhz_to_rad_per_us(float(x)))
-        else:  # temp axis: Maxwell-average at each temperature
-            p = base
-        if args.axis == "temp":
-            runner = {
-                "restore": partial(protocols.restore_runner, p, k),
-                "gap": partial(protocols.gap_runner, p, cfg.wavevectors),
-                "traditional": partial(protocols.traditional_runner, p, k),
-            }[args.protocol]
-            avg = protocols.maxwell_average(runner, float(x), cfg.species)
+    if args.axis in ("v", "z0"):
+        # One batched run over the whole axis, split into rows for the CSV.
+        p = replace(base, **{"v_mps" if args.axis == "v" else "z0_um": axis})
+        out = run_one(p)
+        columns = np.broadcast_arrays(
+            p.v_mps, p.z0_um, out.ground_population, out.ground_phase,
+            out.r3_leak, out.rydberg_time_us,
+        )
+        rows = [(v, z0, protocols.ProtocolOutcome(*fields))
+                for v, z0, *fields in zip(*columns)]
+    elif args.axis == "omega":
+        rows = [(base.v_mps, base.z0_um, run_one(replace(base, omega=mhz_to_rad_per_us(float(x)))))
+                for x in axis]
+    else:  # temp axis: Maxwell-average at each temperature
+        rows = []
+        for x in axis:
+            avg = protocols.maxwell_average(
+                lambda v: run_one(replace(base, v_mps=v)), float(x), cfg.species
+            )
             out = protocols.ProtocolOutcome(
                 avg.ground_population, avg.mean_abs_phase,
                 avg.r3_leak, avg.rydberg_time_us,
             )
-            rows.append((float("nan"), p.z0_um, out))
-        else:
-            rows.append((p.v_mps, p.z0_um, run_one(p)))
+            rows.append((float("nan"), base.z0_um, out))
     if args.output:
         protocols.sweep_to_csv(rows, args.output)
     worst = max(r[2].error for r in rows)
@@ -517,14 +506,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (
-        protocols.ConvergenceError,
+        core.ConvergenceError,
         protocols.OptimizationError,
         protocols.PhaseExtractionError,
+        FloatingPointError,  # raised by the errstate above
     ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -16,6 +16,7 @@ from __future__ import annotations
 import configparser
 import math
 import os
+import sys
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -189,10 +190,17 @@ class AtomLaserConfig:
 
 
 def require_finite_fields(params) -> None:
-    """Reject a NaN or infinite numeric field of a parameter dataclass."""
+    """Reject a NaN or infinite numeric field of a parameter dataclass;
+    NumPy scalars and arrays are checked element by element."""
     for f in fields(params):
         value = getattr(params, f.name)
-        if isinstance(value, (int, float)) and not math.isfinite(value):
+        if isinstance(value, float):  # NumPy's float64 too
+            finite = math.isfinite(value)
+        elif isinstance(value, (np.number, np.ndarray)):
+            finite = np.all(np.isfinite(value))
+        else:  # ints are finite, and other fields are not numbers
+            continue
+        if not finite:
             raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
@@ -202,7 +210,8 @@ class SimulationParams:
 
     All Rabi amplitudes are angular (rad/us) and signed; ``omega_dp`` may
     be negative to flip the deexcitation drive.  ``v_mps`` is the velocity
-    component along the beam axis and ``z0_um`` the initial coordinate.
+    component along the beam axis and ``z0_um`` the initial coordinate;
+    either may be a 1-D array, one protocol run per entry.
     """
 
     omega: float = 0.0
@@ -255,7 +264,19 @@ def gap_wait_time(n_cycles: int, omega_if: float) -> float:
     """Wait duration 4*n*pi/(sqrt(2)*Omega_IF) for n infrared cycles."""
     if omega_if <= 0:
         raise ValueError("infrared Rabi amplitude must be positive")
+    if n_cycles > sys.float_info.max:
+        raise ValueError("gap cycle count exceeds the float range")
     return 4.0 * n_cycles * math.pi / (math.sqrt(2.0) * omega_if)
+
+
+def scalar_or_array(x):
+    """A 0-d result as a Python float or complex, a batched one as an array."""
+    x = np.asarray(x)
+    return x if x.ndim else x.item()
+
+
+class ConvergenceError(RuntimeError):
+    """Raised when a velocity grid does not cover the Maxwell distribution."""
 
 
 def thermal_rms_speed(temperature_uk: float, species: AtomSpecies) -> float:
@@ -275,7 +296,7 @@ def maxwell_weight(v_mps, temperature_uk: float, species: AtomSpecies):
     sigma = thermal_rms_speed(temperature_uk, species)
     v = np.asarray(v_mps, dtype=float)
     w = np.exp(-0.5 * (v / sigma) ** 2)
-    return w if w.ndim else float(w)
+    return scalar_or_array(w)
 
 
 def maxwell_grid(

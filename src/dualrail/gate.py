@@ -40,9 +40,11 @@ import numpy as np
 from dualrail.core import (
     AtomLaserConfig,
     AtomSpecies,
+    ConvergenceError,
     gap_wait_time,
     maxwell_weight,
     require_finite_fields,
+    scalar_or_array,
     thermal_rms_speed,
 )
 from dualrail.hamiltonians import pi_time
@@ -211,24 +213,25 @@ def propagate_stages(
     stages: Sequence[GateStage],
     v_control: float | np.ndarray,
     v_target: float | np.ndarray,
-    z0_control: float,
-    z0_target: float,
+    z0_control: float | np.ndarray,
+    z0_target: float | np.ndarray,
     occupation_rows: Sequence[int] = (),
 ) -> tuple[np.ndarray, float | np.ndarray]:
     """Exact staged evolution; returns the final state and the summed
     time-integrated population of ``occupation_rows``.
 
-    ``v_control`` and ``v_target`` are scalars or 1-D arrays of one length
-    N (a scalar pairs with every entry of the other).  With arrays, every
-    stage takes one stacked eigendecomposition of the N velocity pairs,
-    all starting from ``psi``, and the results are an (N, dim) state stack
-    and an (N,) occupation array.  Scalars keep every array one axis
-    smaller, which is cheaper for a single pair.
+    The velocities and initial coordinates are scalars or 1-D arrays of one
+    length N (a scalar pairs with every entry of the others).  With arrays,
+    every stage takes one stacked eigendecomposition of the N velocity
+    pairs, all starting from ``psi`` (the coordinates enter only the frame
+    phases), and the results are an (N, dim) state stack and an (N,)
+    occupation array.  Scalars keep every array one axis smaller, which is
+    cheaper for a single pair.
     """
-    v_c = np.asarray(v_control, dtype=float)
-    v_t = np.asarray(v_target, dtype=float)
-    batch = v_c.shape or v_t.shape
-    v_c, v_t = v_c[..., None], v_t[..., None]
+    v_c, v_t, z_c, z_t = (np.asarray(x, dtype=float)
+                          for x in (v_control, v_target, z0_control, z0_target))
+    batch = v_c.shape or v_t.shape or z_c.shape or z_t.shape
+    v_c, v_t, z_c, z_t = v_c[..., None], v_t[..., None], z_c[..., None], z_t[..., None]
     psi = np.zeros(batch + (space.dim,), dtype=complex) + psi
     occupation = np.zeros(batch)
     rows = np.asarray(occupation_rows, dtype=int)
@@ -246,7 +249,7 @@ def propagate_stages(
         if stage.target is not None:
             rates = rates + frame_t * v_t
         h = h0 - rates[..., None] * identity
-        offset = frame_c * z0_control + frame_t * z0_target
+        offset = frame_c * z_c + frame_t * z_t
         theta0 = offset + rates * stage.t0
         theta1 = offset + rates * stage.t1
 
@@ -258,9 +261,7 @@ def propagate_stages(
         phases = np.exp(-1j * stage.duration * eigenvalues) * coeffs
         phi = (vectors @ phases[..., None])[..., 0]
         psi = np.exp(-1j * theta1) * phi
-    if occupation.ndim == 0:
-        return psi, float(occupation)
-    return psi, occupation
+    return psi, scalar_or_array(occupation)
 
 
 @dataclass(frozen=True)
@@ -656,11 +657,16 @@ def maxwell_grid_average(
     """Maxwell-weighted mean of values[i, j] at (velocities[i], velocities[j]).
 
     Only the weights depend on the temperature, so one grid of values
-    serves every temperature.
+    serves every temperature.  Weights that all underflow on the grid
+    raise :class:`~dualrail.core.ConvergenceError`.
     """
     weights = maxwell_weight(velocities, temperature_uk, species)
     w2 = np.outer(weights, weights)
-    return float(np.sum(w2 * values) / np.sum(w2))
+    total = np.sum(w2)
+    if not 0.0 < total < math.inf:
+        raise ConvergenceError(f"the Maxwell weights at {temperature_uk:g} uK "
+                               f"sum to {total:g} on the {len(velocities)}-point grid")
+    return float(np.sum(w2 * values) / total)
 
 
 @dataclass(frozen=True)

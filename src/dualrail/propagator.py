@@ -24,6 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from dualrail.core import scalar_or_array
 from dualrail.gate import GateStage, TwoAtomSpace, propagate_stages
 
 DEFAULT_RTOL = 1e-10
@@ -45,14 +46,15 @@ class EvolutionError(RuntimeError):
 
 @dataclass(frozen=True)
 class ComplexState:
-    """Complex amplitudes over a named level basis."""
+    """Complex amplitudes over a named level basis, optionally with a
+    leading batch axis (one state per row; the accessors return arrays)."""
 
     basis: tuple[str, ...]
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
         amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (len(self.basis),):
+        if amps.ndim not in (1, 2) or amps.shape[-1] != len(self.basis):
             raise ValueError("amplitude vector does not match basis size")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -63,18 +65,18 @@ class ComplexState:
         amps[basis.index(label)] = 1.0
         return cls(basis, amps)
 
-    def amplitude(self, label: str) -> complex:
-        return complex(self.amplitudes[self.basis.index(label)])
+    def amplitude(self, label: str) -> complex | np.ndarray:
+        return scalar_or_array(self.amplitudes[..., self.basis.index(label)])
 
-    def population(self, label: str) -> float:
+    def population(self, label: str) -> float | np.ndarray:
         return abs(self.amplitude(label)) ** 2
 
-    def phase(self, label: str) -> float:
-        return float(np.angle(self.amplitude(label)))
+    def phase(self, label: str) -> float | np.ndarray:
+        return scalar_or_array(np.angle(self.amplitude(label)))
 
     @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+    def norm(self) -> float | np.ndarray:
+        return scalar_or_array(np.linalg.norm(self.amplitudes, axis=-1))
 
 
 def evolve(
@@ -138,9 +140,9 @@ def evolve_oracle(
 def propagate_atom(
     levels: Sequence[str],
     stages: Sequence[GateStage],
-    v: float,
-    z0: float,
-) -> tuple[list[ComplexState], float]:
+    v: float | np.ndarray,
+    z0: float | np.ndarray,
+) -> tuple[list[ComplexState], float | np.ndarray]:
     """Exact staged evolution of one atom that starts in its level "1".
 
     The atom takes the control slot of a :class:`TwoAtomSpace` whose
@@ -148,6 +150,9 @@ def propagate_atom(
     drives as ``control``.  Its coordinate z0 + v*t runs on across stage
     boundaries.  Returns the state at the end of every stage and the time
     spent in the Rydberg levels (labels starting with "r").
+    ``v`` and ``z0`` may be 1-D arrays of one length N, as in
+    :func:`dualrail.gate.propagate_stages`; the states and the Rydberg time
+    then carry a leading axis of length N.
     """
     levels = tuple(levels)
     space = TwoAtomSpace(levels, ("0",))

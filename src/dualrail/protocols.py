@@ -11,9 +11,10 @@ Doppler term.
 
 Every protocol is a chain of drive stages on one atom, run by
 :func:`dualrail.propagator.propagate_atom` on the exact stage engine: one
-eigendecomposition per stage, closed-form Rydberg residence.  Because the
-restored ground phase comes out of an exact computation, a phase of pi can
-come back as +pi or -pi by roundoff; compare phases modulo 2*pi.
+eigendecomposition per stage, closed-form Rydberg residence, batched over
+velocity and coordinate arrays.  Because the restored ground phase comes
+out of an exact computation, a phase of pi can come back as +pi or -pi by
+roundoff; compare phases modulo 2*pi.
 """
 
 from __future__ import annotations
@@ -24,12 +25,13 @@ import warnings
 # this name, so it stays until the tracer stops looking it up.
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from dualrail.core import (
     AtomSpecies,
+    ConvergenceError,  # noqa: F401  (callers catch protocols.ConvergenceError)
     SimulationParams,
     WavevectorSet,
     continuum_weight_mass,
@@ -38,6 +40,7 @@ from dualrail.core import (
     maxwell_weight,
     rad_per_us_to_mhz,
     mhz_to_rad_per_us,
+    scalar_or_array,
 )
 from dualrail.gate import INFRARED, OPTICAL_DUAL, OPTICAL_SINGLE, AtomDrive, GateStage
 from dualrail.hamiltonians import (
@@ -47,10 +50,6 @@ from dualrail.hamiltonians import (
     pi_time,
 )
 from dualrail.propagator import ComplexState, propagate_atom
-
-
-class ConvergenceError(RuntimeError):
-    """Raised when a velocity grid does not cover the Maxwell distribution."""
 
 
 class OptimizationError(RuntimeError):
@@ -63,15 +62,15 @@ class PhaseExtractionError(RuntimeError):
 
 @dataclass(frozen=True)
 class ProtocolOutcome:
-    """Endpoint observables of one protocol run."""
+    """Endpoint observables of one protocol run (arrays for a batched run)."""
 
-    ground_population: float
-    ground_phase: float
-    r3_leak: float
-    rydberg_time_us: float
+    ground_population: float | np.ndarray
+    ground_phase: float | np.ndarray
+    r3_leak: float | np.ndarray
+    rydberg_time_us: float | np.ndarray
 
     @property
-    def error(self) -> float:
+    def error(self) -> float | np.ndarray:
         return 1.0 - self.ground_population
 
 
@@ -124,7 +123,7 @@ def analytic_w(t, omega: float, k: float, z0: float, v: float):
             rate = kv + eta * omega
             w += (f(kz0) - f(kz0 + rate * t)) / (2.0 * rate)
         w = (1j) ** (2 - alpha) * omega * w
-        out.append(w if w.ndim else complex(w))
+        out.append(scalar_or_array(w))
     return out[0], out[1]
 
 
@@ -137,15 +136,12 @@ def _chain(*pulses: tuple[float, AtomDrive | None]) -> list[GateStage]:
     return stages
 
 
-def _outcome(
-    final: ComplexState, rydberg_time: float, r3_leak: float = 0.0
-) -> ProtocolOutcome:
-    return ProtocolOutcome(
-        ground_population=final.population("1"),
-        ground_phase=final.phase("1"),
-        r3_leak=r3_leak,
-        rydberg_time_us=rydberg_time,
-    )
+def _outcome(final: ComplexState, rydberg_time, r3_leak=None) -> ProtocolOutcome:
+    """Outcome of a run that ends in ``final``; without r3 nothing leaks."""
+    population = final.population("1")
+    if r3_leak is None:
+        r3_leak = 0.0 * population  # zero in population's shape
+    return ProtocolOutcome(population, final.phase("1"), r3_leak, rydberg_time)
 
 
 def run_excite_restore(params: SimulationParams, k: float) -> ProtocolOutcome:
@@ -201,30 +197,37 @@ def run_traditional_restore(params: SimulationParams, k: float) -> ProtocolOutco
     return _outcome(states[-1], t_r)
 
 
-def extract_phase_phi(omega: float, k: float, v: float) -> float:
+def extract_phase_phi(omega: float, k: float, v: float | np.ndarray) -> float | np.ndarray:
     """Doppler phase modulation of the rail amplitudes after a pi pulse.
 
     Propagates from the ground state for pi/(sqrt(2)*Omega) at z0 = 0 and
     returns phi with C_r1 = -i C_r e^{+i phi}, C_r2 = -i C_r e^{-i phi};
-    phi(v=0) = 0 fixes the branch.
+    phi(v=0) = 0 fixes the branch.  A velocity array gives an array of phi.
     """
     stages = _chain((pi_time(omega), AtomDrive(omega, k, OPTICAL_DUAL)))
     (final,), _ = propagate_atom(DUAL_RAIL_BASIS, stages, v, 0.0)
     c_r1 = final.amplitude("r1")
     c_r2 = final.amplitude("r2")
-    if min(abs(c_r1), abs(c_r2)) < 1e-6:
+    if np.any(np.minimum(abs(c_r1), abs(c_r2)) < 1e-6):
         raise PhaseExtractionError(
             "rail amplitudes too small for a well-defined phase"
         )
-    return 0.5 * float(np.angle(c_r1 / c_r2))
+    return scalar_or_array(0.5 * np.angle(c_r1 / c_r2))
 
 
 def phase_linearity(
     omega: float, k: float, velocities: Sequence[float]
 ) -> PhaseFit:
-    """Fit phi(pi/(sqrt(2)*Omega)) against its linear Doppler form."""
+    """Fit phi(pi/(sqrt(2)*Omega)) against its linear Doppler form.
+
+    The ratio phi / (2 pi k v / Omega) is undefined at v = 0, so a zero
+    velocity raises ValueError.
+    """
     velocities = np.asarray(velocities, dtype=float)
-    phis = np.array([extract_phase_phi(omega, k, v) for v in velocities])
+    if np.any(velocities == 0.0):
+        raise ValueError("the phase fit needs nonzero velocities: "
+                         "phi/v is undefined at v = 0")
+    phis = extract_phase_phi(omega, k, velocities)
     ratios = phis * omega / (2.0 * math.pi * k * velocities)
     slope = float(np.mean(ratios))
     residual = float(np.max(np.abs(ratios - slope)))
@@ -288,82 +291,55 @@ def optimize_deexcitation(
     return sign * mhz_to_rad_per_us(res.x)
 
 
-def grid_outcomes(
-    runner: Callable[[float], ProtocolOutcome],
-    velocities: Iterable[float],
-) -> list[ProtocolOutcome]:
-    """Evaluate a protocol at each velocity, in deterministic grid order.
-
-    Serial on purpose: a 201-point grid takes about 0.1 s on the exact
-    engine, less than starting a process pool costs.
-    """
-    return [runner(v) for v in velocities]
-
-
 def maxwell_average(
-    runner: Callable[[float], ProtocolOutcome],
+    runner: Callable[[float | np.ndarray], ProtocolOutcome],
     temperature_uk: float,
     species: AtomSpecies,
     velocities: np.ndarray | None = None,
 ) -> AveragedOutcome:
     """Maxwell-weighted protocol averages over a symmetric velocity grid.
 
-    The default grid spans +-5 thermal rms speeds with 201 points.  The
-    grid must carry at least 0.999 of the continuum probability mass;
-    single-point grids bypass weighting and return that outcome.
+    ``runner`` maps velocities to an outcome; it is called once, with the
+    whole grid.  The default grid spans +-5 thermal rms speeds with 201
+    points.  The grid must carry at least 0.999 of the continuum probability
+    mass; single-point grids bypass weighting and return that outcome.
     """
     if velocities is None:
         velocities = maxwell_grid(temperature_uk, species)
-    velocities = np.asarray(velocities, dtype=float)
-
+    velocities = np.asarray(velocities, dtype=float).reshape(-1)
     if velocities.size == 1:
-        out = runner(float(velocities[0]))
-        return AveragedOutcome(
-            ground_population=out.ground_population,
-            mean_abs_phase=abs(out.ground_phase),
-            r3_leak=out.r3_leak,
-            rydberg_time_us=out.rydberg_time_us,
-            weight_mass=1.0,
-            n_points=1,
-        )
-
-    mass = continuum_weight_mass(velocities, temperature_uk, species)
-    if mass < 0.999:
-        raise ConvergenceError(
-            f"velocity grid carries only {mass:.6f} of the Maxwell weight"
-        )
-
-    weights = maxwell_weight(velocities, temperature_uk, species)
-    weights = weights / np.sum(weights)
-    outcomes = grid_outcomes(runner, velocities)
-
-    pops = np.array([o.ground_population for o in outcomes])
-    phases = np.array([abs(o.ground_phase) for o in outcomes])
-    leaks = np.array([o.r3_leak for o in outcomes])
-    tr = np.array([o.rydberg_time_us for o in outcomes])
+        weights, mass = np.ones(1), 1.0
+    else:
+        mass = continuum_weight_mass(velocities, temperature_uk, species)
+        if mass < 0.999:
+            raise ConvergenceError(
+                f"velocity grid carries only {mass:.6f} of the Maxwell weight"
+            )
+        weights = maxwell_weight(velocities, temperature_uk, species)
+        weights = weights / np.sum(weights)
+    out = runner(velocities)
     return AveragedOutcome(
-        ground_population=float(weights @ pops),
-        mean_abs_phase=float(weights @ phases),
-        r3_leak=float(weights @ leaks),
-        rydberg_time_us=float(weights @ tr),
+        ground_population=float(weights @ out.ground_population),
+        mean_abs_phase=float(weights @ np.abs(out.ground_phase)),
+        r3_leak=float(weights @ out.r3_leak),
+        rydberg_time_us=float(weights @ out.rydberg_time_us),
         weight_mass=mass,
         n_points=velocities.size,
     )
 
 
-def restore_runner(params: SimulationParams, k: float, v: float) -> ProtocolOutcome:
+def restore_runner(params: SimulationParams, k: float,
+                   v: float | np.ndarray) -> ProtocolOutcome:
     return run_excite_restore(replace(params, v_mps=v), k)
 
 
-def gap_runner(
-    params: SimulationParams, wavevectors: WavevectorSet, v: float
-) -> ProtocolOutcome:
+def gap_runner(params: SimulationParams, wavevectors: WavevectorSet,
+               v: float | np.ndarray) -> ProtocolOutcome:
     return run_gap_protocol(replace(params, v_mps=v), wavevectors)
 
 
-def traditional_runner(
-    params: SimulationParams, k: float, v: float
-) -> ProtocolOutcome:
+def traditional_runner(params: SimulationParams, k: float,
+                       v: float | np.ndarray) -> ProtocolOutcome:
     return run_traditional_restore(replace(params, v_mps=v), k)
 
 

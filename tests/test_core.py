@@ -198,6 +198,24 @@ def test_params_reject_non_finite_fields(field, value):
         SimulationParams(**{field: value})
 
 
+@pytest.mark.parametrize("value", [
+    np.array([0.1, np.nan]),
+    np.array([-np.inf, 0.0, 0.2]),
+    np.float32("nan"),
+    np.float64("inf"),
+])
+def test_params_check_arrays_and_numpy_scalars_elementwise(value):
+    with pytest.raises(ValueError, match="v_mps"):
+        SimulationParams(v_mps=value)
+    with pytest.raises(ValueError, match="z0_um"):
+        SimulationParams(z0_um=value)
+
+
+def test_params_accept_finite_velocity_arrays():
+    v = np.linspace(-0.1, 0.1, 5)
+    assert SimulationParams(v_mps=v, z0_um=np.float32(0.5)).v_mps is v
+
+
 def test_config_file_roundtrip(tmp_path):
     path = tmp_path / "presets.ini"
     path.write_text(

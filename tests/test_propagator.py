@@ -38,6 +38,18 @@ def test_state_helpers():
         ComplexState(DUAL_RAIL_BASIS, np.zeros(2, dtype=complex))
 
 
+def test_state_helpers_over_a_batch():
+    # one state per row, in basis order (r2, r1, 1)
+    amps = np.array([[0.8j, 0.0, 0.6], [-1.0, 0.0, 0.0]])
+    s = ComplexState(DUAL_RAIL_BASIS, amps)
+    assert np.allclose(s.population("1"), [0.36, 0.0])
+    assert np.array_equal(s.amplitude("r2"), amps[:, 0])
+    assert np.allclose(s.phase("r2"), [0.5 * math.pi, math.pi])
+    assert np.allclose(s.norm, [1.0, 1.0])
+    with pytest.raises(ValueError):
+        ComplexState(DUAL_RAIL_BASIS, np.zeros((2, 2), dtype=complex))
+
+
 def test_pi_pulse_empties_ground_state():
     out = evolve(GROUND, dual_rail_at(OMEGA, 0.0), 0.0, pi_time(OMEGA))
     assert out.population("1") < 1e-10

@@ -24,6 +24,7 @@ from dualrail.hamiltonians import (
     h_single_rail,
     pi_time,
 )
+from dualrail import protocols
 from dualrail.propagator import ComplexState, evolve
 from dualrail.protocols import (
     AveragedOutcome,
@@ -31,6 +32,7 @@ from dualrail.protocols import (
     OptimizationError,
     analytic_w,
     extract_phase_phi,
+    gap_runner,
     maxwell_average,
     optimize_deexcitation,
     phase_linearity,
@@ -98,6 +100,22 @@ def test_phase_linearity_slope():
     fit = phase_linearity(om, K_MINUS, np.linspace(0.005, 0.1, 8))
     assert fit.slope_ratio == pytest.approx(0.1287, abs=5e-4)
     assert fit.residual < 1e-2 * abs(fit.slope_ratio)
+
+
+def test_phase_linearity_rejects_zero_velocity():
+    om = mhz_to_rad_per_us(math.sqrt(2.0))
+    with pytest.raises(ValueError, match="v = 0"):
+        phase_linearity(om, K_MINUS, np.linspace(-0.1, 0.1, 5))
+
+
+def test_phase_linearity_is_one_propagation(monkeypatch):
+    calls = []
+    original = protocols.propagate_atom
+    monkeypatch.setattr(protocols, "propagate_atom",
+                        lambda *a: calls.append(a) or original(*a))
+    phase_linearity(mhz_to_rad_per_us(math.sqrt(2.0)), K_MINUS,
+                    np.linspace(0.005, 0.1, 12))
+    assert len(calls) == 1
 
 
 # --- deexcitation optimizer ----------------------------------------------
@@ -273,6 +291,19 @@ def test_average_single_point_grid_is_identity():
     assert avg.weight_mass == 1.0
 
 
+def test_average_calls_its_runner_once_with_the_whole_grid():
+    calls = []
+
+    def runner(v):
+        calls.append(np.copy(v))
+        return gap_runner(GAP_PARAMS, CFG.wavevectors, v)
+
+    avg = maxwell_average(runner, 10.0, CFG.species)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], maxwell_grid(10.0, CFG.species))
+    assert avg.n_points == 201
+
+
 def test_average_rejects_undersized_grid():
     runner = partial(restore_runner, GAP_PARAMS, K_MINUS)
     narrow = np.linspace(-0.01, 0.01, 11)  # ~0.3 sigma at 10 uK
@@ -369,6 +400,43 @@ def test_protocols_match_adaptive_oracle(v, z0, dp_mhz):
                  lambda t: h_dual_rail(t, om, K_MINUS, 0.0, v), 0.0, pi_time(om))
     phi_ref = 0.5 * float(np.angle(ref.amplitude("r1") / ref.amplitude("r2")))
     assert abs(extract_phase_phi(om, K_MINUS, v) - phi_ref) < 1e-8
+
+
+# --- batched runs against per-point scalar runs ------------------------------
+
+def _assert_batch_matches_points(run, params, v, z0):
+    """A run over arrays equals per-point scalar runs to 1e-12 (phases modulo
+    2*pi: a restored pi may come back as +pi or -pi by roundoff)."""
+    batch = run(replace(params, v_mps=v, z0_um=z0))
+    for i, (v_i, z0_i) in enumerate(zip(*np.broadcast_arrays(v, z0))):
+        point = run(replace(params, v_mps=float(v_i), z0_um=float(z0_i)))
+        for name in ("ground_population", "r3_leak", "rydberg_time_us"):
+            assert abs(getattr(batch, name)[i] - getattr(point, name)) < 1e-12, name
+        assert abs(math.remainder(batch.ground_phase[i] - point.ground_phase,
+                                  2.0 * math.pi)) < 1e-12
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    v=st.lists(st.floats(min_value=-0.5, max_value=0.5), min_size=1, max_size=6),
+    z0=st.floats(min_value=-10.0, max_value=10.0),
+    z0_array=st.booleans(),
+)
+def test_batched_protocols_match_scalar_runs(v, z0, z0_array):
+    v = np.array(v)
+    z0 = z0 + np.linspace(-3.0, 3.0, v.size) if z0_array else z0
+    gap = lambda p: run_gap_protocol(p, CFG.wavevectors)
+    trad = SimulationParams(omega=mhz_to_rad_per_us(2.0 * math.sqrt(2.0)), t_wait_us=0.5)
+    _assert_batch_matches_points(lambda p: run_excite_restore(p, K_MINUS), GAP_PARAMS, v, z0)
+    _assert_batch_matches_points(gap, GAP_PARAMS, v, z0)
+    _assert_batch_matches_points(lambda p: run_traditional_restore(p, K_MINUS), trad, v, z0)
+    # a coordinate array against one velocity
+    _assert_batch_matches_points(gap, GAP_PARAMS, float(v[0]), np.linspace(-5.0, 5.0, 4))
+
+    om = mhz_to_rad_per_us(math.sqrt(2.0))
+    phis = extract_phase_phi(om, K_MINUS, v)
+    for v_i, phi in zip(v, phis):
+        assert abs(phi - extract_phase_phi(om, K_MINUS, float(v_i))) < 1e-12
 
 
 # --- reporting ---------------------------------------------------------------
