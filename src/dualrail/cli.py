@@ -88,11 +88,13 @@ def cmd_excite(args) -> int:
         "single-rail": (SINGLE_RAIL_BASIS, params.omega, gate.OPTICAL_SINGLE),
     }[args.drive]
     drive = gate.AtomDrive(amp, cfg.wavevectors.k_excite, couplings)
-    ts = np.linspace(0.0, args.t, args.samples + 1) if args.output else [0.0, args.t]
-    stages = [gate.GateStage(t0, t1, control=drive) for t0, t1 in zip(ts[:-1], ts[1:])]
-    states, _ = propagate_atom(levels, stages, params.v_mps, params.z0_um)
-    amps = [ComplexState.from_label(levels, "1").amplitudes]
-    amps += [s.amplitudes for s in states]
+    ts = np.linspace(0.0, args.t, args.samples + 1) if args.output else np.array([0.0, args.t])
+    # One stage sampled at every time from the start: one eigendecomposition,
+    # and the final state does not depend on --samples.
+    (sampled,), _ = propagate_atom(
+        levels, [gate.GateStage(0.0, ts[1:], control=drive)], params.v_mps, params.z0_um
+    )
+    amps = [ComplexState.from_label(levels, "1").amplitudes, *sampled.amplitudes]
     if args.drive == "four-field":
         rotate_back = dual_rail_rotation().conj().T
         amps = [rotate_back @ a for a in amps]

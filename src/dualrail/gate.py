@@ -12,9 +12,11 @@ time, leaving a time-independent real symmetric Hamiltonian whose
 off-diagonals are the half-amplitudes and whose diagonal picks up the
 static Doppler rates -k*v per rail (plus the interaction shifts).  One
 eigendecomposition per stage then gives the exact time-ordered propagator
-and exact time-integrated Rydberg occupations, with frame factors applied
-at the stage edges.  It is the package's only production engine: the
-single-atom protocols run on it too, through
+and, for the rows a caller asks for, the exact time-integrated Rydberg
+occupation, with frame factors applied at the stage edges.  The occupation
+never feeds back into the state, so a caller that asks for no rows (the
+rotation-error grid) pays nothing for it.  It is the package's only
+production engine: the single-atom protocols run on it too, through
 :func:`dualrail.propagator.propagate_atom`.
 
 The engine takes scalar velocities or arrays of velocity pairs.  Only the
@@ -23,7 +25,9 @@ a stage drives, so each stage builds its Hamiltonian once, broadcasts the
 diagonal over the pairs and diagonalizes the stack in one ``eigh`` call; a
 stage that only scalar velocities drive is one matrix for every pair, and a
 stage without drives needs none.  The 100 x 100 grid average runs one batch
-per grid row (one control velocity against every target velocity).
+per grid row (one control velocity against every target velocity).  Stage
+times may be arrays as well: one drive sampled at many end times from the
+same start is one stage and one eigendecomposition.
 """
 
 from __future__ import annotations
@@ -193,16 +197,20 @@ def _occupation_integral(
     vectors: np.ndarray,
     coeffs: np.ndarray,
     eigenvalues: np.ndarray,
-    duration: float,
+    duration: float | np.ndarray,
     rows: np.ndarray,
 ) -> np.ndarray:
     """Exact integral of the summed populations of ``rows`` over a stage,
-    for one eigensystem or a stack of them (leading batch axis)."""
+    for one eigensystem or a stack of them (leading batch axis); an array
+    ``duration`` has a trailing axis of length 1, as in
+    :func:`propagate_stages`."""
     gaps = eigenvalues[..., :, None] - eigenvalues[..., None, :]
     small = np.abs(gaps) < 1e-12
     safe = gaps + small
+    if isinstance(duration, np.ndarray):  # sampled end times: (..., 1, 1)
+        duration = duration[..., None]
     integrals = 1j * ((np.exp(-1j * duration * safe) - 1.0) / safe)
-    integrals[small] = duration
+    np.copyto(integrals, duration, where=small)
     amps = vectors[..., rows, :] * coeffs[..., None, :]
     return np.real(((amps @ integrals) * amps.conj()).sum(axis=(-2, -1)))
 
@@ -226,7 +234,13 @@ def propagate_stages(
     pairs, all starting from ``psi`` (the coordinates enter only the frame
     phases), and the results are an (N, dim) state stack and an (N,)
     occupation array.  Scalars keep every array one axis smaller, which is
-    cheaper for a single pair.
+    cheaper for a single pair.  A stage's ``t0`` and ``t1`` may be arrays of
+    length N too: ``[GateStage(0.0, ts, drive)]`` gives the state at every
+    end time in ``ts`` from one eigendecomposition.
+
+    The occupation is computed only for the rows asked for.  With none
+    (the default) it is 0 and costs nothing, and the state is the same,
+    bit for bit, as with rows: the integral never feeds back into it.
     """
     v_c, v_t, z_c, z_t = (np.asarray(x, dtype=float)
                           for x in (v_control, v_target, z0_control, z0_target))
@@ -237,11 +251,17 @@ def propagate_stages(
     rows = np.asarray(occupation_rows, dtype=int)
     identity = np.eye(space.dim)
     for stage in stages:
+        t0, t1, duration = stage.t0, stage.t1, stage.duration
+        if isinstance(duration, np.ndarray):  # one drive sampled at several end times
+            t0, t1, duration = (np.asarray(t, dtype=float)[..., None]
+                                for t in (t0, t1, duration))
         if stage.control is None and stage.target is None:
             # Undriven: no frame, and H is the diagonal of interaction shifts.
-            populations = np.abs(psi[..., rows]) ** 2
-            occupation += stage.duration * populations.sum(axis=-1)
-            psi = np.exp(-1j * stage.duration * space.shift_diagonal) * psi
+            if rows.size:
+                populations = np.abs(psi[..., rows]) ** 2
+                occupation = occupation + (
+                    duration * populations.sum(axis=-1, keepdims=True))[..., 0]
+            psi = np.exp(-1j * duration * space.shift_diagonal) * psi
             continue
         h0, frame_c, frame_t = _stage_hamiltonian(space, stage)
         # An undriven atom has no frame, so its velocities add nothing.
@@ -250,15 +270,16 @@ def propagate_stages(
             rates = rates + frame_t * v_t
         h = h0 - rates[..., None] * identity
         offset = frame_c * z_c + frame_t * z_t
-        theta0 = offset + rates * stage.t0
-        theta1 = offset + rates * stage.t1
+        theta0 = offset + rates * t0
+        theta1 = offset + rates * t1
 
         eigenvalues, vectors = np.linalg.eigh(h)
         coeffs = ((np.exp(1j * theta0) * psi)[..., None, :] @ vectors)[..., 0, :]
-        occupation += _occupation_integral(
-            vectors, coeffs, eigenvalues, stage.duration, rows
-        )
-        phases = np.exp(-1j * stage.duration * eigenvalues) * coeffs
+        if rows.size:
+            occupation = occupation + _occupation_integral(
+                vectors, coeffs, eigenvalues, duration, rows
+            )
+        phases = np.exp(-1j * duration * eigenvalues) * coeffs
         phi = (vectors @ phases[..., None])[..., 0]
         psi = np.exp(-1j * theta1) * phi
     return psi, scalar_or_array(occupation)
@@ -461,9 +482,11 @@ def _simulate_input(
     v_control: float | np.ndarray,
     v_target: float | np.ndarray,
     method: Method,
+    timed: bool = True,
 ) -> tuple[complex | np.ndarray, float | np.ndarray]:
     """:func:`simulate_gate_input` for input "01", "10" or "11", with
-    scalar or 1-D array velocities as in :func:`propagate_stages`."""
+    scalar or 1-D array velocities as in :func:`propagate_stages`.  With
+    ``timed=False`` the residence time is not computed and reads 0."""
     stages = (
         _dual_rail_stages(params)
         if method == "dual_rail"
@@ -492,7 +515,7 @@ def _simulate_input(
         v_target,
         params.z0_control_um,
         params.z0_target_um,
-        occupation_rows=space.single_rydberg_indices(),
+        occupation_rows=space.single_rydberg_indices() if timed else (),
     )
     return psi[..., space.index(*start)], t_r
 
@@ -629,17 +652,18 @@ def averaged_rotation_error(
     batched run; c takes one batched run per grid row (one control
     velocity), which bounds the memory of a stack to one row.  Within a
     row, the stages that drive only the control atom share one
-    eigendecomposition across the batch.
+    eigendecomposition across the batch.  The error reads no residence
+    time, so no run computes one.
     """
     if n_grid < 2:
         raise ValueError(f"the velocity grid needs at least 2 points, got {n_grid}")
     thermal_rms_speed(temperature_uk, params.config.species)  # rejects a bad T early
     velocities = velocity_grid(n_grid, v_bound)
-    amps_a, _ = _simulate_input("01", params, 0.0, velocities, method)
-    amps_b, _ = _simulate_input("10", params, velocities, 0.0, method)
+    amps_a, _ = _simulate_input("01", params, 0.0, velocities, method, timed=False)
+    amps_b, _ = _simulate_input("10", params, velocities, 0.0, method, timed=False)
     errors = np.empty((n_grid, n_grid))
     for i, (v_c, b) in enumerate(zip(velocities, amps_b)):
-        c, _ = _simulate_input("11", params, v_c, velocities, method)
+        c, _ = _simulate_input("11", params, v_c, velocities, method, timed=False)
         errors[i] = rotation_error(amps_a, b, c)
 
     averaged = maxwell_grid_average(

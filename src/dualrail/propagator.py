@@ -152,7 +152,8 @@ def propagate_atom(
     spent in the Rydberg levels (labels starting with "r").
     ``v`` and ``z0`` may be 1-D arrays of one length N, as in
     :func:`dualrail.gate.propagate_stages`; the states and the Rydberg time
-    then carry a leading axis of length N.
+    then carry a leading axis of length N.  So may a stage's end time, which
+    samples one drive at N times from the same start (``dualrail excite``).
     """
     levels = tuple(levels)
     space = TwoAtomSpace(levels, ("0",))

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -272,6 +273,28 @@ def test_excite_trajectory_output(capsys, tmp_path):
     lines = path.read_text().strip().split("\n")
     assert lines[0].startswith("t_us,pop_")
     assert len(lines) == 22
+
+
+def test_excite_trajectory_takes_one_eigendecomposition(capsys, tmp_path, monkeypatch):
+    calls = []
+    original = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h.shape) or original(h))
+    code, _, _ = run_cli(
+        capsys, "excite", "--t", "0.5", "--samples", "1000",
+        "--output", str(tmp_path / "traj.csv"),
+    )
+    assert code == 0
+    assert calls == [(3, 3)]
+
+
+@pytest.mark.parametrize("drive", ["four-field", "dual-rail", "single-rail"])
+def test_excite_stdout_does_not_depend_on_output(capsys, tmp_path, drive):
+    argv = ("excite", "--drive", drive, "--v", "0.031", "--z0", "0.7", "--t", "0.5")
+    _, plain, _ = run_cli(capsys, *argv)
+    _, sampled, _ = run_cli(capsys, *argv, "--output", str(tmp_path / "traj.csv"))
+    assert sampled == plain
+    last = (tmp_path / "traj.csv").read_text().strip().split("\n")[-1].split(",")
+    assert float(last[0]) == 0.5
 
 
 def test_gate_grid_output_computes_grid_and_report_once(capsys, tmp_path, monkeypatch):

@@ -9,6 +9,7 @@ from dualrail import gate as gate_module
 from dualrail.core import get_config, mhz_to_rad_per_us
 from dualrail.gate import (
     GateParams,
+    GateStage,
     averaged_rotation_error,
     decay_error,
     decay_error_analytic,
@@ -449,6 +450,59 @@ def test_control_only_stages_share_one_eigendecomposition(monkeypatch):
     # excite and deexcite drive the control only; the target's two pulses
     # (with the control's infrared shelving) drive both atoms
     assert sorted(matrices) == [1, 1, 100, 100]
+
+
+@pytest.mark.parametrize("method", ["dual_rail", "traditional"])
+@pytest.mark.parametrize("n_cycles", [1, 2])
+def test_grid_skips_the_occupation_integral(monkeypatch, method, n_cycles):
+    def fail(*args, **kwargs):
+        raise AssertionError("occupation integral evaluated")
+
+    monkeypatch.setattr(gate_module, "_occupation_integral", fail)
+    params = make_params(n_cycles)
+    grid = averaged_rotation_error(params, 10.0, method, n_grid=4)
+    assert np.all(np.isfinite(grid.errors))
+    # the decay error reads the residence times, so the report computes them
+    with pytest.raises(AssertionError, match="occupation integral"):
+        gate_report(params, 0.0, 0.0, method)
+
+
+@pytest.mark.parametrize("method, n_cycles", [("dual_rail", 1), ("traditional", 2)])
+@pytest.mark.parametrize("v_target", [0.13, velocity_grid(7)])
+def test_untimed_run_returns_the_timed_state(method, n_cycles, v_target):
+    params = make_params(n_cycles)
+    stages = (_dual_rail_stages if method == "dual_rail" else _traditional_stages)(params)
+    if method == "traditional":
+        assert any(s.control is None and s.target is None for s in stages)
+    full = _spaces(params, method)[0]
+    psi0 = np.zeros(full.dim, dtype=complex)
+    psi0[full.index("1", "1")] = 1.0
+    run = (psi0, full, stages, -0.21, v_target, 0.7, -1.1)
+    timed, t_r = propagate_stages(*run, occupation_rows=full.single_rydberg_indices())
+    untimed, occupation = propagate_stages(*run, occupation_rows=())
+    assert np.array_equal(untimed, timed)
+    assert np.all(np.asarray(t_r) > 0.0)
+    assert np.shape(occupation) == np.shape(t_r)
+    assert np.all(np.asarray(occupation) == 0.0)
+
+
+def test_array_end_times_match_separate_runs():
+    space = _spaces(PARAMS, "dual_rail")[1]
+    drive = _dual_rail_stages(PARAMS)[0].control
+    psi0 = np.zeros(space.dim, dtype=complex)
+    psi0[space.index("1", "0")] = 1.0
+    rows = space.single_rydberg_indices()
+    ends = np.array([0.05, 0.2, 0.31])
+    psi, t_r = propagate_stages(
+        psi0, space, [GateStage(0.0, ends, control=drive)], 0.12, 0.0, 0.7, 0.0, rows
+    )
+    assert psi.shape == (3, space.dim) and t_r.shape == (3,)
+    for k, t1 in enumerate(ends):
+        one, t_one = propagate_stages(
+            psi0, space, [GateStage(0.0, t1, control=drive)], 0.12, 0.0, 0.7, 0.0, rows
+        )
+        assert np.array_equal(psi[k], one)
+        assert abs(t_r[k] - t_one) < 1e-15
 
 
 def test_bad_grid_inputs_rejected_before_any_propagation(monkeypatch):

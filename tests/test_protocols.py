@@ -19,13 +19,14 @@ from dualrail.hamiltonians import (
     DUAL_RAIL_BASIS,
     GAP_BASIS,
     SINGLE_RAIL_BASIS,
+    dual_rail_rotation,
     h_dual_rail,
     h_four_field,
     h_single_rail,
     pi_time,
 )
 from dualrail import protocols
-from dualrail.propagator import ComplexState, evolve
+from dualrail.propagator import ComplexState, evolve, propagate_atom
 from dualrail.protocols import (
     AveragedOutcome,
     ConvergenceError,
@@ -313,21 +314,25 @@ def test_average_rejects_undersized_grid():
 
 def test_transfer_averages_match_reference():
     # cos/sin drive at Omega/2pi = 0.5 MHz averaged over 10 uK:
-    # ground population 1.1e-6 at 0.5 us and 0.9998 at 2 us
+    # ground population 1.1e-6 at 0.5 us and 0.9998 at 2 us.  As in
+    # `dualrail excite`, it is the two-rail drive at sqrt(2)*Omega in the
+    # rotated basis, rotated back; one batched run covers the grid.
     om = mhz_to_rad_per_us(0.5)
-    ground = ComplexState.from_label(DUAL_RAIL_BASIS, "1")
+    drive = AtomDrive(math.sqrt(2.0) * om, K_MINUS, OPTICAL_DUAL)
     vels = maxwell_grid(10.0, CFG.species)
     from dualrail.core import maxwell_weight
 
     w = maxwell_weight(vels, 10.0, CFG.species)
     w = w / w.sum()
-    pop05, pop20 = [], []
-    for v in vels:
-        h = lambda t: h_four_field(t, om, K_MINUS, 0.0, v)
-        pop05.append(evolve(ground, h, 0.0, 0.5).population("1"))
-        pop20.append(evolve(ground, h, 0.0, 2.0).population("1"))
-    assert float(w @ np.array(pop05)) == pytest.approx(1.1e-6, rel=0.3)
-    assert 1.0 - float(w @ np.array(pop20)) == pytest.approx(2.0e-4, rel=0.25)
+    stages = [GateStage(0.0, 0.5, control=drive), GateStage(0.5, 2.0, control=drive)]
+    states, _ = propagate_atom(DUAL_RAIL_BASIS, stages, vels, 0.0)
+    rotate_back = dual_rail_rotation().conj().T
+    pop05, pop20 = (
+        ComplexState(DUAL_RAIL_BASIS, s.amplitudes @ rotate_back.T).population("1")
+        for s in states
+    )
+    assert float(w @ pop05) == pytest.approx(1.1e-6, rel=0.3)
+    assert 1.0 - float(w @ pop20) == pytest.approx(2.0e-4, rel=0.25)
 
 
 # --- the exact engine against the adaptive oracle --------------------------
