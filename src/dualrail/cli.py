@@ -72,6 +72,12 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
+def _phase(amp: complex) -> float:
+    """Phase of an amplitude; a roundoff-sized one has none and reads 0,
+    the value ``np.angle`` gives for an exact zero."""
+    return float(np.angle(amp)) if abs(amp) >= 1e-12 else 0.0
+
+
 def cmd_excite(args) -> int:
     cfg = get_config(args.preset, args.config)
     params = SimulationParams(omega=mhz_to_rad_per_us(args.omega_mhz),
@@ -105,11 +111,11 @@ def cmd_excite(args) -> int:
             for t, a in zip(ts, amps):
                 row = [f"{t:.11e}"]
                 row += [f"{abs(x) ** 2:.11e}" for x in a]
-                row += [f"{float(np.angle(x)):.11e}" for x in a]
+                row += [f"{_phase(x):.11e}" for x in a]
                 fh.write(",".join(row) + "\n")
     final = ComplexState(levels, amps[-1])
     print(f"population_1 = {final.population('1'):.6e}")
-    print(f"phase_1_rad = {final.phase('1'):.6e}")
+    print(f"phase_1_rad = {_phase(final.amplitude('1')):.6e}")
     return 0
 
 
@@ -129,6 +135,8 @@ def _run_or_average(args, cfg, runner) -> int:
         if args.output:
             protocols.sweep_to_csv([(args.v, args.z0, out)], args.output)
         return 0
+    if args.grid_points < 2:
+        raise UsageError(f"the velocity grid needs at least 2 points, got {args.grid_points}")
     avg = protocols.maxwell_average(
         runner, args.temp_uk, cfg.species,
         velocities=core.maxwell_grid(args.temp_uk, cfg.species, args.grid_points),

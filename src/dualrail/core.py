@@ -17,7 +17,7 @@ import configparser
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -206,7 +206,7 @@ def require_finite_fields(params) -> None:
 
 @dataclass(frozen=True)
 class SimulationParams:
-    """Drive amplitudes, kinematics and thermal settings for one run.
+    """Drive amplitudes, kinematics and wait settings for one run.
 
     All Rabi amplitudes are angular (rad/us) and signed; ``omega_dp`` may
     be negative to flip the deexcitation drive.  ``v_mps`` is the velocity
@@ -217,19 +217,15 @@ class SimulationParams:
     omega: float = 0.0
     omega_dp: float = 0.0
     omega_if: float = 0.0
-    omega_t: float = 0.0
     z0_um: float = 0.0
     v_mps: float = 0.0
     t_wait_us: float = 0.0
     n_gap_cycles: int = 1
-    temperature_uk: float = 0.0
 
     def __post_init__(self) -> None:
         require_finite_fields(self)
         if self.t_wait_us < 0:
             raise ValueError("wait time must be nonnegative")
-        if self.temperature_uk < 0:
-            raise ValueError("temperature must be nonnegative")
         if self.n_gap_cycles < 0:
             raise ValueError("gap cycle count must be nonnegative")
 
@@ -239,24 +235,13 @@ class SimulationParams:
         omega_mhz: float = 0.0,
         omega_dp_mhz: float = 0.0,
         omega_if_mhz: float = 0.0,
-        omega_t_mhz: float = 0.0,
         **kwargs,
     ) -> "SimulationParams":
         return cls(
             omega=mhz_to_rad_per_us(omega_mhz),
             omega_dp=mhz_to_rad_per_us(omega_dp_mhz),
             omega_if=mhz_to_rad_per_us(omega_if_mhz),
-            omega_t=mhz_to_rad_per_us(omega_t_mhz),
             **kwargs,
-        )
-
-    def with_velocity(self, v_mps: float) -> "SimulationParams":
-        return replace(self, v_mps=v_mps)
-
-    def with_gap_wait(self) -> "SimulationParams":
-        """Pin the wait time to ``n_gap_cycles`` full infrared cycles."""
-        return replace(
-            self, t_wait_us=gap_wait_time(self.n_gap_cycles, self.omega_if)
         )
 
 

@@ -289,9 +289,9 @@ def propagate_stages(
 class GateParams:
     """Blockade-gate drives, geometry and interaction data.
 
-    ``target_deexcite`` selects the amplitude of the target's 3*pi pulse:
-    "mirror" flips the excitation amplitude (-omega_t), "optimized" uses
-    -|omega_dp| instead.
+    The target's 1+3 pi train (excitation at ``omega_t``, deexcitation at
+    ``-omega_t``) must fit inside the wait window, whatever the sign of
+    ``omega_t``.
     """
 
     omega: float
@@ -302,7 +302,6 @@ class GateParams:
     config: AtomLaserConfig
     z0_control_um: float = 0.0
     z0_target_um: float = 0.0
-    target_deexcite: str = "mirror"
     principal: Mapping[str, int] = field(
         default_factory=lambda: dict(DEFAULT_PRINCIPAL)
     )
@@ -312,21 +311,16 @@ class GateParams:
         for name in ("omega", "omega_dp", "omega_t", "omega_if"):
             if getattr(self, name) == 0:
                 raise ValueError(f"{name} must be nonzero")
-        if self.target_deexcite not in ("mirror", "optimized"):
-            raise ValueError("target_deexcite must be 'mirror' or 'optimized'")
-        if self.omega_t > 0 and self.target_window > self.t_wait + 1e-12:
+        target_window = 4.0 * pi_time(self.omega_t)
+        if target_window > self.t_wait + 1e-12:
             raise ValueError(
                 "target pulse train must fit inside the wait window: "
-                f"{self.target_window} > {self.t_wait}"
+                f"{target_window} > {self.t_wait}"
             )
 
     @property
     def t_wait(self) -> float:
         return gap_wait_time(self.n_gap_cycles, self.omega_if)
-
-    @property
-    def target_window(self) -> float:
-        return 4.0 * pi_time(self.omega_t)
 
     @property
     def tau_us(self) -> float:
@@ -357,37 +351,26 @@ class GateParams:
 
 
 def gate_duration(params: GateParams, method: Method = "dual_rail") -> float:
-    """Total sequence length in us.
+    """Total sequence length in us: the end of the last stage.
 
     Resilient method: pi/(sqrt(2) Omega) + t_wait + 3 pi/(sqrt(2)|Omega_dp|).
     Traditional method: pi/Omega' + t_wait + pi/Omega' with Omega' = sqrt(2) Omega.
     """
-    if method == "dual_rail":
-        return pi_time(params.omega) + params.t_wait + 3.0 * pi_time(params.omega_dp)
-    if method == "traditional":
-        omega_prime = math.sqrt(2.0) * params.omega
-        return 2.0 * math.pi / omega_prime + params.t_wait
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _target_deexcite_amp(params: GateParams) -> float:
-    if params.target_deexcite == "mirror":
-        return -params.omega_t
-    return -abs(params.omega_dp)
+    return _gate_stages(params, method)[-1].t1
 
 
 def _dual_rail_stages(params: GateParams) -> list[GateStage]:
     """Absolute-time stage list of the resilient gate.
 
     The target's 1+3 pulse train starts at the opening of the wait
-    window; any remaining window is infrared shelving only.
+    window (:class:`GateParams` checks that it fits); any remaining window
+    is infrared shelving only.
     """
     k = params.config.wavevectors.k_excite
     k_w = params.config.wavevectors.k_wait
     t_pi_c = pi_time(params.omega)
     t_pi_t = pi_time(params.omega_t)
-    amp_down = _target_deexcite_amp(params)
-    t_down = 3.0 * pi_time(amp_down)
+    t_down = 3.0 * t_pi_t
     ir = AtomDrive(params.omega_if, k_w, INFRARED)
 
     stages = [
@@ -406,16 +389,11 @@ def _dual_rail_stages(params: GateParams) -> list[GateStage]:
     stages.append(
         GateStage(
             t, t + t_down,
-            control=ir, target=AtomDrive(amp_down, k, OPTICAL_DUAL),
+            control=ir, target=AtomDrive(-params.omega_t, k, OPTICAL_DUAL),
         )
     )
     t += t_down
     wait_end = t_pi_c + params.t_wait
-    if t > wait_end + 1e-12:
-        raise ValueError(
-            f"target pulse train ({t - t_pi_c:.6f} us) exceeds the wait "
-            f"window ({params.t_wait:.6f} us)"
-        )
     if wait_end - t > 1e-12:
         stages.append(GateStage(t, wait_end, control=ir))
     stages.append(
@@ -447,6 +425,15 @@ def _traditional_stages(params: GateParams) -> list[GateStage]:
         stages.append(GateStage(3.0 * t_pi, wait_end))
     stages.append(GateStage(wait_end, wait_end + t_pi, control=drive_c))
     return stages
+
+
+def _gate_stages(params: GateParams, method: Method) -> list[GateStage]:
+    """The stage list of ``method``: the one description of each sequence."""
+    if method == "dual_rail":
+        return _dual_rail_stages(params)
+    if method == "traditional":
+        return _traditional_stages(params)
+    raise ValueError(f"unknown method {method!r}")
 
 
 def _strip(stages: Iterable[GateStage], *, control: bool, target: bool) -> list[GateStage]:
@@ -487,11 +474,7 @@ def _simulate_input(
     """:func:`simulate_gate_input` for input "01", "10" or "11", with
     scalar or 1-D array velocities as in :func:`propagate_stages`.  With
     ``timed=False`` the residence time is not computed and reads 0."""
-    stages = (
-        _dual_rail_stages(params)
-        if method == "dual_rail"
-        else _traditional_stages(params)
-    )
+    stages = _gate_stages(params, method)
     full, control_only, target_only = _spaces(params, method)
     if input_label == "01":
         space = target_only
@@ -536,6 +519,7 @@ def simulate_gate_input(
     if input_label not in GATE_INPUTS:
         raise ValueError(f"input must be one of {GATE_INPUTS}")
     if input_label == "00":
+        _gate_stages(params, method)  # checked as for every other input
         return 1.0 + 0.0j, 0.0
     amp, t_r = _simulate_input(input_label, params, v_control, v_target, method)
     return complex(amp), t_r

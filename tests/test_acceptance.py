@@ -232,7 +232,7 @@ def gap_outcomes_10uk():
 
 def test_c5_gap_benchmark(gap_outcomes_10uk):
     lines = []
-    out = run_gap_protocol(GAP_PARAMS.with_velocity(0.05), CFG.wavevectors)
+    out = run_gap_protocol(replace(GAP_PARAMS, v_mps=0.05), CFG.wavevectors)
     report(lines, "c5 shelving residue after the wait", out.r3_leak, 9.2e-6,
            rel=0.3)
     report(lines, "c5 restore error at v = 0.05 m/s", out.error, 5.0e-5,

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dualrail
-from dualrail import gate, protocols
+from dualrail import cli, gate, protocols
 from dualrail.cli import main
+from dualrail.hamiltonians import DUAL_RAIL_BASIS, dual_rail_rotation
 
 
 def run_cli(capsys, *argv):
@@ -297,6 +298,24 @@ def test_excite_stdout_does_not_depend_on_output(capsys, tmp_path, drive):
     assert float(last[0]) == 0.5
 
 
+@pytest.mark.parametrize("argv", [(), ("--v", "0.031")])
+def test_excite_phase_of_a_roundoff_amplitude_reads_zero(capsys, tmp_path, monkeypatch, argv):
+    # population 3.8e-32 at rest (an amplitude of roundoff size), 3.58e-7 at 0.031 m/s
+    runs = []
+    original = cli.propagate_atom
+    monkeypatch.setattr(cli, "propagate_atom", lambda *a: runs.append(original(*a)) or runs[-1])
+    path = tmp_path / "traj.csv"
+    code, out, _ = run_cli(capsys, "excite", *argv, "--output", str(path))
+    assert code == 0
+    (sampled,), _ = runs[0]
+    amp = (dual_rail_rotation().conj().T @ sampled.amplitudes[-1])[DUAL_RAIL_BASIS.index("1")]
+    phase = 0.0 if not argv else float(np.angle(amp))
+    assert (abs(amp) < 1e-12) == (not argv)
+    assert f"phase_1_rad = {phase:.6e}\n" in out
+    header, *_, last = (line.split(",") for line in path.read_text().split())
+    assert float(last[header.index("phase_1")]) == float(f"{phase:.11e}")
+
+
 def test_gate_grid_output_computes_grid_and_report_once(capsys, tmp_path, monkeypatch):
     calls = {"averaged_rotation_error": 0, "gate_report": 0}
     for name in calls:
@@ -375,6 +394,8 @@ PRESET_KEYS = (
     ("gate", "--l-um", "1e-60", "--grid-points", "4"),  # L**6 underflows
     ("gap", "--n-cycles", "1" + "0" * 400),  # no float wait time
     ("gate", "--n-cycles", "1" + "0" * 400, "--grid-points", "4"),
+    *((command, "--omega-dp-mhz", "-2.0399", "--temp-uk", "10", "--grid-points", n)
+      for command in ("gap", "restore") for n in ("1", "0")),  # Maxwell average of < 2 points
 ])
 def test_bad_numbers_are_usage_errors(capsys, argv):
     code, _, err = run_cli(capsys, *argv)

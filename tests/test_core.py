@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -179,18 +180,16 @@ def test_species_validation():
 def test_params_validation_and_gap_wait():
     with pytest.raises(ValueError):
         SimulationParams(t_wait_us=-1.0)
-    with pytest.raises(ValueError):
-        SimulationParams(temperature_uk=-1.0)
     omega_if = mhz_to_rad_per_us(2.0)
     assert gap_wait_time(1, omega_if) == pytest.approx(math.sqrt(2.0) / 2.0)
     assert gap_wait_time(2, omega_if) == pytest.approx(math.sqrt(2.0))
-    p = SimulationParams.from_mhz(omega_if_mhz=2.0, n_gap_cycles=2).with_gap_wait()
+    p = SimulationParams.from_mhz(omega_if_mhz=2.0, n_gap_cycles=2)
+    p = replace(p, t_wait_us=gap_wait_time(p.n_gap_cycles, p.omega_if))
     assert p.t_wait_us == pytest.approx(math.sqrt(2.0))
 
 
 @pytest.mark.parametrize("field", [
-    "omega", "omega_dp", "omega_if", "omega_t", "z0_um", "v_mps", "t_wait_us",
-    "temperature_uk",
+    "omega", "omega_dp", "omega_if", "z0_um", "v_mps", "t_wait_us",
 ])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
 def test_params_reject_non_finite_fields(field, value):

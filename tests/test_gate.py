@@ -26,11 +26,11 @@ from dualrail.gate import (
 )
 from dualrail.gate import (
     _dual_rail_stages,
+    _gate_stages,
     _simulate_input,
     _spaces,
     _stage_hamiltonian,
     _strip,
-    _traditional_stages,
 )
 from dualrail.hamiltonians import NINE_BASIS, h_dual_rail, h_gate_nine, pi_time
 from dualrail.propagator import ComplexState, evolve
@@ -103,6 +103,12 @@ def test_traditional_duration():
     assert gate_duration(make_params(2), "traditional") == pytest.approx(
         1.768, abs=1e-3
     )
+    for n in (1, 2):
+        params = make_params(n)
+        closed_form = 2.0 * math.pi / (math.sqrt(2.0) * OMEGA) + params.t_wait
+        assert gate_duration(params, "traditional") == pytest.approx(
+            closed_form, rel=1e-12
+        )
 
 
 def test_duration_unknown_method():
@@ -113,9 +119,10 @@ def test_duration_unknown_method():
 # --- parameter validation --------------------------------------------------
 
 def test_target_train_must_fit_wait_window():
-    with pytest.raises(ValueError):
-        # slow target: 4*pi/(sqrt(2)*omega_t) > t_wait
-        make_params(omega_t=mhz_to_rad_per_us(1.5))
+    # slow target: 4*pi/(sqrt(2)*|omega_t|) > t_wait, whatever its sign
+    for omega_t_mhz in (1.5, -1.5):
+        with pytest.raises(ValueError, match="wait window"):
+            make_params(omega_t=mhz_to_rad_per_us(omega_t_mhz))
 
 
 @pytest.mark.parametrize("bad", [
@@ -128,25 +135,10 @@ def test_params_reject_non_finite_and_zero_amplitudes(bad):
         make_params(**bad)
 
 
-def test_target_deexcite_mode_validation():
-    with pytest.raises(ValueError):
-        make_params(target_deexcite="other")
-
-
 def test_missing_interaction_table():
     bare = get_config("cs133_6p12")
     with pytest.raises(ValueError):
         make_params(config=bare).pair_shift("r1", "r1")
-
-
-def test_optimized_deexcite_train_must_fit_window():
-    # in "optimized" mode the 3*pi amplitude is |omega_dp|; a small value
-    # stretches the train past the wait window
-    params = make_params(
-        omega_dp=-mhz_to_rad_per_us(1.2), target_deexcite="optimized"
-    )
-    with pytest.raises(ValueError):
-        simulate_gate_input("11", params)
 
 
 def test_traditional_wait_must_hold_target_pulse():
@@ -225,7 +217,7 @@ def test_numeric_decay_matches_analytic():
 
 def _check_engine_against_adaptive_integrator(method):
     full, _, _ = _spaces(PARAMS, method)
-    stages = (_dual_rail_stages if method == "dual_rail" else _traditional_stages)(PARAMS)
+    stages = _gate_stages(PARAMS, method)
     v_c, v_t, z0c, z0t = 0.13, -0.07, 0.8, -1.3
     psi0 = np.zeros(full.dim, dtype=complex)
     psi0[full.index("1", "1")] = 1.0
@@ -261,7 +253,7 @@ speeds = st.floats(-0.6, 0.6)
 )
 def test_batched_stages_match_scalar_calls(pairs, z0, method, which):
     full, control_only, target_only = _spaces(PARAMS, method)
-    stages = (_dual_rail_stages if method == "dual_rail" else _traditional_stages)(PARAMS)
+    stages = _gate_stages(PARAMS, method)
     space = {"full": full, "control_only": control_only, "target_only": target_only}[which]
     stages = _strip(stages, control=which != "target_only",
                     target=which != "control_only")
@@ -471,7 +463,7 @@ def test_grid_skips_the_occupation_integral(monkeypatch, method, n_cycles):
 @pytest.mark.parametrize("v_target", [0.13, velocity_grid(7)])
 def test_untimed_run_returns_the_timed_state(method, n_cycles, v_target):
     params = make_params(n_cycles)
-    stages = (_dual_rail_stages if method == "dual_rail" else _traditional_stages)(params)
+    stages = _gate_stages(params, method)
     if method == "traditional":
         assert any(s.control is None and s.target is None for s in stages)
     full = _spaces(params, method)[0]
@@ -514,6 +506,15 @@ def test_bad_grid_inputs_rejected_before_any_propagation(monkeypatch):
         averaged_rotation_error(PARAMS, -5.0)
     with pytest.raises(ValueError, match="at least 2 points"):
         averaged_rotation_error(PARAMS, 10.0, n_grid=1)
+    for label in ("00", "11"):
+        with pytest.raises(ValueError, match="unknown method"):
+            simulate_gate_input(label, PARAMS, method="bogus")
+    with pytest.raises(ValueError, match="unknown method"):
+        averaged_rotation_error(PARAMS, 10.0, "bogus")
+    with pytest.raises(ValueError, match="unknown method"):
+        gate_report(PARAMS, method="bogus")
+    with pytest.raises(ValueError, match="unknown method"):
+        gate_duration(PARAMS, "bogus")
 
 
 def test_one_grid_serves_every_temperature():

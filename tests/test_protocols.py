@@ -213,7 +213,7 @@ def test_gap_reference_point():
 
 
 def test_gap_at_rest():
-    out = run_gap_protocol(GAP_PARAMS.with_velocity(0.0), CFG.wavevectors)
+    out = run_gap_protocol(replace(GAP_PARAMS, v_mps=0.0), CFG.wavevectors)
     assert out.error < 1e-9
     assert abs(abs(out.ground_phase) - math.pi) < 1e-8
 
