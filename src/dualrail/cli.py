@@ -65,6 +65,15 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", help="output file path")
 
 
+def _add_velocity_or_temperature(parser: argparse.ArgumentParser) -> None:
+    # The Maxwell average runs over its own velocity grid, so a velocity
+    # given with a temperature would be dropped: argparse rejects the pair.
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--v", type=float, default=0.0, help="velocity m/s")
+    group.add_argument("--temp-uk", type=float, default=None,
+                       help="Maxwell-average over this temperature")
+
+
 def _write_json(path: str, payload: dict) -> None:
     payload = {"schema": JSON_SCHEMA_VERSION, **payload}
     with open(path, "w") as fh:
@@ -335,10 +344,15 @@ def cmd_table(args) -> int:
     table = RESTORATION_BENCHMARK if args.which == 1 else GATE_BENCHMARK
     if rows and not all(1 <= i <= len(table) for i in rows):
         raise UsageError(f"table {args.which} has rows 1 to {len(table)}")
+    if args.output:
+        raise UsageError("table prints to stdout and writes no --output file")
     if args.which == 1:
+        if args.grid_points is not None:
+            raise UsageError("--grid-points sets table 2's velocity grid; "
+                             "table 1 averages over each row's Maxwell grid")
         _run_table1(cfg, rows)
     else:
-        _run_table2(cfg, rows, args.grid_points)
+        _run_table2(cfg, rows, 100 if args.grid_points is None else args.grid_points)
     return 0
 
 
@@ -439,10 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="deexcitation amplitude; optimized when omitted")
     p.add_argument("--sign", type=int, choices=(+1, -1), default=-1,
                    help="deexcitation sign used when optimizing")
-    p.add_argument("--v", type=float, default=0.0)
+    _add_velocity_or_temperature(p)
     p.add_argument("--z0", type=float, default=0.0)
-    p.add_argument("--temp-uk", type=float, default=None,
-                   help="Maxwell-average over this temperature")
     p.add_argument("--grid-points", type=int, default=201)
     p.set_defaults(func=cmd_restore)
 
@@ -452,9 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega-dp-mhz", type=float, default=-2.0339)
     p.add_argument("--omega-if-mhz", type=float, default=2.0)
     p.add_argument("--n-cycles", type=int, default=1)
-    p.add_argument("--v", type=float, default=0.0)
+    _add_velocity_or_temperature(p)
     p.add_argument("--z0", type=float, default=0.0)
-    p.add_argument("--temp-uk", type=float, default=None)
     p.add_argument("--grid-points", type=int, default=201)
     p.set_defaults(func=cmd_gap)
 
@@ -503,7 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", type=int, choices=(1, 2), required=True)
     p.add_argument("--rows", type=lambda s: [int(x) for x in s.split(",")],
                    default=None, help="comma-separated row numbers")
-    p.add_argument("--grid-points", type=int, default=100)
+    p.add_argument("--grid-points", type=int, default=None,
+                   help="table 2's velocity grid points per axis (default 100)")
     p.set_defaults(func=cmd_table)
 
     return parser

@@ -288,11 +288,10 @@ def maxwell_grid(
     temperature_uk: float,
     species: AtomSpecies,
     n_points: int = 201,
-    span_sigmas: float = 5.0,
 ) -> np.ndarray:
-    """Uniform symmetric velocity grid spanning +-span_sigmas rms speeds."""
+    """Uniform symmetric velocity grid spanning +-5 rms speeds."""
     sigma = thermal_rms_speed(temperature_uk, species)
-    return np.linspace(-span_sigmas * sigma, span_sigmas * sigma, n_points)
+    return np.linspace(-5.0 * sigma, 5.0 * sigma, n_points)
 
 
 def continuum_weight_mass(

@@ -2,7 +2,9 @@
 
 The controlled-Z sequence excites the control atom to the Rydberg rails,
 shelves it through infrared cycles while the target atom runs its own
-pi + 3*pi rotation, and deexcites it with a sign-flipped amplitude.  The
+pi + 3*pi rotation, and deexcites it with a sign-flipped amplitude: the
+control runs the gap protocol and the target the excite/restore pair of
+:mod:`dualrail.protocols`, built by the same pulse-train builders.  The
 per-input diagonal amplitudes (a, b, c) feed a trace-formula rotation
 error; Rydberg residence times feed the decay error.
 
@@ -37,7 +39,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Literal, Mapping, Sequence
+from typing import Literal, Mapping, Sequence
 
 import numpy as np
 
@@ -332,13 +334,6 @@ class GateParams:
             raise ValueError(f"config {self.config.name!r} carries no C6 table")
         return table.shift((self.principal[level_a], self.principal[level_b]))
 
-    def rydberg_shifts(self) -> dict[tuple[str, str], float]:
-        out = {}
-        for a in ("r1", "r2", "r3"):
-            for b in ("r1", "r2"):
-                out[(a, b)] = self.pair_shift(a, b)
-        return out
-
     def nine_level_shifts(self) -> dict[tuple[int, int], float]:
         """Shifts keyed by rail indices for the nine-level builder."""
         idx = {"r1": 1, "r2": 2, "r3": 3}
@@ -351,116 +346,118 @@ class GateParams:
 
 
 def gate_duration(params: GateParams, method: Method = "dual_rail") -> float:
-    """Total sequence length in us: the end of the last stage.
+    """Total sequence length in us: the end of the control's train.
 
     Resilient method: pi/(sqrt(2) Omega) + t_wait + 3 pi/(sqrt(2)|Omega_dp|).
     Traditional method: pi/Omega' + t_wait + pi/Omega' with Omega' = sqrt(2) Omega.
     """
-    return _gate_stages(params, method)[-1].t1
+    return _trains(params, method)[0][-1].t1
 
 
-def _dual_rail_stages(params: GateParams) -> list[GateStage]:
-    """Absolute-time stage list of the resilient gate.
+def pulse_train(t0: float, *pulses: tuple[float, AtomDrive | None]) -> list[GateStage]:
+    """Contiguous one-atom stages from ``t0``, one per (duration, drive)
+    pair; the atom's drives ride in the ``control`` slot, as
+    :func:`dualrail.propagator.propagate_atom` expects."""
+    stages = []
+    for duration, drive in pulses:
+        stages.append(GateStage(t0, t0 + duration, control=drive))
+        t0 += duration
+    return stages
 
-    The target's 1+3 pulse train starts at the opening of the wait
-    window (:class:`GateParams` checks that it fits); any remaining window
-    is infrared shelving only.
+
+def resilient_pair(
+    omega: float,
+    omega_dp: float,
+    k: float,
+    *wait: tuple[float, AtomDrive | None],
+    t0: float = 0.0,
+) -> list[GateStage]:
+    """Dual-rail excite/restore from ``t0``: pi at ``omega``, an optional
+    (duration, drive) wait, 3*pi at ``omega_dp``."""
+    return pulse_train(
+        t0,
+        (pi_time(omega), AtomDrive(omega, k, OPTICAL_DUAL)),
+        *wait,
+        (3.0 * pi_time(omega_dp), AtomDrive(omega_dp, k, OPTICAL_DUAL)),
+    )
+
+
+def single_rail_restore(omega: float, k: float, t_wait: float) -> list[GateStage]:
+    """Single-rail pi / idle wait / pi from t = 0, each pi pulse pi/|omega|
+    long; a wait of zero adds no stage."""
+    t_pi = math.pi / abs(omega)
+    drive = AtomDrive(omega, k, OPTICAL_SINGLE)
+    wait = ((t_wait, None),) if t_wait > 0 else ()
+    return pulse_train(0.0, (t_pi, drive), *wait, (t_pi, drive))
+
+
+def _trains(params: GateParams, method: Method) -> tuple[list[GateStage], list[GateStage]]:
+    """The control's and the target's pulse trains of ``method``: the one
+    description of each gate sequence.  The target's train starts where the
+    control's wait stage (its second) opens.
+
+    Resilient: the control runs the gap protocol, the target the restore
+    pair at +-Omega_t.  Traditional (pi - 2pi - pi): the control runs the
+    single-rail restore at Omega' = sqrt(2) Omega around its wait, the
+    target one 2*pi pulse at Omega'.
     """
     k = params.config.wavevectors.k_excite
-    k_w = params.config.wavevectors.k_wait
-    t_pi_c = pi_time(params.omega)
-    t_pi_t = pi_time(params.omega_t)
-    t_down = 3.0 * t_pi_t
-    ir = AtomDrive(params.omega_if, k_w, INFRARED)
-
-    stages = [
-        GateStage(
-            0.0, t_pi_c, control=AtomDrive(params.omega, k, OPTICAL_DUAL)
-        )
-    ]
-    t = t_pi_c
-    stages.append(
-        GateStage(
-            t, t + t_pi_t,
-            control=ir, target=AtomDrive(params.omega_t, k, OPTICAL_DUAL),
-        )
-    )
-    t += t_pi_t
-    stages.append(
-        GateStage(
-            t, t + t_down,
-            control=ir, target=AtomDrive(-params.omega_t, k, OPTICAL_DUAL),
-        )
-    )
-    t += t_down
-    wait_end = t_pi_c + params.t_wait
-    if wait_end - t > 1e-12:
-        stages.append(GateStage(t, wait_end, control=ir))
-    stages.append(
-        GateStage(
-            wait_end,
-            wait_end + 3.0 * pi_time(params.omega_dp),
-            control=AtomDrive(params.omega_dp, k, OPTICAL_DUAL),
-        )
-    )
-    return stages
-
-
-def _traditional_stages(params: GateParams) -> list[GateStage]:
-    """pi - 2pi - wait - pi single-rail sequence, all at Omega' = sqrt(2) Omega."""
-    k = params.config.wavevectors.k_excite
-    omega_prime = math.sqrt(2.0) * params.omega
-    t_pi = math.pi / omega_prime
-    if params.t_wait < 2.0 * t_pi - 1e-12:
-        raise ValueError(
-            f"wait window ({params.t_wait:.6f} us) shorter than the "
-            f"target 2*pi pulse ({2.0 * t_pi:.6f} us)"
-        )
-    drive_c = AtomDrive(omega_prime, k, OPTICAL_SINGLE)
-    drive_t = AtomDrive(omega_prime, k, OPTICAL_SINGLE)
-    stages = [GateStage(0.0, t_pi, control=drive_c)]
-    stages.append(GateStage(t_pi, 3.0 * t_pi, target=drive_t))
-    wait_end = t_pi + params.t_wait
-    if wait_end - 3.0 * t_pi > 1e-12:
-        stages.append(GateStage(3.0 * t_pi, wait_end))
-    stages.append(GateStage(wait_end, wait_end + t_pi, control=drive_c))
-    return stages
-
-
-def _gate_stages(params: GateParams, method: Method) -> list[GateStage]:
-    """The stage list of ``method``: the one description of each sequence."""
     if method == "dual_rail":
-        return _dual_rail_stages(params)
+        ir = AtomDrive(params.omega_if, params.config.wavevectors.k_wait, INFRARED)
+        control = resilient_pair(params.omega, params.omega_dp, k, (params.t_wait, ir))
+        target = resilient_pair(params.omega_t, -params.omega_t, k, t0=control[1].t0)
+        return control, target
     if method == "traditional":
-        return _traditional_stages(params)
+        omega_prime = math.sqrt(2.0) * params.omega
+        control = single_rail_restore(omega_prime, k, params.t_wait)
+        t_pi = control[0].t1
+        if params.t_wait < 2.0 * t_pi - 1e-12:
+            raise ValueError(
+                f"wait window ({params.t_wait:.6f} us) shorter than the "
+                f"target 2*pi pulse ({2.0 * t_pi:.6f} us)"
+            )
+        target = pulse_train(t_pi, (2.0 * t_pi, AtomDrive(omega_prime, k, OPTICAL_SINGLE)))
+        return control, target
     raise ValueError(f"unknown method {method!r}")
 
 
-def _strip(stages: Iterable[GateStage], *, control: bool, target: bool) -> list[GateStage]:
-    """Drop one atom's drives from a stage list (spectator in |0>)."""
-    return [
-        GateStage(
-            s.t0,
-            s.t1,
-            control=s.control if control else None,
-            target=s.target if target else None,
-        )
-        for s in stages
-    ]
+def _levels(train: Sequence[GateStage]) -> tuple[str, ...]:
+    """The atom's ground "1" and every level its drives couple, in order
+    of first appearance."""
+    levels = ["1"]
+    for stage in train:
+        for coupling in stage.control.couplings if stage.control else ():
+            levels += [level for level in coupling[:2] if level not in levels]
+    return tuple(levels)
 
 
-def _spaces(params: GateParams, method: Method):
-    if method == "dual_rail":
-        shifts = params.rydberg_shifts()
-        full = TwoAtomSpace(("1", "r1", "r2", "r3"), ("1", "r1", "r2"), shifts)
-        control_only = TwoAtomSpace(("1", "r1", "r2", "r3"), ("0",))
-        target_only = TwoAtomSpace(("0",), ("1", "r1", "r2"))
-    else:
-        v11 = params.pair_shift("r1", "r1")
-        full = TwoAtomSpace(("1", "r1"), ("1", "r1"), {("r1", "r1"): v11})
-        control_only = TwoAtomSpace(("1", "r1"), ("0",))
-        target_only = TwoAtomSpace(("0",), ("1", "r1"))
-    return full, control_only, target_only
+def _input_stages(
+    input_label: str, params: GateParams, method: Method
+) -> tuple[TwoAtomSpace, list[GateStage]]:
+    """Space and stage list of input "01", "10" or "11".
+
+    An atom in |0> is an uncoupled spectator, so "10" runs the control's
+    train and "01" the target's, each alone in the control slot of a
+    spectator space.  The lone target idles on to the end of the gate: its
+    residual Rydberg population keeps counting as residence time while the
+    control deexcites.  "11" lays the target's pulses over the control's
+    wait stage from its opening; any rest of the window shelves only.
+    """
+    control, target = _trains(params, method)
+    if input_label == "10":
+        return TwoAtomSpace(_levels(control), ("0",)), control
+    if input_label == "01":
+        tail = GateStage(target[-1].t1, control[-1].t1)
+        return TwoAtomSpace(_levels(target), ("0",)), target + [tail]
+    excite, wait, *restore = control
+    stages = [excite]
+    stages += [GateStage(p.t0, p.t1, control=wait.control, target=p.control) for p in target]
+    if wait.t1 - target[-1].t1 > 1e-12:
+        stages.append(GateStage(target[-1].t1, wait.t1, control=wait.control))
+    levels_c, levels_t = _levels(control), _levels(target)
+    # Every level after the ground "1" is a Rydberg level.
+    shifts = {(a, b): params.pair_shift(a, b) for a in levels_c[1:] for b in levels_t[1:]}
+    return TwoAtomSpace(levels_c, levels_t, shifts), stages + restore
 
 
 def _simulate_input(
@@ -474,33 +471,24 @@ def _simulate_input(
     """:func:`simulate_gate_input` for input "01", "10" or "11", with
     scalar or 1-D array velocities as in :func:`propagate_stages`.  With
     ``timed=False`` the residence time is not computed and reads 0."""
-    stages = _gate_stages(params, method)
-    full, control_only, target_only = _spaces(params, method)
-    if input_label == "01":
-        space = target_only
-        stages = _strip(stages, control=False, target=True)
-        start = ("0", "1")
+    space, stages = _input_stages(input_label, params, method)
+    if input_label == "11":
+        motion = (v_control, v_target, params.z0_control_um, params.z0_target_um)
     elif input_label == "10":
-        space = control_only
-        stages = _strip(stages, control=True, target=False)
-        start = ("1", "0")
-    else:
-        space = full
-        start = ("1", "1")
-
+        motion = (v_control, 0.0, params.z0_control_um, 0.0)
+    else:  # the lone target rides the control slot
+        motion = (v_target, 0.0, params.z0_target_um, 0.0)
+    # Every atom starts in "1", the first of its levels: basis state 0.
     psi0 = np.zeros(space.dim, dtype=complex)
-    psi0[space.index(*start)] = 1.0
+    psi0[0] = 1.0
     psi, t_r = propagate_stages(
         psi0,
         space,
         stages,
-        v_control,
-        v_target,
-        params.z0_control_um,
-        params.z0_target_um,
+        *motion,
         occupation_rows=space.single_rydberg_indices() if timed else (),
     )
-    return psi[..., space.index(*start)], t_r
+    return psi[..., 0], t_r
 
 
 def simulate_gate_input(
@@ -512,14 +500,15 @@ def simulate_gate_input(
 ) -> tuple[complex, float]:
     """Diagonal amplitude <input|U|input> and single-Rydberg residence time.
 
-    Atoms initialized in |0> are uncoupled spectators, so |01> reduces to
-    a target-only run inside the wait window, |10> to a control-only run,
-    and |11> to the full two-atom space with blockade shifts.
+    Atoms initialized in |0> are uncoupled spectators, so |10> reduces to
+    the control's pulse train alone, |01> to the target's (idling on to the
+    end of the gate), and |11> to the full two-atom space with blockade
+    shifts.
     """
     if input_label not in GATE_INPUTS:
         raise ValueError(f"input must be one of {GATE_INPUTS}")
     if input_label == "00":
-        _gate_stages(params, method)  # checked as for every other input
+        _trains(params, method)  # checked as for every other input
         return 1.0 + 0.0j, 0.0
     amp, t_r = _simulate_input(input_label, params, v_control, v_target, method)
     return complex(amp), t_r
@@ -604,9 +593,9 @@ def gate_report(
     )
 
 
-def velocity_grid(n_points: int = 100, bound: float = 0.5) -> np.ndarray:
-    """Velocities equally distributed over [-bound, bound], inclusive."""
-    return np.linspace(-bound, bound, n_points)
+def velocity_grid(n_points: int = 100) -> np.ndarray:
+    """Velocities equally distributed over [-0.5, 0.5] m/s, inclusive."""
+    return np.linspace(-0.5, 0.5, n_points)
 
 
 @dataclass(frozen=True)
@@ -625,7 +614,6 @@ def averaged_rotation_error(
     temperature_uk: float,
     method: Method = "dual_rail",
     n_grid: int = 100,
-    v_bound: float = 0.5,
 ) -> RotationErrorGrid:
     """Maxwell-weighted double-grid average of the rotation error.
 
@@ -642,7 +630,7 @@ def averaged_rotation_error(
     if n_grid < 2:
         raise ValueError(f"the velocity grid needs at least 2 points, got {n_grid}")
     thermal_rms_speed(temperature_uk, params.config.species)  # rejects a bad T early
-    velocities = velocity_grid(n_grid, v_bound)
+    velocities = velocity_grid(n_grid)
     amps_a, _ = _simulate_input("01", params, 0.0, velocities, method, timed=False)
     amps_b, _ = _simulate_input("10", params, velocities, 0.0, method, timed=False)
     errors = np.empty((n_grid, n_grid))
@@ -706,11 +694,10 @@ def fidelity(
     temperature_uk: float,
     method: Method = "dual_rail",
     n_grid: int = 100,
-    v_bound: float = 0.5,
 ) -> FidelityReport:
     """Gate fidelity with the decay error taken from the zero-velocity
     residence times (they vary only weakly with velocity)."""
-    grid = averaged_rotation_error(params, temperature_uk, method, n_grid, v_bound)
+    grid = averaged_rotation_error(params, temperature_uk, method, n_grid)
     return FidelityReport.combine(grid, gate_report(params, 0.0, 0.0, method))
 
 

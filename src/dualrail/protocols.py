@@ -9,7 +9,8 @@ controlled-Z gate needs.  The traditional baseline drives a single rail
 and is kept for comparison; its restored phase carries the uncompensated
 Doppler term.
 
-Every protocol is a chain of drive stages on one atom, run by
+Every protocol is a pulse train on one atom, built by the train builders
+of :mod:`dualrail.gate` that also build the gate's two atoms, and run by
 :func:`dualrail.propagator.propagate_atom` on the exact stage engine: one
 eigendecomposition per stage, closed-form Rydberg residence, batched over
 velocity and coordinate arrays.  Because the restored ground phase comes
@@ -42,7 +43,14 @@ from dualrail.core import (
     mhz_to_rad_per_us,
     scalar_or_array,
 )
-from dualrail.gate import INFRARED, OPTICAL_DUAL, OPTICAL_SINGLE, AtomDrive, GateStage
+from dualrail.gate import (
+    INFRARED,
+    OPTICAL_DUAL,
+    AtomDrive,
+    pulse_train,
+    resilient_pair,
+    single_rail_restore,
+)
 from dualrail.hamiltonians import (
     DUAL_RAIL_BASIS,
     GAP_BASIS,
@@ -127,15 +135,6 @@ def analytic_w(t, omega: float, k: float, z0: float, v: float):
     return out[0], out[1]
 
 
-def _chain(*pulses: tuple[float, AtomDrive | None]) -> list[GateStage]:
-    """Contiguous stages from t = 0, one per (duration, drive) pair."""
-    stages, t = [], 0.0
-    for duration, drive in pulses:
-        stages.append(GateStage(t, t + duration, control=drive))
-        t += duration
-    return stages
-
-
 def _outcome(final: ComplexState, rydberg_time, r3_leak=None) -> ProtocolOutcome:
     """Outcome of a run that ends in ``final``; without r3 nothing leaks."""
     population = final.population("1")
@@ -146,10 +145,7 @@ def _outcome(final: ComplexState, rydberg_time, r3_leak=None) -> ProtocolOutcome
 
 def run_excite_restore(params: SimulationParams, k: float) -> ProtocolOutcome:
     """Immediate pi + 3*pi state transfer and restoration, no wait window."""
-    stages = _chain(
-        (pi_time(params.omega), AtomDrive(params.omega, k, OPTICAL_DUAL)),
-        (3.0 * pi_time(params.omega_dp), AtomDrive(params.omega_dp, k, OPTICAL_DUAL)),
-    )
+    stages = resilient_pair(params.omega, params.omega_dp, k)
     states, t_r = propagate_atom(DUAL_RAIL_BASIS, stages, params.v_mps, params.z0_um)
     return _outcome(states[-1], t_r)
 
@@ -172,11 +168,9 @@ def run_gap_protocol(
             f"wait time {params.t_wait_us} breaks the full-cycle condition; "
             f"expected {expected} for n={params.n_gap_cycles}"
         )
-    k = wavevectors.k_excite
-    stages = _chain(
-        (pi_time(params.omega), AtomDrive(params.omega, k, OPTICAL_DUAL)),
-        (expected, AtomDrive(params.omega_if, wavevectors.k_wait, INFRARED)),
-        (3.0 * pi_time(params.omega_dp), AtomDrive(params.omega_dp, k, OPTICAL_DUAL)),
+    ir = AtomDrive(params.omega_if, wavevectors.k_wait, INFRARED)
+    stages = resilient_pair(
+        params.omega, params.omega_dp, wavevectors.k_excite, (expected, ir)
     )
     states, t_r = propagate_atom(GAP_BASIS, stages, params.v_mps, params.z0_um)
     return _outcome(states[-1], t_r, r3_leak=states[1].population("r3"))
@@ -189,10 +183,7 @@ def run_traditional_restore(params: SimulationParams, k: float) -> ProtocolOutco
     k*v*t_wait accumulated in the Rydberg state survives into the
     restored ground-state phase.
     """
-    t_pi = math.sqrt(2.0) * pi_time(params.omega)  # pi/|Omega| on one rail
-    drive = AtomDrive(params.omega, k, OPTICAL_SINGLE)
-    wait = ((params.t_wait_us, None),) if params.t_wait_us > 0 else ()
-    stages = _chain((t_pi, drive), *wait, (t_pi, drive))
+    stages = single_rail_restore(params.omega, k, params.t_wait_us)
     states, t_r = propagate_atom(SINGLE_RAIL_BASIS, stages, params.v_mps, params.z0_um)
     return _outcome(states[-1], t_r)
 
@@ -204,7 +195,7 @@ def extract_phase_phi(omega: float, k: float, v: float | np.ndarray) -> float | 
     returns phi with C_r1 = -i C_r e^{+i phi}, C_r2 = -i C_r e^{-i phi};
     phi(v=0) = 0 fixes the branch.  A velocity array gives an array of phi.
     """
-    stages = _chain((pi_time(omega), AtomDrive(omega, k, OPTICAL_DUAL)))
+    stages = pulse_train(0.0, (pi_time(omega), AtomDrive(omega, k, OPTICAL_DUAL)))
     (final,), _ = propagate_atom(DUAL_RAIL_BASIS, stages, v, 0.0)
     c_r1 = final.amplitude("r1")
     c_r2 = final.amplitude("r2")
@@ -239,12 +230,10 @@ def optimize_deexcitation(
     k: float,
     v_ref: float = 0.05,
     sign: int = +1,
-    bracket_fraction: float = 0.10,
-    xatol_mhz: float = 1e-6,
 ) -> float:
     """Deexcitation amplitude minimizing the restored-population error.
 
-    Scans |Omega_dp| in a bracket around |Omega| with a bounded scalar
+    Scans |Omega_dp| within 10% of |Omega| with a bounded scalar
     minimizer at 1e-6 MHz resolution, evaluating the pi + 3*pi sequence at
     the reference velocity.  The optimum belongs to ``v_ref``: for
     |Omega|/2pi = 2 MHz on the positive branch it is 2.0013 MHz at
@@ -264,8 +253,8 @@ def optimize_deexcitation(
         return sign * abs(omega)
 
     omega_mhz = rad_per_us_to_mhz(abs(omega))
-    lo = omega_mhz * (1.0 - bracket_fraction)
-    hi = omega_mhz * (1.0 + bracket_fraction)
+    lo, hi = 0.9 * omega_mhz, 1.1 * omega_mhz
+    xatol_mhz = 1e-6
 
     def objective(x_mhz: float) -> float:
         params = SimulationParams(
@@ -286,7 +275,7 @@ def optimize_deexcitation(
     if min(res.x - lo, hi - res.x) < 10.0 * xatol_mhz:
         raise OptimizationError(
             f"optimum {res.x:.6f} MHz sits on the bracket edge "
-            f"[{lo:.6f}, {hi:.6f}]; widen the bracket"
+            f"[{lo:.6f}, {hi:.6f}], 10% around |Omega|"
         )
     return sign * mhz_to_rad_per_us(res.x)
 

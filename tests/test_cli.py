@@ -365,6 +365,25 @@ def test_removed_options_are_unknown(capsys, argv):
     assert "unrecognized arguments" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("table", "--which", "1", "--grid-points", "4"), "usage error: --grid-points"),
+    (("table", "--which", "2", "--rows", "2", "--grid-points", "4", "--output"),
+     "usage error: table prints to stdout"),
+    (("gap", "--v", "0.3", "--temp-uk", "10", "--grid-points", "21"),
+     "argument --temp-uk: not allowed with argument --v"),
+    (("restore", "--omega-dp-mhz", "-2.0399", "--v", "0.3", "--temp-uk", "10"),
+     "argument --temp-uk: not allowed with argument --v"),
+])
+def test_flags_a_command_would_drop_are_usage_errors(capsys, tmp_path, argv, message):
+    path = tmp_path / "out.txt"
+    if argv[-1] == "--output":
+        argv += (str(path),)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert message in err
+    assert out == "" and not path.exists()
+
+
 def _write_ini(tmp_path, body):
     ini = tmp_path / "cfg.ini"
     ini.write_text(body)

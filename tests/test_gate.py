@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualrail import gate as gate_module
-from dualrail.core import get_config, mhz_to_rad_per_us
+from dualrail import protocols
+from dualrail.core import SimulationParams, get_config, mhz_to_rad_per_us
 from dualrail.gate import (
     GateParams,
     GateStage,
@@ -24,14 +25,7 @@ from dualrail.gate import (
     simulate_gate_input,
     velocity_grid,
 )
-from dualrail.gate import (
-    _dual_rail_stages,
-    _gate_stages,
-    _simulate_input,
-    _spaces,
-    _stage_hamiltonian,
-    _strip,
-)
+from dualrail.gate import _input_stages, _simulate_input, _stage_hamiltonian
 from dualrail.hamiltonians import NINE_BASIS, h_dual_rail, h_gate_nine, pi_time
 from dualrail.propagator import ComplexState, evolve
 
@@ -171,6 +165,52 @@ def test_input_10_at_rest():
     assert t_r == pytest.approx(expected, rel=1e-6)
 
 
+@pytest.mark.parametrize("method", ["dual_rail", "traditional"])
+@pytest.mark.parametrize("n_cycles", [1, 2])
+def test_input_10_is_the_control_protocol(monkeypatch, method, n_cycles):
+    # the lone control runs the gap protocol, or the traditional restore
+    # at sqrt(2)*Omega: the same train on the same engine
+    runs = []
+    original = protocols.propagate_atom
+    monkeypatch.setattr(protocols, "propagate_atom",
+                        lambda *a: runs.append(original(*a)) or runs[-1])
+    params = make_params(n_cycles, z0_control_um=0.7)
+    v = velocity_grid(7)
+    if method == "dual_rail":
+        protocols.run_gap_protocol(SimulationParams(
+            omega=params.omega, omega_dp=params.omega_dp, omega_if=params.omega_if,
+            n_gap_cycles=n_cycles, v_mps=v, z0_um=0.7,
+        ), CFG.wavevectors)
+    else:
+        protocols.run_traditional_restore(SimulationParams(
+            omega=math.sqrt(2.0) * params.omega, t_wait_us=params.t_wait,
+            v_mps=v, z0_um=0.7,
+        ), CFG.wavevectors.k_excite)
+    (states, t_protocol), = runs
+    amp, t_r = _simulate_input("10", params, v, 0.0, method)
+    assert np.max(np.abs(amp - states[-1].amplitude("1"))) <= 1e-15
+    assert np.array_equal(t_r, t_protocol)
+
+
+# gate_report residence times and decay error at (v_c, v_t) = (0.17, -0.23)
+# m/s.  The lone target's time runs to the end of the gate: its residual
+# Rydberg population counts while the control deexcites.
+REPORT_TIMES = {
+    ("dual_rail", 1): (0.3643909016542351, 1.0602190778208813, 1.060445524063593, 0.0007894077203108988),
+    ("dual_rail", 2): (0.36761744507208555, 1.7674095486642607, 1.767367423540871, 0.0012396424451325341),
+    ("traditional", 1): (0.17554187693920956, 0.8780499082596774, 0.8872367636351844, 0.0006165274932763886),
+    ("traditional", 2): (0.17558175804849574, 1.5816078999005114, 1.5932395097973562, 0.0010643040558279426),
+}
+
+
+@pytest.mark.parametrize("method, n_cycles", sorted(REPORT_TIMES))
+def test_report_residence_times_are_pinned(method, n_cycles):
+    rep = gate_report(make_params(n_cycles), 0.17, -0.23, method)
+    times = rep.rydberg_times_us
+    computed = (times["01"], times["10"], times["11"], rep.decay_error)
+    assert computed == pytest.approx(REPORT_TIMES[method, n_cycles], rel=1e-12, abs=0.0)
+
+
 def test_input_label_validation():
     with pytest.raises(ValueError):
         simulate_gate_input("22", PARAMS)
@@ -216,8 +256,7 @@ def test_numeric_decay_matches_analytic():
 # --- cross-validation of the stage engine -------------------------------------
 
 def _check_engine_against_adaptive_integrator(method):
-    full, _, _ = _spaces(PARAMS, method)
-    stages = _gate_stages(PARAMS, method)
+    full, stages = _input_stages("11", PARAMS, method)
     v_c, v_t, z0c, z0t = 0.13, -0.07, 0.8, -1.3
     psi0 = np.zeros(full.dim, dtype=complex)
     psi0[full.index("1", "1")] = 1.0
@@ -252,11 +291,8 @@ speeds = st.floats(-0.6, 0.6)
     which=st.sampled_from(["full", "control_only", "target_only"]),
 )
 def test_batched_stages_match_scalar_calls(pairs, z0, method, which):
-    full, control_only, target_only = _spaces(PARAMS, method)
-    stages = _gate_stages(PARAMS, method)
-    space = {"full": full, "control_only": control_only, "target_only": target_only}[which]
-    stages = _strip(stages, control=which != "target_only",
-                    target=which != "control_only")
+    label = {"full": "11", "control_only": "10", "target_only": "01"}[which]
+    space, stages = _input_stages(label, PARAMS, method)
     rng = np.random.default_rng(len(pairs))
     psi0 = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
     psi0 /= np.linalg.norm(psi0)
@@ -278,8 +314,8 @@ def test_batched_stages_match_scalar_calls(pairs, z0, method, which):
 def test_wait_stage_block_diagonal():
     # with the control drive off, nothing couples the control-ground
     # block to the shelved block: the piecewise bookkeeping is exact
-    full, _, _ = _spaces(PARAMS, "dual_rail")
-    stage_b = _dual_rail_stages(PARAMS)[1]
+    full, stages = _input_stages("11", PARAMS, "dual_rail")
+    stage_b = stages[1]
     h, _, _ = _stage_hamiltonian(full, stage_b)
     ground_block = [full.index("1", t) for t in ("1", "r1", "r2")]
     others = [i for i in range(full.dim) if i not in ground_block]
@@ -326,7 +362,7 @@ def test_piecewise_shelved_evolution_matches_engine():
         state9 = evolve(state9, h9, t0, t1, rtol=1e-12, atol=1e-14)
 
     # reassemble and run the deexcitation on the full space
-    full, _, _ = _spaces(params, "dual_rail")
+    full, stages = _input_stages("11", params, "dual_rail")
     psi = np.zeros(full.dim, dtype=complex)
     cg = ctrl.amplitude("1")
     psi[full.index("1", "1")] = cg * targ.amplitude("1")
@@ -340,7 +376,7 @@ def test_piecewise_shelved_evolution_matches_engine():
         }[label]
         psi[full.index(c_level, t_level)] = state9.amplitude(label)
 
-    stage_c = _dual_rail_stages(params)[-1]
+    stage_c = stages[-1]
     labels = tuple(f"{c}|{t}" for c, t in full.labels())
     state = ComplexState(labels, psi)
     h_cde = lambda t: lab_hamiltonian(full, stage_c, t, v_c, v_t, 0.0, 0.0)
@@ -463,10 +499,9 @@ def test_grid_skips_the_occupation_integral(monkeypatch, method, n_cycles):
 @pytest.mark.parametrize("v_target", [0.13, velocity_grid(7)])
 def test_untimed_run_returns_the_timed_state(method, n_cycles, v_target):
     params = make_params(n_cycles)
-    stages = _gate_stages(params, method)
+    full, stages = _input_stages("11", params, method)
     if method == "traditional":
         assert any(s.control is None and s.target is None for s in stages)
-    full = _spaces(params, method)[0]
     psi0 = np.zeros(full.dim, dtype=complex)
     psi0[full.index("1", "1")] = 1.0
     run = (psi0, full, stages, -0.21, v_target, 0.7, -1.1)
@@ -479,8 +514,8 @@ def test_untimed_run_returns_the_timed_state(method, n_cycles, v_target):
 
 
 def test_array_end_times_match_separate_runs():
-    space = _spaces(PARAMS, "dual_rail")[1]
-    drive = _dual_rail_stages(PARAMS)[0].control
+    space, stages = _input_stages("10", PARAMS, "dual_rail")
+    drive = stages[0].control
     psi0 = np.zeros(space.dim, dtype=complex)
     psi0[space.index("1", "0")] = 1.0
     rows = space.single_rydberg_indices()
