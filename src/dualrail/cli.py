@@ -29,7 +29,8 @@ from dualrail.hamiltonians import (
     SINGLE_RAIL_BASIS,
     dual_rail_rotation,
 )
-from dualrail.propagator import ComplexState, propagate_atom
+from dualrail.gate import propagate_atom
+from dualrail.propagator import ComplexState
 
 JSON_SCHEMA_VERSION = 1
 
@@ -106,10 +107,11 @@ def cmd_excite(args) -> int:
     ts = np.linspace(0.0, args.t, args.samples + 1) if args.output else np.array([0.0, args.t])
     # One stage sampled at every time from the start: one eigendecomposition,
     # and the final state does not depend on --samples.
-    (sampled,), _ = propagate_atom(
-        levels, [gate.GateStage(0.0, ts[1:], control=drive)], params.v_mps, params.z0_um
+    sampled, _ = propagate_atom(
+        [gate.GateStage(0.0, ts[1:], control=drive)], params.v_mps, params.z0_um
     )
-    amps = [ComplexState.from_label(levels, "1").amplitudes, *sampled.amplitudes]
+    columns = [sampled.basis.index(level) for level in levels]  # in `levels` order
+    amps = [ComplexState.from_label(levels, "1").amplitudes, *sampled.amplitudes[:, columns]]
     if args.drive == "four-field":
         rotate_back = dual_rail_rotation().conj().T
         amps = [rotate_back @ a for a in amps]

@@ -84,6 +84,7 @@ class AtomSpecies:
     rydberg_lifetime_us: float
 
     def __post_init__(self) -> None:
+        require_finite_fields(self)
         if self.mass_kg <= 0:
             raise ValueError("mass must be positive")
         if self.rydberg_lifetime_us <= 0:
@@ -175,6 +176,12 @@ class AtomLaserConfig:
     lambda_ir_nm: float
     excite_counterpropagating: bool = True
     interactions: InteractionTable | None = None
+
+    def __post_init__(self) -> None:
+        require_finite_fields(self)
+        for name in ("lambda_lower_nm", "lambda_upper_nm", "lambda_ir_nm"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
 
     @property
     def wavevectors(self) -> WavevectorSet:
@@ -299,8 +306,9 @@ def continuum_weight_mass(
 ) -> float:
     """Probability mass of the normalized Maxwell density over the grid.
 
-    Values close to 1 certify that the grid covers the distribution;
-    protocol averaging rejects grids whose mass falls below 0.999.
+    Values close to 1 certify that the grid covers and resolves the
+    distribution; protocol averaging rejects grids whose mass is not 1
+    within 1e-3.
     """
     sigma = thermal_rms_speed(temperature_uk, species)
     v = np.asarray(velocities, dtype=float)

@@ -18,8 +18,9 @@ and, for the rows a caller asks for, the exact time-integrated Rydberg
 occupation, with frame factors applied at the stage edges.  The occupation
 never feeds back into the state, so a caller that asks for no rows (the
 rotation-error grid) pays nothing for it.  It is the package's only
-production engine: the single-atom protocols run on it too, through
-:func:`dualrail.propagator.propagate_atom`.
+production engine.  :func:`propagate_atom` runs a lone atom's whole pulse
+train on it in one call: every single-atom protocol, and the gate's inputs
+"10" and "01", whose other atom is an uncoupled spectator in |0>.
 
 The engine takes scalar velocities or arrays of velocity pairs.  Only the
 Doppler diagonal depends on the velocities, and only on those of the atoms
@@ -54,6 +55,7 @@ from dualrail.core import (
     thermal_rms_speed,
 )
 from dualrail.hamiltonians import pi_time
+from dualrail.propagator import ComplexState
 
 Method = Literal["dual_rail", "traditional"]
 
@@ -357,7 +359,7 @@ def gate_duration(params: GateParams, method: Method = "dual_rail") -> float:
 def pulse_train(t0: float, *pulses: tuple[float, AtomDrive | None]) -> list[GateStage]:
     """Contiguous one-atom stages from ``t0``, one per (duration, drive)
     pair; the atom's drives ride in the ``control`` slot, as
-    :func:`dualrail.propagator.propagate_atom` expects."""
+    :func:`propagate_atom` expects."""
     stages = []
     for duration, drive in pulses:
         stages.append(GateStage(t0, t0 + duration, control=drive))
@@ -431,24 +433,48 @@ def _levels(train: Sequence[GateStage]) -> tuple[str, ...]:
     return tuple(levels)
 
 
-def _input_stages(
-    input_label: str, params: GateParams, method: Method
-) -> tuple[TwoAtomSpace, list[GateStage]]:
-    """Space and stage list of input "01", "10" or "11".
+def propagate_atom(
+    train: Sequence[GateStage],
+    v: float | np.ndarray,
+    z0: float | np.ndarray,
+) -> tuple[ComplexState, float | np.ndarray]:
+    """Run one atom through its pulse train from its ground "1".
 
-    An atom in |0> is an uncoupled spectator, so "10" runs the control's
-    train and "01" the target's, each alone in the control slot of a
-    spectator space.  The lone target idles on to the end of the gate: its
-    residual Rydberg population keeps counting as residence time while the
-    control deexcites.  "11" lays the target's pulses over the control's
-    wait stage from its opening; any rest of the window shelves only.
+    Returns the final state over the atom's levels (:func:`_levels`) and
+    the time it spent in its Rydberg levels (labels starting with "r").
+    The atom takes the control slot of a space whose target is the
+    uncoupled spectator ("0",), and the whole train is one
+    :func:`propagate_stages` call, so the coordinate z0 + v*t runs on
+    across stage boundaries.  ``v`` and ``z0`` may be 1-D arrays of one
+    length N, and so may a stage's end time, which samples one drive at N
+    times from the same start (``dualrail excite``); the state and the
+    Rydberg time then carry a leading axis of length N.
     """
+    space = TwoAtomSpace(_levels(train), ("0",))
+    psi, rydberg_time = propagate_stages(
+        np.eye(space.dim)[0], space, train, v, 0.0, z0, 0.0, space.single_rydberg_indices()
+    )
+    return ComplexState(space.control_levels, psi), rydberg_time
+
+
+def _lone_train(
+    input_label: str, params: GateParams, method: Method
+) -> tuple[list[GateStage], float]:
+    """Pulse train and start coordinate of the one atom in |1> of input
+    "10" (the control's train) or "01" (the target's).  The lone target
+    idles on to the end of the gate: its residual Rydberg population keeps
+    counting as residence time while the control deexcites."""
     control, target = _trains(params, method)
     if input_label == "10":
-        return TwoAtomSpace(_levels(control), ("0",)), control
-    if input_label == "01":
-        tail = GateStage(target[-1].t1, control[-1].t1)
-        return TwoAtomSpace(_levels(target), ("0",)), target + [tail]
+        return control, params.z0_control_um
+    return target + [GateStage(target[-1].t1, control[-1].t1)], params.z0_target_um
+
+
+def _input_stages(params: GateParams, method: Method) -> tuple[TwoAtomSpace, list[GateStage]]:
+    """Space and stage list of input "11": the target's pulses laid over
+    the control's wait stage from its opening; any rest of the window
+    shelves only."""
+    control, target = _trains(params, method)
     excite, wait, *restore = control
     stages = [excite]
     stages += [GateStage(p.t0, p.t1, control=wait.control, target=p.control) for p in target]
@@ -466,29 +492,19 @@ def _simulate_input(
     v_control: float | np.ndarray,
     v_target: float | np.ndarray,
     method: Method,
-    timed: bool = True,
 ) -> tuple[complex | np.ndarray, float | np.ndarray]:
     """:func:`simulate_gate_input` for input "01", "10" or "11", with
-    scalar or 1-D array velocities as in :func:`propagate_stages`.  With
-    ``timed=False`` the residence time is not computed and reads 0."""
-    space, stages = _input_stages(input_label, params, method)
+    scalar or 1-D array velocities as in :func:`propagate_stages`."""
     if input_label == "11":
-        motion = (v_control, v_target, params.z0_control_um, params.z0_target_um)
-    elif input_label == "10":
-        motion = (v_control, 0.0, params.z0_control_um, 0.0)
-    else:  # the lone target rides the control slot
-        motion = (v_target, 0.0, params.z0_target_um, 0.0)
-    # Every atom starts in "1", the first of its levels: basis state 0.
-    psi0 = np.zeros(space.dim, dtype=complex)
-    psi0[0] = 1.0
-    psi, t_r = propagate_stages(
-        psi0,
-        space,
-        stages,
-        *motion,
-        occupation_rows=space.single_rydberg_indices() if timed else (),
-    )
-    return psi[..., 0], t_r
+        space, stages = _input_stages(params, method)
+        psi, t_r = propagate_stages(
+            np.eye(space.dim)[0], space, stages, v_control, v_target,
+            params.z0_control_um, params.z0_target_um, space.single_rydberg_indices(),
+        )
+        return psi[..., 0], t_r  # both atoms start in "1": basis state 0
+    train, z0 = _lone_train(input_label, params, method)
+    final, t_r = propagate_atom(train, v_control if input_label == "10" else v_target, z0)
+    return final.amplitude("1"), t_r
 
 
 def simulate_gate_input(
@@ -625,18 +641,25 @@ def averaged_rotation_error(
     velocity), which bounds the memory of a stack to one row.  Within a
     row, the stages that drive only the control atom share one
     eigendecomposition across the batch.  The error reads no residence
-    time, so no run computes one.
+    time, so no run computes one: the lone lines take the engine without
+    occupation rows rather than :func:`propagate_atom`.
     """
     if n_grid < 2:
         raise ValueError(f"the velocity grid needs at least 2 points, got {n_grid}")
     thermal_rms_speed(temperature_uk, params.config.species)  # rejects a bad T early
     velocities = velocity_grid(n_grid)
-    amps_a, _ = _simulate_input("01", params, 0.0, velocities, method, timed=False)
-    amps_b, _ = _simulate_input("10", params, velocities, 0.0, method, timed=False)
+    lone = {}
+    for label in ("01", "10"):
+        train, z0 = _lone_train(label, params, method)
+        space = TwoAtomSpace(_levels(train), ("0",))
+        psi, _ = propagate_stages(np.eye(space.dim)[0], space, train, velocities, 0.0, z0, 0.0)
+        lone[label] = psi[:, 0]
+    space, stages = _input_stages(params, method)
+    z0 = (params.z0_control_um, params.z0_target_um)
     errors = np.empty((n_grid, n_grid))
-    for i, (v_c, b) in enumerate(zip(velocities, amps_b)):
-        c, _ = _simulate_input("11", params, v_c, velocities, method, timed=False)
-        errors[i] = rotation_error(amps_a, b, c)
+    for i, v_c in enumerate(velocities):
+        psi, _ = propagate_stages(np.eye(space.dim)[0], space, stages, v_c, velocities, *z0)
+        errors[i] = rotation_error(lone["01"], lone["10"][i], psi[:, 0])
 
     averaged = maxwell_grid_average(
         errors, velocities, temperature_uk, params.config.species

@@ -1,13 +1,8 @@
-"""Exact single-atom propagation, and the adaptive oracle that checks it.
+"""Named-basis states, and the adaptive oracle that checks the exact engine.
 
-``propagate_atom`` runs one atom through a list of drive stages on the
-exact stage engine of :mod:`dualrail.gate`: inside a stage every drive
-phase k*(z0 + v*t) is absorbed into a rotating frame, one eigendecomposition
-gives the time-ordered propagator, and the Rydberg residence time comes
-out in closed form.  Every protocol of :mod:`dualrail.protocols` and the
-``dualrail excite`` command run on it.
-
-``evolve`` integrates the Schrodinger equation i d|psi>/dt = H(t)|psi>
+``ComplexState`` holds complex amplitudes over a named level basis; the
+exact stage engine of :mod:`dualrail.gate` returns a lone atom's state as
+one.  ``evolve`` integrates the Schrodinger equation i d|psi>/dt = H(t)|psi>
 with an adaptive eighth-order Runge-Kutta stepper (DOP853) at a default
 relative tolerance of 1e-10, on the lab-frame builders of
 :mod:`dualrail.hamiltonians`.  The norm is never renormalized; drift away
@@ -25,7 +20,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from dualrail.core import scalar_or_array
-from dualrail.gate import GateStage, TwoAtomSpace, propagate_stages
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
@@ -136,32 +130,3 @@ def evolve_oracle(
         psi = r @ (np.exp(-1j * evals[j] * dt) * (r.conj().T @ psi))
     return ComplexState(state.basis, psi)
 
-
-def propagate_atom(
-    levels: Sequence[str],
-    stages: Sequence[GateStage],
-    v: float | np.ndarray,
-    z0: float | np.ndarray,
-) -> tuple[list[ComplexState], float | np.ndarray]:
-    """Exact staged evolution of one atom that starts in its level "1".
-
-    The atom takes the control slot of a :class:`TwoAtomSpace` whose
-    target is the uncoupled spectator ("0",), so the stages carry its
-    drives as ``control``.  Its coordinate z0 + v*t runs on across stage
-    boundaries.  Returns the state at the end of every stage and the time
-    spent in the Rydberg levels (labels starting with "r").
-    ``v`` and ``z0`` may be 1-D arrays of one length N, as in
-    :func:`dualrail.gate.propagate_stages`; the states and the Rydberg time
-    then carry a leading axis of length N.  So may a stage's end time, which
-    samples one drive at N times from the same start (``dualrail excite``).
-    """
-    levels = tuple(levels)
-    space = TwoAtomSpace(levels, ("0",))
-    rows = space.single_rydberg_indices()
-    psi = ComplexState.from_label(levels, "1").amplitudes
-    states, rydberg_time = [], 0.0
-    for stage in stages:
-        psi, occupation = propagate_stages(psi, space, [stage], v, 0.0, z0, 0.0, rows)
-        states.append(ComplexState(levels, psi))
-        rydberg_time += occupation
-    return states, rydberg_time

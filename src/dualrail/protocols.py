@@ -10,12 +10,12 @@ and is kept for comparison; its restored phase carries the uncompensated
 Doppler term.
 
 Every protocol is a pulse train on one atom, built by the train builders
-of :mod:`dualrail.gate` that also build the gate's two atoms, and run by
-:func:`dualrail.propagator.propagate_atom` on the exact stage engine: one
-eigendecomposition per stage, closed-form Rydberg residence, batched over
-velocity and coordinate arrays.  Because the restored ground phase comes
-out of an exact computation, a phase of pi can come back as +pi or -pi by
-roundoff; compare phases modulo 2*pi.
+of :mod:`dualrail.gate` that also build the gate's two atoms, and run in
+one call by :func:`dualrail.gate.propagate_atom`, which runs the gate's
+lone inputs too: one eigendecomposition per stage, closed-form Rydberg
+residence, batched over velocity and coordinate arrays.  Because the
+restored ground phase comes out of an exact computation, a phase of pi can
+come back as +pi or -pi by roundoff; compare phases modulo 2*pi.
 """
 
 from __future__ import annotations
@@ -47,17 +47,13 @@ from dualrail.gate import (
     INFRARED,
     OPTICAL_DUAL,
     AtomDrive,
+    propagate_atom,
     pulse_train,
     resilient_pair,
     single_rail_restore,
 )
-from dualrail.hamiltonians import (
-    DUAL_RAIL_BASIS,
-    GAP_BASIS,
-    SINGLE_RAIL_BASIS,
-    pi_time,
-)
-from dualrail.propagator import ComplexState, propagate_atom
+from dualrail.hamiltonians import pi_time
+from dualrail.propagator import ComplexState
 
 
 class OptimizationError(RuntimeError):
@@ -135,19 +131,19 @@ def analytic_w(t, omega: float, k: float, z0: float, v: float):
     return out[0], out[1]
 
 
-def _outcome(final: ComplexState, rydberg_time, r3_leak=None) -> ProtocolOutcome:
-    """Outcome of a run that ends in ``final``; without r3 nothing leaks."""
+def _outcome(final: ComplexState, rydberg_time) -> ProtocolOutcome:
+    """Outcome of a run that ends in ``final``.  The r3 leak is the final
+    r3 population: no pulse after the wait couples r3.  An atom without r3
+    leaks nothing."""
     population = final.population("1")
-    if r3_leak is None:
-        r3_leak = 0.0 * population  # zero in population's shape
+    r3_leak = final.population("r3") if "r3" in final.basis else 0.0 * population
     return ProtocolOutcome(population, final.phase("1"), r3_leak, rydberg_time)
 
 
 def run_excite_restore(params: SimulationParams, k: float) -> ProtocolOutcome:
     """Immediate pi + 3*pi state transfer and restoration, no wait window."""
     stages = resilient_pair(params.omega, params.omega_dp, k)
-    states, t_r = propagate_atom(DUAL_RAIL_BASIS, stages, params.v_mps, params.z0_um)
-    return _outcome(states[-1], t_r)
+    return _outcome(*propagate_atom(stages, params.v_mps, params.z0_um))
 
 
 def run_gap_protocol(
@@ -157,8 +153,8 @@ def run_gap_protocol(
 
     The wait duration must equal 4*n*pi/(sqrt(2)*Omega_IF) so the
     population completes full cycles through the auxiliary state; the
-    residual population left in r3 at the end of the window is reported
-    as ``r3_leak``.
+    residual population left in r3 at the end of the window, which the
+    deexcitation does not touch, is reported as ``r3_leak``.
     """
     expected = gap_wait_time(params.n_gap_cycles, params.omega_if)
     if params.t_wait_us and not math.isclose(
@@ -172,8 +168,7 @@ def run_gap_protocol(
     stages = resilient_pair(
         params.omega, params.omega_dp, wavevectors.k_excite, (expected, ir)
     )
-    states, t_r = propagate_atom(GAP_BASIS, stages, params.v_mps, params.z0_um)
-    return _outcome(states[-1], t_r, r3_leak=states[1].population("r3"))
+    return _outcome(*propagate_atom(stages, params.v_mps, params.z0_um))
 
 
 def run_traditional_restore(params: SimulationParams, k: float) -> ProtocolOutcome:
@@ -184,8 +179,7 @@ def run_traditional_restore(params: SimulationParams, k: float) -> ProtocolOutco
     restored ground-state phase.
     """
     stages = single_rail_restore(params.omega, k, params.t_wait_us)
-    states, t_r = propagate_atom(SINGLE_RAIL_BASIS, stages, params.v_mps, params.z0_um)
-    return _outcome(states[-1], t_r)
+    return _outcome(*propagate_atom(stages, params.v_mps, params.z0_um))
 
 
 def extract_phase_phi(omega: float, k: float, v: float | np.ndarray) -> float | np.ndarray:
@@ -196,7 +190,7 @@ def extract_phase_phi(omega: float, k: float, v: float | np.ndarray) -> float | 
     phi(v=0) = 0 fixes the branch.  A velocity array gives an array of phi.
     """
     stages = pulse_train(0.0, (pi_time(omega), AtomDrive(omega, k, OPTICAL_DUAL)))
-    (final,), _ = propagate_atom(DUAL_RAIL_BASIS, stages, v, 0.0)
+    final, _ = propagate_atom(stages, v, 0.0)
     c_r1 = final.amplitude("r1")
     c_r2 = final.amplitude("r2")
     if np.any(np.minimum(abs(c_r1), abs(c_r2)) < 1e-6):
@@ -290,8 +284,10 @@ def maxwell_average(
 
     ``runner`` maps velocities to an outcome; it is called once, with the
     whole grid.  The default grid spans +-5 thermal rms speeds with 201
-    points.  The grid must carry at least 0.999 of the continuum probability
-    mass; single-point grids bypass weighting and return that outcome.
+    points.  The grid's share of the continuum probability mass must be 1
+    within 1e-3: too narrow a grid misses weight, too coarse a one
+    miscounts it.  Single-point grids bypass weighting and return that
+    outcome.
     """
     if velocities is None:
         velocities = maxwell_grid(temperature_uk, species)
@@ -300,10 +296,9 @@ def maxwell_average(
         weights, mass = np.ones(1), 1.0
     else:
         mass = continuum_weight_mass(velocities, temperature_uk, species)
-        if mass < 0.999:
-            raise ConvergenceError(
-                f"velocity grid carries only {mass:.6f} of the Maxwell weight"
-            )
+        if abs(mass - 1.0) > 1e-3:
+            raise ConvergenceError(f"velocity grid carries {mass:.6f} of the "
+                                   "Maxwell weight, not 1 within 1e-3")
         weights = maxwell_weight(velocities, temperature_uk, species)
         weights = weights / np.sum(weights)
     out = runner(velocities)

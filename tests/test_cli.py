@@ -307,8 +307,9 @@ def test_excite_phase_of_a_roundoff_amplitude_reads_zero(capsys, tmp_path, monke
     path = tmp_path / "traj.csv"
     code, out, _ = run_cli(capsys, "excite", *argv, "--output", str(path))
     assert code == 0
-    (sampled,), _ = runs[0]
-    amp = (dual_rail_rotation().conj().T @ sampled.amplitudes[-1])[DUAL_RAIL_BASIS.index("1")]
+    sampled, _ = runs[0]
+    rails = sampled.amplitudes[-1][[sampled.basis.index(level) for level in DUAL_RAIL_BASIS]]
+    amp = (dual_rail_rotation().conj().T @ rails)[DUAL_RAIL_BASIS.index("1")]
     phase = 0.0 if not argv else float(np.angle(amp))
     assert (abs(amp) < 1e-12) == (not argv)
     assert f"phase_1_rad = {phase:.6e}\n" in out
@@ -398,6 +399,16 @@ PRESET_KEYS = (
 )
 
 
+@pytest.mark.parametrize("command, n_points", [("gap", "3"), ("restore", "5"), ("gap", "7")])
+def test_coarse_maxwell_grid_is_a_numerical_failure(capsys, command, n_points):
+    # +-5 rms speeds in 3, 5 or 7 points: weight mass 1.99, 1.085, 1.0016
+    code, out, err = run_cli(capsys, command, "--omega-dp-mhz", "-2.0399",
+                             "--temp-uk", "10", "--grid-points", n_points)
+    assert code == 3
+    assert err.startswith("numerical failure:") and "Maxwell weight" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ("restore", "--omega-mhz", "0"),
     ("restore", "--omega-mhz", "2", "--omega-dp-mhz", "0"),
@@ -432,6 +443,30 @@ def test_malformed_config_is_usage_error(capsys, tmp_path, body):
     code, _, err = run_cli(capsys, "gap", "--v", "0", "--config", path, "--preset", "p")
     assert code == 2
     assert err.startswith("usage error:")
+
+
+GATE_PRESET = {
+    "mass_kg": "1.44316e-25", "tau_us": "787.0", "lambda_lower_nm": "795.0",
+    "lambda_upper_nm": "474.0", "lambda_ir_nm": "2272.0", "l_um": "7.0",
+    "c6_95_95": "-14.0", "c6_95_97": "-21.0", "c6_95_99": "29.0",
+    "c6_97_97": "-18.0", "c6_97_99": "-26.0",
+}
+
+
+@pytest.mark.parametrize("key, value, field, argv", [
+    ("tau_us", "nan", "rydberg_lifetime_us", ("gate", "--grid-points", "4")),
+    ("lambda_lower_nm", "inf", "lambda_lower_nm", ("gap", "--v", "0.05")),
+    ("lambda_ir_nm", "nan", "lambda_ir_nm", ("gap", "--v", "0.05")),
+    ("mass_kg", "nan", "mass_kg", ("gap", "--temp-uk", "10")),
+    ("lambda_upper_nm", "-474.0", "lambda_upper_nm", ("gate", "--grid-points", "4")),
+])
+def test_bad_config_numbers_are_usage_errors_naming_the_field(capsys, tmp_path, key, value, field, argv):
+    # the rest of the preset is valid for the command: only the bad number stops it
+    body = "[p]\n" + "".join(f"{k} = {value if k == key else v}\n" for k, v in GATE_PRESET.items())
+    code, out, err = run_cli(capsys, *argv, "--config", _write_ini(tmp_path, body), "--preset", "p")
+    assert code == 2
+    assert err.startswith("usage error:") and field in err
+    assert out == ""
 
 
 def _subprocess_env():

@@ -25,7 +25,16 @@ from dualrail.gate import (
     simulate_gate_input,
     velocity_grid,
 )
-from dualrail.gate import _input_stages, _simulate_input, _stage_hamiltonian
+from dualrail.gate import (
+    TwoAtomSpace,
+    _input_stages,
+    _levels,
+    _lone_train,
+    _simulate_input,
+    _stage_hamiltonian,
+    _trains,
+    propagate_atom,
+)
 from dualrail.hamiltonians import NINE_BASIS, h_dual_rail, h_gate_nine, pi_time
 from dualrail.propagator import ComplexState, evolve
 
@@ -186,9 +195,9 @@ def test_input_10_is_the_control_protocol(monkeypatch, method, n_cycles):
             omega=math.sqrt(2.0) * params.omega, t_wait_us=params.t_wait,
             v_mps=v, z0_um=0.7,
         ), CFG.wavevectors.k_excite)
-    (states, t_protocol), = runs
+    (final, t_protocol), = runs
     amp, t_r = _simulate_input("10", params, v, 0.0, method)
-    assert np.max(np.abs(amp - states[-1].amplitude("1"))) <= 1e-15
+    assert np.max(np.abs(amp - final.amplitude("1"))) <= 1e-15
     assert np.array_equal(t_r, t_protocol)
 
 
@@ -256,7 +265,7 @@ def test_numeric_decay_matches_analytic():
 # --- cross-validation of the stage engine -------------------------------------
 
 def _check_engine_against_adaptive_integrator(method):
-    full, stages = _input_stages("11", PARAMS, method)
+    full, stages = _input_stages(PARAMS, method)
     v_c, v_t, z0c, z0t = 0.13, -0.07, 0.8, -1.3
     psi0 = np.zeros(full.dim, dtype=complex)
     psi0[full.index("1", "1")] = 1.0
@@ -291,17 +300,25 @@ speeds = st.floats(-0.6, 0.6)
     which=st.sampled_from(["full", "control_only", "target_only"]),
 )
 def test_batched_stages_match_scalar_calls(pairs, z0, method, which):
-    label = {"full": "11", "control_only": "10", "target_only": "01"}[which]
-    space, stages = _input_stages(label, PARAMS, method)
-    rng = np.random.default_rng(len(pairs))
-    psi0 = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
-    psi0 /= np.linalg.norm(psi0)
-    rows = space.single_rydberg_indices()
     v_c, v_t = (np.array(v) for v in zip(*pairs))
-    run = lambda vc, vt: propagate_stages(psi0, space, stages, vc, vt, *z0, rows)
+    if which == "full":
+        space, stages = _input_stages(PARAMS, method)
+        rng = np.random.default_rng(len(pairs))
+        psi0 = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+        psi0 /= np.linalg.norm(psi0)
+        rows = space.single_rydberg_indices()
+        run = lambda vc, vt: propagate_stages(psi0, space, stages, vc, vt, *z0, rows)
+    else:  # a lone atom runs its own train at its own velocity and coordinate
+        atom = 0 if which == "control_only" else 1
+        train, _ = _lone_train(("10", "01")[atom], PARAMS, method)
+
+        def run(vc, vt):
+            final, t_r = propagate_atom(train, (vc, vt)[atom], z0[atom])
+            return final.amplitudes, t_r
     batched = run(v_c, v_t)
-    # a scalar velocity pairs with every entry of the other array
-    row = run(v_c[0], v_t)
+    # a scalar velocity pairs with every entry of the other array; a lone
+    # control at a scalar velocity gives one state for all of them
+    row = [np.broadcast_to(x, np.shape(y)) for x, y in zip(run(v_c[0], v_t), batched)]
     for i in range(len(pairs)):
         psi, occupation = run(v_c[i], v_t[i])
         assert np.max(np.abs(batched[0][i] - psi)) < 1e-12
@@ -314,7 +331,7 @@ def test_batched_stages_match_scalar_calls(pairs, z0, method, which):
 def test_wait_stage_block_diagonal():
     # with the control drive off, nothing couples the control-ground
     # block to the shelved block: the piecewise bookkeeping is exact
-    full, stages = _input_stages("11", PARAMS, "dual_rail")
+    full, stages = _input_stages(PARAMS, "dual_rail")
     stage_b = stages[1]
     h, _, _ = _stage_hamiltonian(full, stage_b)
     ground_block = [full.index("1", t) for t in ("1", "r1", "r2")]
@@ -362,7 +379,7 @@ def test_piecewise_shelved_evolution_matches_engine():
         state9 = evolve(state9, h9, t0, t1, rtol=1e-12, atol=1e-14)
 
     # reassemble and run the deexcitation on the full space
-    full, stages = _input_stages("11", params, "dual_rail")
+    full, stages = _input_stages(params, "dual_rail")
     psi = np.zeros(full.dim, dtype=complex)
     cg = ctrl.amplitude("1")
     psi[full.index("1", "1")] = cg * targ.amplitude("1")
@@ -499,7 +516,7 @@ def test_grid_skips_the_occupation_integral(monkeypatch, method, n_cycles):
 @pytest.mark.parametrize("v_target", [0.13, velocity_grid(7)])
 def test_untimed_run_returns_the_timed_state(method, n_cycles, v_target):
     params = make_params(n_cycles)
-    full, stages = _input_stages("11", params, method)
+    full, stages = _input_stages(params, method)
     if method == "traditional":
         assert any(s.control is None and s.target is None for s in stages)
     psi0 = np.zeros(full.dim, dtype=complex)
@@ -514,8 +531,9 @@ def test_untimed_run_returns_the_timed_state(method, n_cycles, v_target):
 
 
 def test_array_end_times_match_separate_runs():
-    space, stages = _input_stages("10", PARAMS, "dual_rail")
-    drive = stages[0].control
+    control, _ = _trains(PARAMS, "dual_rail")
+    space = TwoAtomSpace(_levels(control), ("0",))
+    drive = control[0].control
     psi0 = np.zeros(space.dim, dtype=complex)
     psi0[space.index("1", "0")] = 1.0
     rows = space.single_rydberg_indices()

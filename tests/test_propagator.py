@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 
 from dualrail.core import mhz_to_rad_per_us
-from dualrail.gate import INFRARED, OPTICAL_DUAL, AtomDrive, GateStage
+from dualrail.gate import (
+    INFRARED,
+    OPTICAL_DUAL,
+    OPTICAL_SINGLE,
+    AtomDrive,
+    GateStage,
+    _levels,
+    propagate_atom,
+    pulse_train,
+)
 from dualrail.hamiltonians import (
     DUAL_RAIL_BASIS,
     SINGLE_RAIL_BASIS,
@@ -17,7 +26,6 @@ from dualrail.propagator import (
     ComplexState,
     evolve,
     evolve_oracle,
-    propagate_atom,
 )
 
 K_REF = 5.352287460140241
@@ -151,13 +159,12 @@ def _optical(amp, t0, t1):
 
 
 def _run(stages, v=0.0, z0=0.0):
-    return propagate_atom(DUAL_RAIL_BASIS, stages, v, z0)
+    return propagate_atom(stages, v, z0)
 
 
 def test_sequence_two_pi_pulses_give_minus_one():
     t_pi = pi_time(OMEGA)
-    states, _ = _run([_optical(OMEGA, 0.0, t_pi), _optical(OMEGA, t_pi, 2.0 * t_pi)])
-    final = states[-1]
+    final, _ = _run([_optical(OMEGA, 0.0, t_pi), _optical(OMEGA, t_pi, 2.0 * t_pi)])
     assert abs(final.amplitude("1") + 1.0) < 1e-10
     assert abs(final.phase("1")) == pytest.approx(math.pi, abs=1e-10)
 
@@ -168,7 +175,7 @@ def test_sequence_stage_split_is_continuous():
     split, t_split = _run(
         [_optical(OMEGA, 0.0, 0.17), _optical(OMEGA, 0.17, 0.4)], v=0.08, z0=2.3
     )
-    assert np.max(np.abs(whole[-1].amplitudes - split[-1].amplitudes)) < 1e-10
+    assert np.max(np.abs(whole.amplitudes - split.amplitudes)) < 1e-10
     assert t_split == pytest.approx(t_whole, abs=1e-12)
 
 
@@ -183,13 +190,12 @@ def test_rydberg_time_analytic_pi_pulse():
 def test_rydberg_time_in_range_and_samples_monotone():
     t_pi = pi_time(OMEGA)
     total = 4.0 * t_pi
-    states, t_r = _run(
+    _, t_r = _run(
         [_optical(OMEGA, 0.0, t_pi), _optical(OMEGA, t_pi, total)], v=0.05
     )
     assert 0.0 <= t_r <= total
-    assert len(states) == 2
     # the Rydberg time grows monotonically with the sampled end time
-    times = [propagate_atom(DUAL_RAIL_BASIS, [_optical(OMEGA, 0.0, t)], 0.05, 0.0)[1]
+    times = [propagate_atom([_optical(OMEGA, 0.0, t)], 0.05, 0.0)[1]
              for t in np.linspace(0.0, total, 9)]
     assert times[0] == 0.0
     assert np.all(np.diff(times) > 0)
@@ -197,14 +203,23 @@ def test_rydberg_time_in_range_and_samples_monotone():
 
 def test_sequence_norm_preserved():
     t_pi = pi_time(OMEGA)
-    states, _ = _run(
+    final, _ = _run(
         [_optical(OMEGA, 0.0, t_pi), _optical(-OMEGA, t_pi, 4.0 * t_pi)], v=0.1
     )
-    assert abs(states[-1].norm - 1.0) < 1e-12
+    assert abs(final.norm - 1.0) < 1e-12
 
 
-def test_rejected_stage_kind_for_basis():
-    # the infrared drive needs r3, which the three-level basis lacks
-    stage = GateStage(0.0, 0.1, control=AtomDrive(OMEGA, 5.53, INFRARED))
-    with pytest.raises(ValueError):
-        _run([stage])
+@pytest.mark.parametrize("topologies, levels", [
+    ((OPTICAL_DUAL,), ("1", "r1", "r2")),
+    ((OPTICAL_SINGLE,), ("1", "r1")),
+    ((OPTICAL_DUAL, INFRARED), ("1", "r1", "r2", "r3")),
+    ((INFRARED,), ("1", "r3", "r1", "r2")),
+])
+def test_atom_levels_are_read_from_its_drives(topologies, levels):
+    # ground "1" first, then every level the drives couple, in order of first
+    # appearance; an undriven stage adds none
+    train = pulse_train(0.0, *((0.1, AtomDrive(OMEGA, 5.53, t)) for t in topologies), (0.05, None))
+    final, _ = propagate_atom(train, 0.05, 0.3)
+    assert final.basis == _levels(train) == levels
+    if topologies == (INFRARED,):  # a drive that misses the ground leaves the atom there
+        assert final.population("1") == 1.0

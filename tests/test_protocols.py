@@ -14,7 +14,18 @@ from dualrail.core import (
     mhz_to_rad_per_us,
     rad_per_us_to_mhz,
 )
-from dualrail.gate import INFRARED, OPTICAL_DUAL, AtomDrive, GateStage, TwoAtomSpace, lab_hamiltonian
+from dualrail import gate as gate_module
+from dualrail.gate import (
+    INFRARED,
+    OPTICAL_DUAL,
+    AtomDrive,
+    GateStage,
+    TwoAtomSpace,
+    lab_hamiltonian,
+    propagate_atom,
+    propagate_stages,
+    resilient_pair,
+)
 from dualrail.hamiltonians import (
     DUAL_RAIL_BASIS,
     GAP_BASIS,
@@ -26,7 +37,7 @@ from dualrail.hamiltonians import (
     pi_time,
 )
 from dualrail import protocols
-from dualrail.propagator import ComplexState, evolve, propagate_atom
+from dualrail.propagator import ComplexState, evolve
 from dualrail.protocols import (
     AveragedOutcome,
     ConvergenceError,
@@ -212,6 +223,35 @@ def test_gap_reference_point():
     assert abs(abs(out.ground_phase) - math.pi) < 1e-8
 
 
+def test_gap_protocol_is_one_engine_call(monkeypatch):
+    calls, matrices = [], []
+    original_run, original_eigh = gate_module.propagate_stages, np.linalg.eigh
+    monkeypatch.setattr(gate_module, "propagate_stages",
+                        lambda *a: calls.append(a) or original_run(*a))
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda h: matrices.append(h.reshape(-1, *h.shape[-2:]).shape[0])
+                        or original_eigh(h))
+    run_gap_protocol(GAP_PARAMS, CFG.wavevectors)
+    # excite, infrared wait, deexcite: one matrix each at a scalar velocity
+    assert len(calls) == 1
+    assert matrices == [1, 1, 1]
+
+
+@pytest.mark.parametrize("n_cycles", [1, 2])
+@pytest.mark.parametrize("z0", [0.0, 3.7])
+def test_gap_r3_leak_is_what_the_wait_left(n_cycles, z0):
+    # the 3*pi deexcitation does not couple r3, so the final r3 population
+    # is the one at the end of the wait, bit for bit
+    v = np.linspace(-0.4, 0.4, 201)
+    params = replace(GAP_PARAMS, n_gap_cycles=n_cycles, v_mps=v, z0_um=z0)
+    out = run_gap_protocol(params, CFG.wavevectors)
+    ir = AtomDrive(OMEGA2, CFG.wavevectors.k_wait, INFRARED)
+    stages = resilient_pair(OMEGA2, params.omega_dp, K_MINUS, (gap_wait_time(n_cycles, OMEGA2), ir))
+    space = TwoAtomSpace(GAP_BASIS, ("0",))
+    shelved, _ = propagate_stages(np.eye(space.dim)[0], space, stages[:2], v, 0.0, z0, 0.0)
+    assert np.array_equal(out.r3_leak, np.abs(shelved[:, GAP_BASIS.index("r3")]) ** 2)
+
+
 def test_gap_at_rest():
     out = run_gap_protocol(replace(GAP_PARAMS, v_mps=0.0), CFG.wavevectors)
     assert out.error < 1e-9
@@ -312,11 +352,30 @@ def test_average_rejects_undersized_grid():
         maxwell_average(runner, 10.0, CFG.species, velocities=narrow)
 
 
+@pytest.mark.parametrize("n_points, mass", [(3, 1.9947), (5, 1.0850), (7, 1.0016)])
+def test_average_rejects_a_grid_that_overcounts_the_weight(n_points, mass):
+    # +-5 sigma, but too coarse: the trapezoidal mass overshoots 1
+    runner = partial(restore_runner, GAP_PARAMS, K_MINUS)
+    coarse = maxwell_grid(10.0, CFG.species, n_points)
+    with pytest.raises(ConvergenceError, match=f"carries {mass:.4f}"):
+        maxwell_average(runner, 10.0, CFG.species, velocities=coarse)
+
+
+def test_average_accepts_a_grid_within_the_mass_tolerance():
+    # 8 points carry 0.99987 and 9 points 1.0000047 of the weight
+    runner = partial(restore_runner, GAP_PARAMS, K_MINUS)
+    for n_points in (8, 9):
+        grid = maxwell_grid(10.0, CFG.species, n_points)
+        avg = maxwell_average(runner, 10.0, CFG.species, velocities=grid)
+        assert abs(avg.weight_mass - 1.0) <= 1e-3
+
+
 def test_transfer_averages_match_reference():
     # cos/sin drive at Omega/2pi = 0.5 MHz averaged over 10 uK:
     # ground population 1.1e-6 at 0.5 us and 0.9998 at 2 us.  As in
     # `dualrail excite`, it is the two-rail drive at sqrt(2)*Omega in the
-    # rotated basis, rotated back; one batched run covers the grid.
+    # rotated basis, rotated back; one batched run samples both times
+    # (one array-end-time stage) over the grid.
     om = mhz_to_rad_per_us(0.5)
     drive = AtomDrive(math.sqrt(2.0) * om, K_MINUS, OPTICAL_DUAL)
     vels = maxwell_grid(10.0, CFG.species)
@@ -324,13 +383,12 @@ def test_transfer_averages_match_reference():
 
     w = maxwell_weight(vels, 10.0, CFG.species)
     w = w / w.sum()
-    stages = [GateStage(0.0, 0.5, control=drive), GateStage(0.5, 2.0, control=drive)]
-    states, _ = propagate_atom(DUAL_RAIL_BASIS, stages, vels, 0.0)
+    ends = np.tile([0.5, 2.0], vels.size)
+    final, _ = propagate_atom([GateStage(0.0, ends, control=drive)], np.repeat(vels, 2), 0.0)
+    rails = final.amplitudes[:, [final.basis.index(level) for level in DUAL_RAIL_BASIS]]
     rotate_back = dual_rail_rotation().conj().T
-    pop05, pop20 = (
-        ComplexState(DUAL_RAIL_BASIS, s.amplitudes @ rotate_back.T).population("1")
-        for s in states
-    )
+    ground = ComplexState(DUAL_RAIL_BASIS, rails @ rotate_back.T).population("1")
+    pop05, pop20 = ground.reshape(-1, 2).T
     assert float(w @ pop05) == pytest.approx(1.1e-6, rel=0.3)
     assert 1.0 - float(w @ pop20) == pytest.approx(2.0e-4, rel=0.25)
 
