@@ -18,6 +18,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -183,7 +184,7 @@ class AtomLaserConfig:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
 
-    @property
+    @cached_property
     def wavevectors(self) -> WavevectorSet:
         return WavevectorSet(
             k_excite=two_photon_wavevector(
@@ -407,6 +408,24 @@ def get_config(name: str | None = None, path: str | None = None) -> AtomLaserCon
 _REQUIRED_KEYS = (
     "mass_kg", "tau_us", "lambda_lower_nm", "lambda_upper_nm", "lambda_ir_nm"
 )
+# INI keys that set a field of another name.
+_INI_FIELDS = {"tau_us": "rydberg_lifetime_us", "l_um": "separation_um"}
+
+
+def _ini_float(section: configparser.SectionProxy, key: str, path: str) -> float:
+    """The value of ``key`` in ``section`` of the INI file ``path`` as a
+    finite float; anything else raises ValueError naming the key, the
+    section and the file."""
+    raw = section[key]
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        sets = f" (it sets {_INI_FIELDS[key]})" if key in _INI_FIELDS else ""
+        raise ValueError(f"{key} = {raw} in preset [{section.name}] of {path} "
+                         f"is not a finite number{sets}")
+    return value
 
 
 def load_configs(path: str) -> list[AtomLaserConfig]:
@@ -416,7 +435,8 @@ def load_configs(path: str) -> list[AtomLaserConfig]:
     lambda_ir_nm.  Optional: species (display name), counterpropagating
     (default true), L_um plus any number of c6_<na>_<nb> entries in
     THz*um^6 forming the interaction table; L_um is required once a c6
-    entry is present.  A missing key or a malformed file raises ValueError.
+    entry is present.  A missing key, a number that is not finite or a
+    malformed file raises ValueError.
     """
     parser = configparser.ConfigParser()
     try:
@@ -438,26 +458,26 @@ def load_configs(path: str) -> list[AtomLaserConfig]:
             )
         species = AtomSpecies(
             name=sec.get("species", section),
-            mass_kg=sec.getfloat("mass_kg"),
-            rydberg_lifetime_us=sec.getfloat("tau_us"),
+            mass_kg=_ini_float(sec, "mass_kg", path),
+            rydberg_lifetime_us=_ini_float(sec, "tau_us", path),
         )
         c6_entries = {}
         for key in sec:
             if key.startswith("c6_"):
                 _, na, nb = key.split("_")
-                c6_entries[(int(na), int(nb))] = sec.getfloat(key)
+                c6_entries[(int(na), int(nb))] = _ini_float(sec, key, path)
         interactions = None
         if c6_entries:
             interactions = InteractionTable(
-                entries=c6_entries, separation_um=sec.getfloat("l_um")
+                entries=c6_entries, separation_um=_ini_float(sec, "l_um", path)
             )
         configs.append(
             AtomLaserConfig(
                 name=section,
                 species=species,
-                lambda_lower_nm=sec.getfloat("lambda_lower_nm"),
-                lambda_upper_nm=sec.getfloat("lambda_upper_nm"),
-                lambda_ir_nm=sec.getfloat("lambda_ir_nm"),
+                lambda_lower_nm=_ini_float(sec, "lambda_lower_nm", path),
+                lambda_upper_nm=_ini_float(sec, "lambda_upper_nm", path),
+                lambda_ir_nm=_ini_float(sec, "lambda_ir_nm", path),
                 excite_counterpropagating=sec.getboolean(
                     "counterpropagating", fallback=True
                 ),

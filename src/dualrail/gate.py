@@ -31,6 +31,13 @@ stage without drives needs none.  The 100 x 100 grid average runs one batch
 per grid row (one control velocity against every target velocity).  Stage
 times may be arrays as well: one drive sampled at many end times from the
 same start is one stage and one eigendecomposition.
+
+Work that does not depend on the velocities is done once.  A stage's
+in-frame Hamiltonian and frame rates are memoized by content (the space's
+levels and shifts and the stage's two drives, never its times) in a
+bounded cache of read-only arrays, so repeated calls at new velocities
+build none.  :func:`gate_report` builds the gate's pulse trains once for
+its three inputs and its duration.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ import math
 # Unused; perfbench's tracer patches this name (ROADMAP item 6).
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Literal, Mapping, Sequence
 
 import numpy as np
@@ -99,12 +106,17 @@ class TwoAtomSpace:
 
     A single-level atom tuple ("0",) models a spectator qubit in the
     uncoupled |0> state.  ``shifts`` maps (control_level, target_level)
-    to the diagonal interaction rate in rad/us for double-Rydberg states.
+    to the diagonal interaction rate in rad/us for double-Rydberg states;
+    it is stored as the sorted tuple of its items, so a space is hashable
+    and two spaces are equal exactly when their levels and shifts are.
     """
 
     control_levels: tuple[str, ...]
     target_levels: tuple[str, ...]
-    shifts: Mapping[tuple[str, str], float] = field(default_factory=dict)
+    shifts: tuple[tuple[tuple[str, str], float], ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "shifts", tuple(sorted(dict(self.shifts).items())))
 
     @property
     def dim(self) -> int:
@@ -123,7 +135,8 @@ class TwoAtomSpace:
     @cached_property
     def shift_diagonal(self) -> np.ndarray:
         """Interaction shift of every basis state, in basis order."""
-        return np.array([self.shifts.get(label, 0.0) for label in self.labels()])
+        shifts = dict(self.shifts)
+        return np.array([shifts.get(label, 0.0) for label in self.labels()])
 
     def single_rydberg_indices(self) -> list[int]:
         out = []
@@ -133,12 +146,27 @@ class TwoAtomSpace:
         return out
 
 
+@lru_cache(maxsize=256)
 def _stage_hamiltonian(
-    space: TwoAtomSpace, stage: GateStage
+    space: TwoAtomSpace, control: AtomDrive | None, target: AtomDrive | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Velocity-independent in-frame Hamiltonian of a stage (real
-    symmetric: half-amplitudes off the diagonal, interaction shifts on it)
-    plus the control and target frame rates of every basis state.
+    """Velocity-independent in-frame Hamiltonian of a stage with these
+    drives and the frame rates of its basis states
+    (:func:`_build_hamiltonian`), memoized by content: the space and the
+    stage's two drives, never its times, which may be arrays.  The arrays
+    are shared between calls and read-only."""
+    arrays = _build_hamiltonian(space, control, target)
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+def _build_hamiltonian(
+    space: TwoAtomSpace, control: AtomDrive | None, target: AtomDrive | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """In-frame Hamiltonian of the two drives (real symmetric:
+    half-amplitudes off the diagonal, interaction shifts on it) plus the
+    control and target frame rates of every basis state.
 
     The rates f make theta(t) = f_c (z0_c + v_c t) + f_t (z0_t + v_t t)
     cancel the drive phases: a coupling anchor->driven with phase s*k*z
@@ -150,8 +178,8 @@ def _stage_hamiltonian(
     frames = np.zeros((2, nc, nt))
     # The target's couplings act on the (target, control) transposed views.
     for drive, levels, h_atom, frame in (
-        (stage.control, space.control_levels, h, frames[0]),
-        (stage.target, space.target_levels, h.transpose(1, 0, 3, 2), frames[1].T),
+        (control, space.control_levels, h, frames[0]),
+        (target, space.target_levels, h.transpose(1, 0, 3, 2), frames[1].T),
     ):
         if drive is None:
             continue
@@ -175,9 +203,7 @@ def lab_hamiltonian(
     z0_target: float,
 ) -> np.ndarray:
     """Lab-frame Hamiltonian of a stage at time t (for cross-checks)."""
-    h = np.zeros((space.dim, space.dim), dtype=complex)
-    for i, (cl, tl) in enumerate(space.labels()):
-        h[i, i] = space.shifts.get((cl, tl), 0.0)
+    h = np.diag(space.shift_diagonal).astype(complex)
     z_c = z0_control + v_control * t
     z_t = z0_target + v_target * t
     if stage.control is not None:
@@ -267,7 +293,7 @@ def propagate_stages(
                     duration * populations.sum(axis=-1, keepdims=True))[..., 0]
             psi = np.exp(-1j * duration * space.shift_diagonal) * psi
             continue
-        h0, frame_c, frame_t = _stage_hamiltonian(space, stage)
+        h0, frame_c, frame_t = _stage_hamiltonian(space, stage.control, stage.target)
         # An undriven atom has no frame, so its velocities add nothing.
         rates = frame_c * v_c if stage.control is not None else 0.0
         if stage.target is not None:
@@ -457,24 +483,28 @@ def propagate_atom(
     return ComplexState(space.control_levels, psi), rydberg_time
 
 
+Trains = tuple[list[GateStage], list[GateStage]]
+
+
 def _lone_train(
-    input_label: str, params: GateParams, method: Method
+    input_label: str, params: GateParams, trains: Trains
 ) -> tuple[list[GateStage], float]:
     """Pulse train and start coordinate of the one atom in |1> of input
-    "10" (the control's train) or "01" (the target's).  The lone target
-    idles on to the end of the gate: its residual Rydberg population keeps
-    counting as residence time while the control deexcites."""
-    control, target = _trains(params, method)
+    "10" (the control's train of ``trains``) or "01" (the target's).  The
+    lone target idles on to the end of the gate: its residual Rydberg
+    population keeps counting as residence time while the control
+    deexcites."""
+    control, target = trains
     if input_label == "10":
         return control, params.z0_control_um
     return target + [GateStage(target[-1].t1, control[-1].t1)], params.z0_target_um
 
 
-def _input_stages(params: GateParams, method: Method) -> tuple[TwoAtomSpace, list[GateStage]]:
-    """Space and stage list of input "11": the target's pulses laid over
-    the control's wait stage from its opening; any rest of the window
-    shelves only."""
-    control, target = _trains(params, method)
+def _input_stages(params: GateParams, trains: Trains) -> tuple[TwoAtomSpace, list[GateStage]]:
+    """Space and stage list of input "11": the target's pulses of
+    ``trains`` laid over the control's wait stage from its opening; any
+    rest of the window shelves only."""
+    control, target = trains
     excite, wait, *restore = control
     stages = [excite]
     stages += [GateStage(p.t0, p.t1, control=wait.control, target=p.control) for p in target]
@@ -489,20 +519,22 @@ def _input_stages(params: GateParams, method: Method) -> tuple[TwoAtomSpace, lis
 def _simulate_input(
     input_label: str,
     params: GateParams,
+    trains: Trains,
     v_control: float | np.ndarray,
     v_target: float | np.ndarray,
-    method: Method,
-) -> tuple[complex | np.ndarray, float | np.ndarray]:
-    """:func:`simulate_gate_input` for input "01", "10" or "11", with
-    scalar or 1-D array velocities as in :func:`propagate_stages`."""
+) -> tuple[complex, float] | tuple[np.ndarray, np.ndarray]:
+    """:func:`simulate_gate_input` for input "01", "10" or "11" of the gate
+    whose pulse trains are ``trains``, with scalar or 1-D array velocities
+    as in :func:`propagate_stages`; a scalar amplitude is a Python complex."""
     if input_label == "11":
-        space, stages = _input_stages(params, method)
+        space, stages = _input_stages(params, trains)
         psi, t_r = propagate_stages(
             np.eye(space.dim)[0], space, stages, v_control, v_target,
             params.z0_control_um, params.z0_target_um, space.single_rydberg_indices(),
         )
-        return psi[..., 0], t_r  # both atoms start in "1": basis state 0
-    train, z0 = _lone_train(input_label, params, method)
+        # Both atoms start in "1": basis state 0.
+        return scalar_or_array(psi[..., 0]), t_r
+    train, z0 = _lone_train(input_label, params, trains)
     final, t_r = propagate_atom(train, v_control if input_label == "10" else v_target, z0)
     return final.amplitude("1"), t_r
 
@@ -523,11 +555,10 @@ def simulate_gate_input(
     """
     if input_label not in GATE_INPUTS:
         raise ValueError(f"input must be one of {GATE_INPUTS}")
+    trains = _trains(params, method)  # checked for "00" too
     if input_label == "00":
-        _trains(params, method)  # checked as for every other input
         return 1.0 + 0.0j, 0.0
-    amp, t_r = _simulate_input(input_label, params, v_control, v_target, method)
-    return complex(amp), t_r
+    return _simulate_input(input_label, params, trains, v_control, v_target)
 
 
 def rotation_error(a: complex, b: complex, c: complex) -> float:
@@ -591,10 +622,14 @@ def gate_report(
     v_target: float = 0.0,
     method: Method = "dual_rail",
 ) -> GateReport:
-    """Run all inputs at one velocity pair and collect the metrics."""
-    a, t01 = simulate_gate_input("01", params, v_control, v_target, method)
-    b, t10 = simulate_gate_input("10", params, v_control, v_target, method)
-    c, t11 = simulate_gate_input("11", params, v_control, v_target, method)
+    """Run all inputs at one velocity pair and collect the metrics; the
+    gate's pulse trains are built once and serve every input and the
+    duration."""
+    trains = _trains(params, method)
+    (a, t01), (b, t10), (c, t11) = (
+        _simulate_input(label, params, trains, v_control, v_target)
+        for label in ("01", "10", "11")
+    )
     return GateReport(
         method=method,
         a=a,
@@ -602,7 +637,7 @@ def gate_report(
         c=c,
         rotation_error=rotation_error(a, b, c),
         decay_error=decay_error(t01, t10, t11, params.tau_us),
-        duration_us=gate_duration(params, method),
+        duration_us=trains[0][-1].t1,  # as gate_duration
         rydberg_times_us={"01": t01, "10": t10, "11": t11},
         v_control=v_control,
         v_target=v_target,
@@ -648,13 +683,14 @@ def averaged_rotation_error(
         raise ValueError(f"the velocity grid needs at least 2 points, got {n_grid}")
     thermal_rms_speed(temperature_uk, params.config.species)  # rejects a bad T early
     velocities = velocity_grid(n_grid)
+    trains = _trains(params, method)
     lone = {}
     for label in ("01", "10"):
-        train, z0 = _lone_train(label, params, method)
+        train, z0 = _lone_train(label, params, trains)
         space = TwoAtomSpace(_levels(train), ("0",))
         psi, _ = propagate_stages(np.eye(space.dim)[0], space, train, velocities, 0.0, z0, 0.0)
         lone[label] = psi[:, 0]
-    space, stages = _input_stages(params, method)
+    space, stages = _input_stages(params, trains)
     z0 = (params.z0_control_um, params.z0_target_um)
     errors = np.empty((n_grid, n_grid))
     for i, v_c in enumerate(velocities):

@@ -469,6 +469,17 @@ def test_bad_config_numbers_are_usage_errors_naming_the_field(capsys, tmp_path, 
     assert out == ""
 
 
+@pytest.mark.parametrize("key, value", [
+    ("tau_us", "nan"), ("mass_kg", "heavy"), ("l_um", "inf"), ("c6_95_97", "nan"),
+])
+def test_bad_config_numbers_name_their_key_section_and_file(capsys, tmp_path, key, value):
+    body = "[p]\n" + "".join(f"{k} = {value if k == key else v}\n" for k, v in GATE_PRESET.items())
+    path = _write_ini(tmp_path, body)
+    code, out, err = run_cli(capsys, "gate", "--grid-points", "4", "--config", path, "--preset", "p")
+    assert code == 2 and out == ""
+    assert err.startswith(f"usage error: {key} = {value} in preset [p] of {path} ")
+
+
 def _subprocess_env():
     src = os.path.dirname(os.path.dirname(dualrail.__file__))
     return dict(os.environ, PYTHONPATH=os.pathsep.join(

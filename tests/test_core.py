@@ -107,6 +107,11 @@ def test_builtin_mismatches_match_reference_percentages():
         assert abs(mismatch - pct) < 0.1, (name, mismatch)
 
 
+def test_wavevectors_are_computed_once_per_config():
+    cfg = get_config("rb87_5p12")
+    assert cfg.wavevectors is cfg.wavevectors
+
+
 def test_default_preset_wavevectors():
     wv = get_config("rb87_5p12").wavevectors
     assert wv.k_excite == pytest.approx(5.35, abs=0.01)

@@ -196,7 +196,7 @@ def test_input_10_is_the_control_protocol(monkeypatch, method, n_cycles):
             v_mps=v, z0_um=0.7,
         ), CFG.wavevectors.k_excite)
     (final, t_protocol), = runs
-    amp, t_r = _simulate_input("10", params, v, 0.0, method)
+    amp, t_r = _simulate_input("10", params, _trains(params, method), v, 0.0)
     assert np.max(np.abs(amp - final.amplitude("1"))) <= 1e-15
     assert np.array_equal(t_r, t_protocol)
 
@@ -265,7 +265,7 @@ def test_numeric_decay_matches_analytic():
 # --- cross-validation of the stage engine -------------------------------------
 
 def _check_engine_against_adaptive_integrator(method):
-    full, stages = _input_stages(PARAMS, method)
+    full, stages = _input_stages(PARAMS, _trains(PARAMS, method))
     v_c, v_t, z0c, z0t = 0.13, -0.07, 0.8, -1.3
     psi0 = np.zeros(full.dim, dtype=complex)
     psi0[full.index("1", "1")] = 1.0
@@ -302,7 +302,7 @@ speeds = st.floats(-0.6, 0.6)
 def test_batched_stages_match_scalar_calls(pairs, z0, method, which):
     v_c, v_t = (np.array(v) for v in zip(*pairs))
     if which == "full":
-        space, stages = _input_stages(PARAMS, method)
+        space, stages = _input_stages(PARAMS, _trains(PARAMS, method))
         rng = np.random.default_rng(len(pairs))
         psi0 = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
         psi0 /= np.linalg.norm(psi0)
@@ -310,7 +310,7 @@ def test_batched_stages_match_scalar_calls(pairs, z0, method, which):
         run = lambda vc, vt: propagate_stages(psi0, space, stages, vc, vt, *z0, rows)
     else:  # a lone atom runs its own train at its own velocity and coordinate
         atom = 0 if which == "control_only" else 1
-        train, _ = _lone_train(("10", "01")[atom], PARAMS, method)
+        train, _ = _lone_train(("10", "01")[atom], PARAMS, _trains(PARAMS, method))
 
         def run(vc, vt):
             final, t_r = propagate_atom(train, (vc, vt)[atom], z0[atom])
@@ -331,12 +331,57 @@ def test_batched_stages_match_scalar_calls(pairs, z0, method, which):
 def test_wait_stage_block_diagonal():
     # with the control drive off, nothing couples the control-ground
     # block to the shelved block: the piecewise bookkeeping is exact
-    full, stages = _input_stages(PARAMS, "dual_rail")
+    full, stages = _input_stages(PARAMS, _trains(PARAMS, "dual_rail"))
     stage_b = stages[1]
-    h, _, _ = _stage_hamiltonian(full, stage_b)
+    h, _, _ = _stage_hamiltonian(full, stage_b.control, stage_b.target)
     ground_block = [full.index("1", t) for t in ("1", "r1", "r2")]
     others = [i for i in range(full.dim) if i not in ground_block]
     assert np.max(np.abs(h[np.ix_(ground_block, others)])) == 0.0
+
+
+def test_spaces_differing_in_one_shift_get_their_own_hamiltonian():
+    space, stages = _input_stages(PARAMS, _trains(PARAMS, "dual_rail"))
+    shifts = dict(space.shifts)
+    pair = next(iter(shifts))
+    levels = (space.control_levels, space.target_levels)
+    # the shifts are content: insertion order does not matter
+    assert TwoAtomSpace(*levels, dict(reversed(shifts.items()))) == space
+    other = TwoAtomSpace(*levels, {**shifts, pair: shifts[pair] + 1.0})
+    drives = (stages[1].control, stages[1].target)
+    h, _, _ = _stage_hamiltonian(space, *drives)
+    h_other, _, _ = _stage_hamiltonian(other, *drives)
+    i = space.index(*pair)
+    assert h_other[i, i] == h[i, i] + 1.0
+    assert np.count_nonzero(h_other != h) == 1
+
+
+def test_cached_hamiltonian_is_read_only():
+    space, stages = _input_stages(PARAMS, _trains(PARAMS, "dual_rail"))
+    for array in _stage_hamiltonian(space, stages[1].control, stages[1].target):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+
+
+def test_report_at_new_velocities_builds_no_hamiltonian(monkeypatch):
+    gate_report(PARAMS, 0.05, -0.02)
+    built = []
+    original = gate_module._build_hamiltonian
+    monkeypatch.setattr(gate_module, "_build_hamiltonian",
+                        lambda *args: built.append(args) or original(*args))
+    gate_report(PARAMS, -0.13, 0.21)
+    assert built == []
+    # a new infrared drive is new content
+    gate_report(make_params(omega_if=0.9 * OMEGA), -0.13, 0.21)
+    assert built
+
+
+def test_report_builds_its_pulse_trains_once(monkeypatch):
+    calls = []
+    original = gate_module._trains
+    monkeypatch.setattr(gate_module, "_trains",
+                        lambda *args: calls.append(args) or original(*args))
+    gate_report(PARAMS, 0.1, 0.2)
+    assert calls == [(PARAMS, "dual_rail")]
 
 
 def test_piecewise_shelved_evolution_matches_engine():
@@ -379,7 +424,7 @@ def test_piecewise_shelved_evolution_matches_engine():
         state9 = evolve(state9, h9, t0, t1, rtol=1e-12, atol=1e-14)
 
     # reassemble and run the deexcitation on the full space
-    full, stages = _input_stages(params, "dual_rail")
+    full, stages = _input_stages(params, _trains(params, "dual_rail"))
     psi = np.zeros(full.dim, dtype=complex)
     cg = ctrl.amplitude("1")
     psi[full.index("1", "1")] = cg * targ.amplitude("1")
@@ -491,7 +536,7 @@ def test_control_only_stages_share_one_eigendecomposition(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
     velocities = velocity_grid(100)
-    _simulate_input("11", PARAMS, 0.12, velocities, "dual_rail")
+    _simulate_input("11", PARAMS, _trains(PARAMS, "dual_rail"), 0.12, velocities)
     # excite and deexcite drive the control only; the target's two pulses
     # (with the control's infrared shelving) drive both atoms
     assert sorted(matrices) == [1, 1, 100, 100]
@@ -516,7 +561,7 @@ def test_grid_skips_the_occupation_integral(monkeypatch, method, n_cycles):
 @pytest.mark.parametrize("v_target", [0.13, velocity_grid(7)])
 def test_untimed_run_returns_the_timed_state(method, n_cycles, v_target):
     params = make_params(n_cycles)
-    full, stages = _input_stages(params, method)
+    full, stages = _input_stages(params, _trains(params, method))
     if method == "traditional":
         assert any(s.control is None and s.target is None for s in stages)
     psi0 = np.zeros(full.dim, dtype=complex)
