@@ -24,13 +24,10 @@ from dualrail.core import (
     mhz_to_rad_per_us,
     rad_per_us_to_mhz,
 )
-from dualrail.hamiltonians import (
-    DUAL_RAIL_BASIS,
-    SINGLE_RAIL_BASIS,
-    dual_rail_rotation,
+from dualrail.engine import (
+    DUAL_RAIL_BASIS, OPTICAL_DUAL, OPTICAL_SINGLE, SINGLE_RAIL_BASIS, AtomDrive,
+    ComplexState, GateStage, dual_rail_rotation, propagate_atom,
 )
-from dualrail.gate import propagate_atom
-from dualrail.propagator import ComplexState
 
 JSON_SCHEMA_VERSION = 1
 
@@ -99,16 +96,16 @@ def cmd_excite(args) -> int:
     # The cos/sin drive is the two-rail drive at sqrt(2)*Omega in the
     # rotated basis (r-, r+, 1); its amplitudes are rotated back below.
     levels, amp, couplings = {
-        "four-field": (DUAL_RAIL_BASIS, math.sqrt(2.0) * params.omega, gate.OPTICAL_DUAL),
-        "dual-rail": (DUAL_RAIL_BASIS, params.omega, gate.OPTICAL_DUAL),
-        "single-rail": (SINGLE_RAIL_BASIS, params.omega, gate.OPTICAL_SINGLE),
+        "four-field": (DUAL_RAIL_BASIS, math.sqrt(2.0) * params.omega, OPTICAL_DUAL),
+        "dual-rail": (DUAL_RAIL_BASIS, params.omega, OPTICAL_DUAL),
+        "single-rail": (SINGLE_RAIL_BASIS, params.omega, OPTICAL_SINGLE),
     }[args.drive]
-    drive = gate.AtomDrive(amp, cfg.wavevectors.k_excite, couplings)
+    drive = AtomDrive(amp, cfg.wavevectors.k_excite, couplings)
     ts = np.linspace(0.0, args.t, args.samples + 1) if args.output else np.array([0.0, args.t])
     # One stage sampled at every time from the start: one eigendecomposition,
     # and the final state does not depend on --samples.
     sampled, _ = propagate_atom(
-        [gate.GateStage(0.0, ts[1:], control=drive)], params.v_mps, params.z0_um
+        [GateStage(0.0, ts[1:], control=drive)], params.v_mps, params.z0_um
     )
     columns = [sampled.basis.index(level) for level in levels]  # in `levels` order
     amps = [ComplexState.from_label(levels, "1").amplitudes, *sampled.amplitudes[:, columns]]

@@ -412,19 +412,25 @@ _REQUIRED_KEYS = (
 _INI_FIELDS = {"tau_us": "rydberg_lifetime_us", "l_um": "separation_um"}
 
 
+def _ini_error(section: configparser.SectionProxy, key: str, path: str, what: str):
+    """ValueError naming the key, its value, the section and the file."""
+    sets = f" (it sets {_INI_FIELDS[key]})" if key in _INI_FIELDS else ""
+    return ValueError(f"{key} = {section[key]} in preset [{section.name}] of {path} "
+                      f"is not {what}{sets}")
+
+
 def _ini_float(section: configparser.SectionProxy, key: str, path: str) -> float:
     """The value of ``key`` in ``section`` of the INI file ``path`` as a
-    finite float; anything else raises ValueError naming the key, the
-    section and the file."""
-    raw = section[key]
+    finite float, positive unless it is a C6 coefficient; anything else
+    raises :func:`_ini_error`."""
     try:
-        value = float(raw)
+        value = float(section[key])
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
-        sets = f" (it sets {_INI_FIELDS[key]})" if key in _INI_FIELDS else ""
-        raise ValueError(f"{key} = {raw} in preset [{section.name}] of {path} "
-                         f"is not a finite number{sets}")
+        raise _ini_error(section, key, path, "a finite number")
+    if value <= 0 and not key.startswith("c6_"):
+        raise _ini_error(section, key, path, "positive")
     return value
 
 
@@ -435,8 +441,9 @@ def load_configs(path: str) -> list[AtomLaserConfig]:
     lambda_ir_nm.  Optional: species (display name), counterpropagating
     (default true), L_um plus any number of c6_<na>_<nb> entries in
     THz*um^6 forming the interaction table; L_um is required once a c6
-    entry is present.  A missing key, a number that is not finite or a
-    malformed file raises ValueError.
+    entry is present.  A missing key, a malformed file, a malformed c6 key
+    or a number that is not finite, or not positive where the quantity
+    must be, raises ValueError.
     """
     parser = configparser.ConfigParser()
     try:
@@ -464,7 +471,9 @@ def load_configs(path: str) -> list[AtomLaserConfig]:
         c6_entries = {}
         for key in sec:
             if key.startswith("c6_"):
-                _, na, nb = key.split("_")
+                na, _, nb = key[3:].partition("_")
+                if not (na.isdecimal() and nb.isdecimal()):
+                    raise _ini_error(sec, key, path, "a c6_<na>_<nb> entry")
                 c6_entries[(int(na), int(nb))] = _ini_float(sec, key, path)
         interactions = None
         if c6_entries:

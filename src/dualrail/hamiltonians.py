@@ -1,15 +1,15 @@
-"""Level orders, pulse lengths and lab-frame reference Hamiltonians.
+"""Lab-frame reference Hamiltonians for the tests' oracle.
 
 The simulations themselves run on the exact stage engine
-(:func:`dualrail.gate.propagate_stages`), which builds its Hamiltonians
+(:func:`dualrail.engine.propagate_stages`), which builds its Hamiltonians
 from coupling tables.  The dense builders here evaluate the same lab-frame
 Hamiltonians at an arbitrary time t (in us), written out by hand for one
-fixed, documented level order each; the DOP853 oracle of
-:mod:`dualrail.propagator` integrates them in the tests and in the c1
-transfer benchmark.  Couplings carry a moving-atom phase k*(z0 + v*t); all
-diagonals of the single-atom builders are zero (resonant drive in the
-rotating frame).  Stated Rabi amplitudes enter as Omega/2 off-diagonal
-elements.
+fixed, documented level order each, and :func:`lab_hamiltonian` does so
+for any engine stage; the DOP853 oracle of :mod:`dualrail.propagator`
+integrates them in the tests and in the c1 transfer benchmark.  Couplings
+carry a moving-atom phase k*(z0 + v*t); all diagonals of the single-atom
+builders are zero (resonant drive in the rotating frame).  Stated Rabi
+amplitudes enter as Omega/2 off-diagonal elements.
 
 Sign conventions, fixed throughout the package:
 
@@ -23,25 +23,16 @@ is fixed to +i here.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-SINGLE_RAIL_BASIS = ("1", "r1")
-DUAL_RAIL_BASIS = ("r2", "r1", "1")
+from dualrail.engine import GateStage, TwoAtomSpace
+
 GAP_BASIS = ("1", "r1", "r2", "r3")
 NINE_BASIS = (
     "r3r2", "r3r1", "r31",
     "r2r2", "r2r1", "r21",
     "r1r2", "r1r1", "r11",
 )
-
-
-def pi_time(omega: float) -> float:
-    """Duration pi/(sqrt(2)|Omega|) of a dual-rail pi pulse."""
-    if omega == 0:
-        raise ValueError("a zero Rabi amplitude has no pulse length")
-    return math.pi / (math.sqrt(2.0) * abs(omega))
 
 
 def h_single_rail(t: float, omega: float, k: float, z0: float, v: float) -> np.ndarray:
@@ -83,18 +74,6 @@ def h_four_field(t: float, omega: float, k: float, z0: float, v: float) -> np.nd
     h[2, 1] = np.conj(h[1, 2])
     h[2, 0] = np.conj(h[0, 2])
     return h
-
-
-def dual_rail_rotation() -> np.ndarray:
-    """Unitary mapping the (r2, r1, 1) basis onto (r-, r+, 1).
-
-    Satisfies R @ h_four_field(t, W, ...) @ R.conj().T
-    == h_dual_rail(t, sqrt(2)*W, ...) for all arguments.
-    """
-    s = 1.0 / math.sqrt(2.0)
-    return np.array(
-        [[-s, s, 0.0], [s, s, 0.0], [0.0, 0.0, 1.0]], dtype=complex
-    )
 
 
 # Interaction-shift keys of the nine-level system: (a, b) refers to the
@@ -152,4 +131,34 @@ def h_gate_nine(
         ],
         dtype=complex,
     )
+    return h
+
+
+def lab_hamiltonian(
+    space: TwoAtomSpace,
+    stage: GateStage,
+    t: float,
+    v_control: float,
+    v_target: float,
+    z0_control: float,
+    z0_target: float,
+) -> np.ndarray:
+    """Lab-frame Hamiltonian of a stage at time t (for cross-checks)."""
+    h = np.diag(space.shift_diagonal).astype(complex)
+    z_c = z0_control + v_control * t
+    z_t = z0_target + v_target * t
+    if stage.control is not None:
+        for anchor, driven, sign in stage.control.couplings:
+            amp = 0.5 * stage.control.amp * np.exp(1j * sign * stage.control.k * z_c)
+            for tl in space.target_levels:
+                i, j = space.index(driven, tl), space.index(anchor, tl)
+                h[i, j] += amp
+                h[j, i] += np.conj(amp)
+    if stage.target is not None:
+        for anchor, driven, sign in stage.target.couplings:
+            amp = 0.5 * stage.target.amp * np.exp(1j * sign * stage.target.k * z_t)
+            for cl in space.control_levels:
+                i, j = space.index(cl, driven), space.index(cl, anchor)
+                h[i, j] += amp
+                h[j, i] += np.conj(amp)
     return h

@@ -1,8 +1,6 @@
-"""Named-basis states, and the adaptive oracle that checks the exact engine.
+"""The adaptive oracle that checks the exact engine.
 
-``ComplexState`` holds complex amplitudes over a named level basis; the
-exact stage engine of :mod:`dualrail.gate` returns a lone atom's state as
-one.  ``evolve`` integrates the Schrodinger equation i d|psi>/dt = H(t)|psi>
+``evolve`` integrates the Schrodinger equation i d|psi>/dt = H(t)|psi>
 with an adaptive eighth-order Runge-Kutta stepper (DOP853) at a default
 relative tolerance of 1e-10, on the lab-frame builders of
 :mod:`dualrail.hamiltonians`.  The norm is never renormalized; drift away
@@ -14,12 +12,11 @@ benchmark use them, the production route does not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from dualrail.core import scalar_or_array
+from dualrail.engine import ComplexState
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
@@ -36,41 +33,6 @@ def solve_ivp(*args, **kwargs):
 
 class EvolutionError(RuntimeError):
     """Raised when the integrator fails to converge or loses the norm."""
-
-
-@dataclass(frozen=True)
-class ComplexState:
-    """Complex amplitudes over a named level basis, optionally with a
-    leading batch axis (one state per row; the accessors return arrays)."""
-
-    basis: tuple[str, ...]
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.ndim not in (1, 2) or amps.shape[-1] != len(self.basis):
-            raise ValueError("amplitude vector does not match basis size")
-        object.__setattr__(self, "amplitudes", amps)
-
-    @classmethod
-    def from_label(cls, basis: Sequence[str], label: str) -> "ComplexState":
-        basis = tuple(basis)
-        amps = np.zeros(len(basis), dtype=complex)
-        amps[basis.index(label)] = 1.0
-        return cls(basis, amps)
-
-    def amplitude(self, label: str) -> complex | np.ndarray:
-        return scalar_or_array(self.amplitudes[..., self.basis.index(label)])
-
-    def population(self, label: str) -> float | np.ndarray:
-        return abs(self.amplitude(label)) ** 2
-
-    def phase(self, label: str) -> float | np.ndarray:
-        return scalar_or_array(np.angle(self.amplitude(label)))
-
-    @property
-    def norm(self) -> float | np.ndarray:
-        return scalar_or_array(np.linalg.norm(self.amplitudes, axis=-1))
 
 
 def evolve(

@@ -9,21 +9,19 @@ controlled-Z gate needs.  The traditional baseline drives a single rail
 and is kept for comparison; its restored phase carries the uncompensated
 Doppler term.
 
-Every protocol is a pulse train on one atom, built by the train builders
-of :mod:`dualrail.gate` that also build the gate's two atoms, and run in
-one call by :func:`dualrail.gate.propagate_atom`, which runs the gate's
-lone inputs too: one eigendecomposition per stage, closed-form Rydberg
-residence, batched over velocity and coordinate arrays.  Because the
-restored ground phase comes out of an exact computation, a phase of pi can
-come back as +pi or -pi by roundoff; compare phases modulo 2*pi.
+Every protocol is one atom's pulse train, built by the builders that also
+build the gate's two atoms and run in one call by
+:func:`dualrail.engine.propagate_atom`, batched over velocity and
+coordinate arrays.  Because the restored ground phase comes out of an
+exact computation, a phase of pi can come back as +pi or -pi by roundoff;
+compare phases modulo 2*pi.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-# Unused since the protocol grids run serially; perfbench's tracer patches
-# this name, so it stays until the tracer stops looking it up.
+# Unused; perfbench's tracer patches this name until it stops looking it up.
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -32,7 +30,7 @@ import numpy as np
 
 from dualrail.core import (
     AtomSpecies,
-    ConvergenceError,  # noqa: F401  (callers catch protocols.ConvergenceError)
+    ConvergenceError,
     SimulationParams,
     WavevectorSet,
     continuum_weight_mass,
@@ -43,17 +41,10 @@ from dualrail.core import (
     mhz_to_rad_per_us,
     scalar_or_array,
 )
-from dualrail.gate import (
-    INFRARED,
-    OPTICAL_DUAL,
-    AtomDrive,
-    propagate_atom,
-    pulse_train,
-    resilient_pair,
-    single_rail_restore,
+from dualrail.engine import (
+    INFRARED, OPTICAL_DUAL, AtomDrive, ComplexState, pi_time, propagate_atom,
+    pulse_train, resilient_pair, single_rail_restore,
 )
-from dualrail.hamiltonians import pi_time
-from dualrail.propagator import ComplexState
 
 
 class OptimizationError(RuntimeError):

@@ -33,16 +33,19 @@ from dualrail.gate import (
     maxwell_grid_average,
     rotation_error,
 )
-from dualrail.hamiltonians import (
+from dualrail.engine import (
     DUAL_RAIL_BASIS,
     SINGLE_RAIL_BASIS,
+    ComplexState,
     dual_rail_rotation,
+)
+from dualrail.hamiltonians import (
     h_dual_rail,
     h_four_field,
     h_gate_nine,
     h_single_rail,
 )
-from dualrail.propagator import ComplexState, evolve, evolve_oracle
+from dualrail.propagator import evolve, evolve_oracle
 from dualrail.protocols import (
     gap_runner,
     maxwell_average,

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import dualrail
 from dualrail import cli, gate, protocols
 from dualrail.cli import main
-from dualrail.hamiltonians import DUAL_RAIL_BASIS, dual_rail_rotation
+from dualrail.engine import DUAL_RAIL_BASIS, dual_rail_rotation
 
 
 def run_cli(capsys, *argv):
@@ -471,9 +471,12 @@ def test_bad_config_numbers_are_usage_errors_naming_the_field(capsys, tmp_path, 
 
 @pytest.mark.parametrize("key, value", [
     ("tau_us", "nan"), ("mass_kg", "heavy"), ("l_um", "inf"), ("c6_95_97", "nan"),
+    ("lambda_upper_nm", "-474.0"), ("mass_kg", "0"), ("tau_us", "-1"),
+    ("c6_95", "1"), ("c6_95_x", "1"),
 ])
 def test_bad_config_numbers_name_their_key_section_and_file(capsys, tmp_path, key, value):
-    body = "[p]\n" + "".join(f"{k} = {value if k == key else v}\n" for k, v in GATE_PRESET.items())
+    # a key GATE_PRESET does not hold is added to the preset
+    body = "[p]\n" + "".join(f"{k} = {v}\n" for k, v in {**GATE_PRESET, key: value}.items())
     path = _write_ini(tmp_path, body)
     code, out, err = run_cli(capsys, "gate", "--grid-points", "4", "--config", path, "--preset", "p")
     assert code == 2 and out == ""
@@ -504,15 +507,21 @@ def test_nan_input_is_usage_error_not_hang(argv):
 
 def test_cli_import_loads_no_scipy():
     # SciPy serves the optimizer and the test oracle only; importing it
-    # would dominate every short command
+    # would dominate every short command.  The oracle modules
+    # (hamiltonians, propagator) serve the tests only, and the production
+    # modules import the engine, never them.
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, dualrail.cli; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'dualrail'))"],
         capture_output=True, text=True, timeout=60, env=_subprocess_env(),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    scipy_modules, dualrail_modules = proc.stdout.splitlines()
+    assert scipy_modules == "[]"
+    assert "dualrail.hamiltonians" not in dualrail_modules
+    assert "dualrail.propagator" not in dualrail_modules
 
 
 # Floats the command line accepts: the specials, zero, negatives and extremes.

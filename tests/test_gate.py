@@ -5,12 +5,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dualrail import engine
 from dualrail import gate as gate_module
 from dualrail import protocols
 from dualrail.core import SimulationParams, get_config, mhz_to_rad_per_us
+from dualrail.engine import (
+    ComplexState,
+    GateStage,
+    TwoAtomSpace,
+    _levels,
+    _stage_hamiltonian,
+    pi_time,
+    propagate_atom,
+    propagate_stages,
+)
 from dualrail.gate import (
     GateParams,
-    GateStage,
     averaged_rotation_error,
     decay_error,
     decay_error_analytic,
@@ -18,25 +28,19 @@ from dualrail.gate import (
     gate_duration,
     gate_report,
     grid_to_csv,
-    lab_hamiltonian,
     maxwell_grid_average,
-    propagate_stages,
     rotation_error,
     simulate_gate_input,
     velocity_grid,
 )
 from dualrail.gate import (
-    TwoAtomSpace,
     _input_stages,
-    _levels,
     _lone_train,
     _simulate_input,
-    _stage_hamiltonian,
     _trains,
-    propagate_atom,
 )
-from dualrail.hamiltonians import NINE_BASIS, h_dual_rail, h_gate_nine, pi_time
-from dualrail.propagator import ComplexState, evolve
+from dualrail.hamiltonians import NINE_BASIS, h_dual_rail, h_gate_nine, lab_hamiltonian
+from dualrail.propagator import evolve
 
 CFG = get_config("rb87_5p12")
 OMEGA = mhz_to_rad_per_us(2.0)
@@ -365,8 +369,8 @@ def test_cached_hamiltonian_is_read_only():
 def test_report_at_new_velocities_builds_no_hamiltonian(monkeypatch):
     gate_report(PARAMS, 0.05, -0.02)
     built = []
-    original = gate_module._build_hamiltonian
-    monkeypatch.setattr(gate_module, "_build_hamiltonian",
+    original = engine._build_hamiltonian
+    monkeypatch.setattr(engine, "_build_hamiltonian",
                         lambda *args: built.append(args) or original(*args))
     gate_report(PARAMS, -0.13, 0.21)
     assert built == []
@@ -548,7 +552,7 @@ def test_grid_skips_the_occupation_integral(monkeypatch, method, n_cycles):
     def fail(*args, **kwargs):
         raise AssertionError("occupation integral evaluated")
 
-    monkeypatch.setattr(gate_module, "_occupation_integral", fail)
+    monkeypatch.setattr(engine, "_occupation_integral", fail)
     params = make_params(n_cycles)
     grid = averaged_rotation_error(params, 10.0, method, n_grid=4)
     assert np.all(np.isfinite(grid.errors))
@@ -599,7 +603,8 @@ def test_bad_grid_inputs_rejected_before_any_propagation(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("propagated before checking the inputs")
 
-    monkeypatch.setattr(gate_module, "propagate_stages", fail)
+    for module in (engine, gate_module):
+        monkeypatch.setattr(module, "propagate_stages", fail)
     with pytest.raises(ValueError, match="temperature"):
         averaged_rotation_error(PARAMS, -5.0)
     with pytest.raises(ValueError, match="at least 2 points"):

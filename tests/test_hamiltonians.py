@@ -5,24 +5,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualrail.core import interaction_shifts, mhz_to_rad_per_us, RB_D_STATE_C6
-from dualrail.gate import (
+from dualrail.engine import (
+    DUAL_RAIL_BASIS,
     INFRARED,
     OPTICAL_DUAL,
     AtomDrive,
     GateStage,
     TwoAtomSpace,
-    lab_hamiltonian,
+    dual_rail_rotation,
+    pi_time,
 )
 from dualrail.hamiltonians import (
-    DUAL_RAIL_BASIS,
     GAP_BASIS,
     NINE_BASIS,
-    dual_rail_rotation,
     h_dual_rail,
     h_four_field,
     h_gate_nine,
     h_single_rail,
-    pi_time,
+    lab_hamiltonian,
 )
 
 K_REF = 5.352287460140241  # rad/um, 474/795 nm counterpropagating pair

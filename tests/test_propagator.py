@@ -4,26 +4,26 @@ import numpy as np
 import pytest
 
 from dualrail.core import mhz_to_rad_per_us
-from dualrail.gate import (
+from dualrail.engine import (
+    DUAL_RAIL_BASIS,
     INFRARED,
     OPTICAL_DUAL,
     OPTICAL_SINGLE,
+    SINGLE_RAIL_BASIS,
     AtomDrive,
+    ComplexState,
     GateStage,
     _levels,
+    pi_time,
     propagate_atom,
     pulse_train,
 )
 from dualrail.hamiltonians import (
-    DUAL_RAIL_BASIS,
-    SINGLE_RAIL_BASIS,
     h_dual_rail,
     h_four_field,
     h_single_rail,
-    pi_time,
 )
 from dualrail.propagator import (
-    ComplexState,
     evolve,
     evolve_oracle,
 )

@@ -14,30 +14,31 @@ from dualrail.core import (
     mhz_to_rad_per_us,
     rad_per_us_to_mhz,
 )
-from dualrail import gate as gate_module
-from dualrail.gate import (
+from dualrail import engine
+from dualrail.engine import (
+    DUAL_RAIL_BASIS,
     INFRARED,
     OPTICAL_DUAL,
+    SINGLE_RAIL_BASIS,
     AtomDrive,
+    ComplexState,
     GateStage,
     TwoAtomSpace,
-    lab_hamiltonian,
+    dual_rail_rotation,
+    pi_time,
     propagate_atom,
     propagate_stages,
     resilient_pair,
 )
 from dualrail.hamiltonians import (
-    DUAL_RAIL_BASIS,
     GAP_BASIS,
-    SINGLE_RAIL_BASIS,
-    dual_rail_rotation,
     h_dual_rail,
     h_four_field,
     h_single_rail,
-    pi_time,
+    lab_hamiltonian,
 )
 from dualrail import protocols
-from dualrail.propagator import ComplexState, evolve
+from dualrail.propagator import evolve
 from dualrail.protocols import (
     AveragedOutcome,
     ConvergenceError,
@@ -225,8 +226,8 @@ def test_gap_reference_point():
 
 def test_gap_protocol_is_one_engine_call(monkeypatch):
     calls, matrices = [], []
-    original_run, original_eigh = gate_module.propagate_stages, np.linalg.eigh
-    monkeypatch.setattr(gate_module, "propagate_stages",
+    original_run, original_eigh = engine.propagate_stages, np.linalg.eigh
+    monkeypatch.setattr(engine, "propagate_stages",
                         lambda *a: calls.append(a) or original_run(*a))
     monkeypatch.setattr(np.linalg, "eigh",
                         lambda h: matrices.append(h.reshape(-1, *h.shape[-2:]).shape[0])
