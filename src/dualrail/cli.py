@@ -234,13 +234,13 @@ def cmd_gate(args) -> int:
         params, args.temp_uk, args.method, n_grid=args.grid_points
     )
     report = gate.gate_report(params, 0.0, 0.0, args.method)
-    result = gate.FidelityReport.combine(grid, report)
+    fidelity = 1.0 - grid.averaged - report.decay_error
     wall = time.perf_counter() - started
-    print(f"method = {result.method}")
-    print(f"fidelity = {result.fidelity:.6f}")
-    print(f"rotation_error_avg = {result.rotation_error_avg:.6e}")
-    print(f"decay_error = {result.decay_error:.6e}")
-    print(f"duration_us = {result.duration_us:.6f}")
+    print(f"method = {args.method}")
+    print(f"fidelity = {fidelity:.6f}")
+    print(f"rotation_error_avg = {grid.averaged:.6e}")
+    print(f"decay_error = {report.decay_error:.6e}")
+    print(f"duration_us = {report.duration_us:.6f}")
     print(f"wall_time_s = {wall:.2f}")
     if args.output:
         _write_json(args.output, {
@@ -254,8 +254,8 @@ def cmd_gate(args) -> int:
                 "preset": cfg.name,
             },
             "grid_points": args.grid_points,
-            "fidelity": result.fidelity,
-            "rotation_error_avg": result.rotation_error_avg,
+            "fidelity": fidelity,
+            "rotation_error_avg": grid.averaged,
             **report.to_dict(),
         })
     if args.grid_output:
@@ -316,9 +316,9 @@ def cmd_sweep(args) -> int:
         rows = [(v, z0, protocols.ProtocolOutcome(*fields))
                 for v, z0, *fields in zip(*columns)]
     elif args.axis == "omega":
-        rows = [(base.v_mps, base.z0_um, run_one(replace(base, omega=mhz_to_rad_per_us(float(x)))))
-                for x in axis]
-    else:  # temp axis: Maxwell-average at each temperature
+        rows = [(x, base.v_mps, base.z0_um,
+                 run_one(replace(base, omega=mhz_to_rad_per_us(float(x))))) for x in axis]
+    else:  # temp axis: Maxwell-average at each temperature; no one v_mps applies
         rows = []
         for x in axis:
             avg = protocols.maxwell_average(
@@ -328,10 +328,11 @@ def cmd_sweep(args) -> int:
                 avg.ground_population, avg.mean_abs_phase,
                 avg.r3_leak, avg.rydberg_time_us,
             )
-            rows.append((float("nan"), base.z0_um, out))
+            rows.append((x, float("nan"), base.z0_um, out))
     if args.output:
-        protocols.sweep_to_csv(rows, args.output)
-    worst = max(r[2].error for r in rows)
+        swept = {"omega": "omega_mhz", "temp": "temp_uk"}.get(args.axis, "")
+        protocols.sweep_to_csv(rows, args.output, swept)
+    worst = max(r[-1].error for r in rows)
     print(f"points = {len(rows)}")
     print(f"max_error = {worst:.6e}")
     return 0
@@ -416,7 +417,7 @@ def _run_table2(cfg, rows, n_grid) -> None:
         if (method, n_cycles) not in grids:
             grids[method, n_cycles] = compute_gate_row(cfg, row, n_grid)
         duration, grid = grids[method, n_cycles]
-        ero = gate.maxwell_grid_average(grid.errors, grid.velocities, temp, cfg.species)
+        ero = core.maxwell_mean(grid.errors, grid.velocities, temp, cfg.species)
         print(
             f"{i:<4d} {method:<13s} {temp:<6g} {n_cycles}  {duration:.4f}    "
             f"{ref_dur:.3f}    {ero:.4e}  {ref_ero:.2e}  {ero / ref_ero - 1:+.2e}"

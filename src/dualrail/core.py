@@ -104,7 +104,6 @@ class WavevectorSet:
 
     k_excite: float
     k_wait: float
-    label: str = ""
 
     @property
     def mismatch(self) -> float:
@@ -193,7 +192,6 @@ class AtomLaserConfig:
                 self.excite_counterpropagating,
             ),
             k_wait=infrared_wavevector(self.lambda_ir_nm),
-            label=self.name,
         )
 
 
@@ -283,13 +281,37 @@ def thermal_rms_speed(temperature_uk: float, species: AtomSpecies) -> float:
 def maxwell_weight(v_mps, temperature_uk: float, species: AtomSpecies):
     """Unnormalized 1D Maxwell weight exp(-m v^2 / (2 kB T)).
 
-    Callers normalize discrete grids by the weight sum.  Accepts scalar
+    :func:`maxwell_mean` normalizes it on a discrete grid.  Accepts scalar
     or array velocities.
     """
     sigma = thermal_rms_speed(temperature_uk, species)
     v = np.asarray(v_mps, dtype=float)
     w = np.exp(-0.5 * (v / sigma) ** 2)
     return scalar_or_array(w)
+
+
+def maxwell_mean(
+    values, velocities: np.ndarray, temperature_uk: float, species: AtomSpecies
+) -> float:
+    """Maxwell-weighted mean of ``values``, every axis of which runs over
+    ``velocities``: one axis per atom, as values[i, j] at (velocities[i],
+    velocities[j]) for two.
+
+    The 1D weights are normalized once by their sum and applied along each
+    axis.  Only the weights depend on the temperature, so one grid of values
+    serves every temperature.  Weights that all underflow on the grid raise
+    :class:`ConvergenceError`.
+    """
+    weights = maxwell_weight(velocities, temperature_uk, species)
+    total = np.sum(weights)
+    if not 0.0 < total < math.inf:
+        raise ConvergenceError(f"the Maxwell weights at {temperature_uk:g} uK "
+                               f"sum to {total:g} on the {np.size(velocities)}-point grid")
+    weights = weights / total
+    mean = np.asarray(values, dtype=float)
+    for _ in range(mean.ndim):
+        mean = weights @ mean
+    return float(mean)
 
 
 def maxwell_grid(

@@ -19,17 +19,15 @@ from __future__ import annotations
 import math
 # Unused; perfbench's tracer patches this name until it stops looking it up.
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
-from dataclasses import dataclass, field
-from typing import Literal, Mapping
+from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
 from dualrail.core import (
     AtomLaserConfig,
-    AtomSpecies,
-    ConvergenceError,
     gap_wait_time,
-    maxwell_weight,
+    maxwell_mean,
     require_finite_fields,
     scalar_or_array,
     thermal_rms_speed,
@@ -64,9 +62,6 @@ class GateParams:
     config: AtomLaserConfig
     z0_control_um: float = 0.0
     z0_target_um: float = 0.0
-    principal: Mapping[str, int] = field(
-        default_factory=lambda: dict(DEFAULT_PRINCIPAL)
-    )
 
     def __post_init__(self) -> None:
         require_finite_fields(self)
@@ -92,17 +87,7 @@ class GateParams:
         table = self.config.interactions
         if table is None:
             raise ValueError(f"config {self.config.name!r} carries no C6 table")
-        return table.shift((self.principal[level_a], self.principal[level_b]))
-
-    def nine_level_shifts(self) -> dict[tuple[int, int], float]:
-        """Shifts keyed by rail indices for the nine-level builder."""
-        idx = {"r1": 1, "r2": 2, "r3": 3}
-        out = {}
-        for a in ("r1", "r2", "r3"):
-            for b in ("r1", "r2"):
-                key = tuple(sorted((idx[a], idx[b])))
-                out[key] = self.pair_shift(a, b)
-        return out
+        return table.shift((DEFAULT_PRINCIPAL[level_a], DEFAULT_PRINCIPAL[level_b]))
 
 
 def gate_duration(params: GateParams, method: Method = "dual_rail") -> float:
@@ -317,8 +302,6 @@ class RotationErrorGrid:
     velocities: np.ndarray
     errors: np.ndarray
     averaged: float
-    method: str
-    temperature_uk: float
 
 
 def averaged_rotation_error(
@@ -331,7 +314,7 @@ def averaged_rotation_error(
 
     The two atomic velocities run over the same uniform grid; weights are
     the product of one-dimensional Maxwell factors, normalized by their
-    sum (:func:`maxwell_grid_average`).  a depends only on the target
+    sum (:func:`~dualrail.core.maxwell_mean`).  a depends only on the target
     velocity and b only on the control velocity, so each line takes one
     batched run; c takes one batched run per grid row (one control
     velocity), which bounds the memory of a stack to one row.  Within a
@@ -358,67 +341,8 @@ def averaged_rotation_error(
         psi, _ = propagate_stages(np.eye(space.dim)[0], space, stages, v_c, velocities, *z0)
         errors[i] = rotation_error(lone["01"], lone["10"][i], psi[:, 0])
 
-    averaged = maxwell_grid_average(
-        errors, velocities, temperature_uk, params.config.species
-    )
-    return RotationErrorGrid(velocities, errors, averaged, method, temperature_uk)
-
-
-def maxwell_grid_average(
-    values: np.ndarray,
-    velocities: np.ndarray,
-    temperature_uk: float,
-    species: AtomSpecies,
-) -> float:
-    """Maxwell-weighted mean of values[i, j] at (velocities[i], velocities[j]).
-
-    Only the weights depend on the temperature, so one grid of values
-    serves every temperature.  Weights that all underflow on the grid
-    raise :class:`~dualrail.core.ConvergenceError`.
-    """
-    weights = maxwell_weight(velocities, temperature_uk, species)
-    w2 = np.outer(weights, weights)
-    total = np.sum(w2)
-    if not 0.0 < total < math.inf:
-        raise ConvergenceError(f"the Maxwell weights at {temperature_uk:g} uK "
-                               f"sum to {total:g} on the {len(velocities)}-point grid")
-    return float(np.sum(w2 * values) / total)
-
-
-@dataclass(frozen=True)
-class FidelityReport:
-    """F = 1 - averaged rotation error - decay error."""
-
-    fidelity: float
-    rotation_error_avg: float
-    decay_error: float
-    duration_us: float
-    method: str
-    temperature_uk: float
-
-    @classmethod
-    def combine(cls, grid: RotationErrorGrid, report: GateReport) -> "FidelityReport":
-        """F from a grid average and a report's decay error and duration."""
-        return cls(
-            fidelity=1.0 - grid.averaged - report.decay_error,
-            rotation_error_avg=grid.averaged,
-            decay_error=report.decay_error,
-            duration_us=report.duration_us,
-            method=grid.method,
-            temperature_uk=grid.temperature_uk,
-        )
-
-
-def fidelity(
-    params: GateParams,
-    temperature_uk: float,
-    method: Method = "dual_rail",
-    n_grid: int = 100,
-) -> FidelityReport:
-    """Gate fidelity with the decay error taken from the zero-velocity
-    residence times (they vary only weakly with velocity)."""
-    grid = averaged_rotation_error(params, temperature_uk, method, n_grid)
-    return FidelityReport.combine(grid, gate_report(params, 0.0, 0.0, method))
+    averaged = maxwell_mean(errors, velocities, temperature_uk, params.config.species)
+    return RotationErrorGrid(velocities, errors, averaged)
 
 
 def grid_to_csv(grid: RotationErrorGrid, path: str) -> None:

@@ -81,6 +81,15 @@ def h_four_field(t: float, omega: float, k: float, z0: float, v: float) -> np.nd
 NINE_LEVEL_PAIRS = ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3))
 
 
+def nine_level_shifts(params) -> dict[tuple[int, int], float]:
+    """The pair shifts of a :class:`~dualrail.gate.GateParams`, keyed by
+    rail indices as :func:`h_gate_nine` reads them."""
+    return {
+        tuple(sorted((int(a[1]), int(b[1])))): params.pair_shift(a, b)
+        for a in ("r1", "r2", "r3") for b in ("r1", "r2")
+    }
+
+
 def h_gate_nine(
     t: float,
     omega_t: float,

@@ -36,7 +36,7 @@ from dualrail.core import (
     continuum_weight_mass,
     gap_wait_time,
     maxwell_grid,
-    maxwell_weight,
+    maxwell_mean,
     rad_per_us_to_mhz,
     mhz_to_rad_per_us,
     scalar_or_array,
@@ -283,24 +283,20 @@ def maxwell_average(
     if velocities is None:
         velocities = maxwell_grid(temperature_uk, species)
     velocities = np.asarray(velocities, dtype=float).reshape(-1)
-    if velocities.size == 1:
-        weights, mass = np.ones(1), 1.0
-    else:
+    mass = 1.0
+    if velocities.size > 1:
         mass = continuum_weight_mass(velocities, temperature_uk, species)
         if abs(mass - 1.0) > 1e-3:
             raise ConvergenceError(f"velocity grid carries {mass:.6f} of the "
                                    "Maxwell weight, not 1 within 1e-3")
-        weights = maxwell_weight(velocities, temperature_uk, species)
-        weights = weights / np.sum(weights)
     out = runner(velocities)
-    return AveragedOutcome(
-        ground_population=float(weights @ out.ground_population),
-        mean_abs_phase=float(weights @ np.abs(out.ground_phase)),
-        r3_leak=float(weights @ out.r3_leak),
-        rydberg_time_us=float(weights @ out.rydberg_time_us),
-        weight_mass=mass,
-        n_points=velocities.size,
-    )
+    fields = (out.ground_population, np.abs(out.ground_phase), out.r3_leak,
+              out.rydberg_time_us)
+    if velocities.size == 1:
+        means = [float(np.reshape(f, -1)[0]) for f in fields]
+    else:
+        means = [maxwell_mean(f, velocities, temperature_uk, species) for f in fields]
+    return AveragedOutcome(*means, weight_mass=mass, n_points=velocities.size)
 
 
 def restore_runner(params: SimulationParams, k: float,
@@ -318,23 +314,15 @@ def traditional_runner(params: SimulationParams, k: float,
     return run_traditional_restore(replace(params, v_mps=v), k)
 
 
-def sweep_to_csv(
-    rows: Sequence[tuple[float, float, ProtocolOutcome]], path: str
-) -> None:
-    """Write (velocity, z0, outcome) sweep rows as CSV."""
+def sweep_to_csv(rows: Sequence[tuple], path: str, swept: str = "") -> None:
+    """Write (velocity, z0, outcome) sweep rows as CSV; with a ``swept``
+    column name, each row leads with that column's value."""
     header = "v_mps,z0_um,pop_error,phase_rad,r3_leak,rydberg_time_us"
     with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for v, z0, out in rows:
-            fields = (
-                f"{v:.11e}",
-                f"{z0:.11e}",
-                f"{out.error:.11e}",
-                f"{out.ground_phase:.11e}",
-                f"{out.r3_leak:.11e}",
-                f"{out.rydberg_time_us:.11e}",
-            )
-            fh.write(",".join(fields) + "\n")
+        fh.write((f"{swept},{header}" if swept else header) + "\n")
+        for *lead, out in rows:
+            values = (*lead, out.error, out.ground_phase, out.r3_leak, out.rydberg_time_us)
+            fh.write(",".join(f"{x:.11e}" for x in values) + "\n")
 
 
 def summary_report(avg: AveragedOutcome) -> str:

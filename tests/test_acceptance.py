@@ -20,6 +20,7 @@ from dualrail.core import (
     SimulationParams,
     get_config,
     maxwell_grid,
+    maxwell_mean,
     maxwell_weight,
     mhz_to_rad_per_us,
     rad_per_us_to_mhz,
@@ -30,7 +31,6 @@ from dualrail.gate import (
     decay_error_analytic,
     gate_duration,
     gate_report,
-    maxwell_grid_average,
     rotation_error,
 )
 from dualrail.engine import (
@@ -382,7 +382,7 @@ def gate_table():
                 make_gate_params(n_cycles), temp, method
             )
         grid = grids[(method, n_cycles)]
-        values[(method, temp, n_cycles)] = maxwell_grid_average(
+        values[(method, temp, n_cycles)] = maxwell_mean(
             grid.errors, grid.velocities, temp, CFG.species
         )
     return values

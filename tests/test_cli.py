@@ -128,6 +128,32 @@ def test_sweep_rerun_is_byte_identical(capsys, tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("axis, column, values", [
+    ("temp", "temp_uk", (10.0, 105.0, 200.0)),
+    ("omega", "omega_mhz", (1.5, 2.0, 2.5)),
+])
+def test_temp_and_omega_sweeps_record_the_swept_value(capsys, tmp_path, axis, column, values):
+    path = tmp_path / "sweep.csv"
+    code, _, _ = run_cli(
+        capsys, "sweep", "--axis", axis, "--start", str(values[0]), "--stop",
+        str(values[-1]), "--num", "3", "--protocol", "gap", "--output", str(path),
+    )
+    assert code == 0
+    header, *rows = [line.split(",") for line in path.read_text().strip().split("\n")]
+    assert header == [column, "v_mps", "z0_um", "pop_error", "phase_rad", "r3_leak",
+                      "rydberg_time_us"]
+    rows = np.array(rows, dtype=float)
+    assert rows[:, 0].tolist() == list(values)
+    # the last row is the run that `gap` makes at the swept value
+    flag = {"temp": "--temp-uk", "omega": "--omega-mhz"}[axis]
+    code, out, _ = run_cli(capsys, "gap", flag, str(values[-1]),
+                           *(("--v", "0.05") if axis == "omega" else ()))
+    assert code == 0
+    vals = parse_kv(out)
+    error = vals["population_error"] if axis == "omega" else 1.0 - vals["mean_population"]
+    assert rows[-1, 3] == pytest.approx(error, rel=1e-5)
+
+
 def test_phase_sweep_slope(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "--axis", "v", "--start", "0.005", "--stop", "0.1",
@@ -152,6 +178,18 @@ def test_gate_json_report(capsys, tmp_path):
     assert 0.9 < payload["fidelity"] <= 1.0
     assert "wall_time_s" in parse_kv(out)
     assert "wall_time_s" not in payload  # files stay byte-stable
+
+
+def test_gate_json_fidelity_is_one_minus_both_errors(capsys, tmp_path):
+    path = tmp_path / "gate.json"
+    code, _, _ = run_cli(
+        capsys, "gate", "--temp-uk", "10", "--grid-points", "6", "--output", str(path),
+    )
+    assert code == 0
+    payload = json.loads(path.read_text())
+    assert payload["fidelity"] == (
+        1.0 - payload["rotation_error_avg"] - payload["decay_error"]
+    )
 
 
 def test_gate_json_rerun_byte_identical(capsys, tmp_path):

@@ -10,6 +10,7 @@ from dualrail.core import (
     RB87,
     RB_D_STATE_C6,
     AtomSpecies,
+    ConvergenceError,
     MissingPairError,
     SimulationParams,
     builtin_configs,
@@ -20,6 +21,7 @@ from dualrail.core import (
     interaction_shifts,
     load_configs,
     maxwell_grid,
+    maxwell_mean,
     maxwell_weight,
     mhz_to_rad_per_us,
     rad_per_us_to_mhz,
@@ -90,6 +92,23 @@ def test_normalized_weights_sum_to_one():
     w = maxwell_weight(grid, 25.0, CS133)
     w = w / w.sum()
     assert w.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_two_atom_mean_of_a_separable_sum_is_the_sum_of_one_atom_means():
+    v = np.linspace(-0.5, 0.5, 40)
+    rng = np.random.default_rng(7)
+    f, g = rng.normal(size=v.size), rng.normal(size=v.size)
+    for temp in (10.0, 200.0):
+        two = maxwell_mean(f[:, None] + g[None, :], v, temp, RB87)
+        one = maxwell_mean(f, v, temp, RB87) + maxwell_mean(g, v, temp, RB87)
+        assert abs(two - one) <= 1e-15
+
+
+def test_weights_that_all_underflow_raise():
+    # every weight of the 4-point grid underflows to 0 at 1e-30 uK
+    with pytest.raises(ConvergenceError,
+                       match="the Maxwell weights at 1e-30 uK sum to 0 on the 4-point grid"):
+        maxwell_mean(np.ones((4, 4)), np.linspace(-0.5, 0.5, 4), 1e-30, RB87)
 
 
 def test_builtin_mismatches_match_reference_percentages():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from dualrail import engine
 from dualrail import gate as gate_module
 from dualrail import protocols
-from dualrail.core import SimulationParams, get_config, mhz_to_rad_per_us
+from dualrail.core import SimulationParams, get_config, maxwell_mean, mhz_to_rad_per_us
 from dualrail.engine import (
     ComplexState,
     GateStage,
@@ -24,11 +24,9 @@ from dualrail.gate import (
     averaged_rotation_error,
     decay_error,
     decay_error_analytic,
-    fidelity,
     gate_duration,
     gate_report,
     grid_to_csv,
-    maxwell_grid_average,
     rotation_error,
     simulate_gate_input,
     velocity_grid,
@@ -39,7 +37,9 @@ from dualrail.gate import (
     _simulate_input,
     _trains,
 )
-from dualrail.hamiltonians import NINE_BASIS, h_dual_rail, h_gate_nine, lab_hamiltonian
+from dualrail.hamiltonians import (
+    NINE_BASIS, h_dual_rail, h_gate_nine, lab_hamiltonian, nine_level_shifts,
+)
 from dualrail.propagator import evolve
 
 CFG = get_config("rb87_5p12")
@@ -396,7 +396,7 @@ def test_piecewise_shelved_evolution_matches_engine():
     k_w = CFG.wavevectors.k_wait
     t_pi_c = pi_time(params.omega)
     t_pi_t = pi_time(params.omega_t)
-    shifts = params.nine_level_shifts()
+    shifts = nine_level_shifts(params)
 
     # control excitation on its own three levels (basis r2, r1, 1)
     ctrl = ComplexState.from_label(("r2", "r1", "1"), "1")
@@ -458,7 +458,7 @@ def test_piecewise_shelved_evolution_matches_engine():
 def test_nine_level_drives_off_is_pure_phase_accumulation():
     # with both drives off the nine-level Hamiltonian is diagonal and
     # commutes with itself at all times: evolution is exactly e^{-i V t}
-    shifts = PARAMS.nine_level_shifts()
+    shifts = nine_level_shifts(PARAMS)
     h = lambda t: h_gate_nine(t, 0.0, 0.0, 5.35, 5.53, 0.1 * t, -0.2 * t, shifts)
     rng = np.random.default_rng(3)
     amps = rng.normal(size=9) + 1j * rng.normal(size=9)
@@ -526,7 +526,7 @@ def test_batched_grid_matches_pointwise_loop(method, n_cycles):
             expected[i, j] = rotation_error(a[j], b, c)
     assert np.max(np.abs(grid.errors - expected)) < 1e-12
     assert abs(
-        grid.averaged - maxwell_grid_average(expected, v, 10.0, CFG.species)
+        grid.averaged - maxwell_mean(expected, v, 10.0, CFG.species)
     ) < 1e-12
 
 
@@ -624,7 +624,7 @@ def test_one_grid_serves_every_temperature():
     cold = averaged_rotation_error(PARAMS, 10.0, n_grid=6)
     hot = averaged_rotation_error(PARAMS, 200.0, n_grid=6)
     assert np.array_equal(cold.errors, hot.errors)
-    assert maxwell_grid_average(
+    assert maxwell_mean(
         cold.errors, cold.velocities, 200.0, CFG.species
     ) == hot.averaged
 
@@ -633,13 +633,6 @@ def test_rotation_grid_nonnegative():
     grid = averaged_rotation_error(PARAMS, 10.0, n_grid=6)
     assert np.all(grid.errors >= 0.0)
     assert grid.averaged >= 0.0
-
-
-def test_fidelity_combines_terms():
-    rep = fidelity(PARAMS, 10.0, n_grid=6)
-    assert rep.fidelity == pytest.approx(
-        1.0 - rep.rotation_error_avg - rep.decay_error, rel=1e-12
-    )
 
 
 def test_report_dict_and_grid_csv(tmp_path):

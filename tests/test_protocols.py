@@ -11,6 +11,7 @@ from dualrail.core import (
     gap_wait_time,
     get_config,
     maxwell_grid,
+    maxwell_mean,
     mhz_to_rad_per_us,
     rad_per_us_to_mhz,
 )
@@ -344,6 +345,19 @@ def test_average_calls_its_runner_once_with_the_whole_grid():
     assert len(calls) == 1
     assert np.array_equal(calls[0], maxwell_grid(10.0, CFG.species))
     assert avg.n_points == 201
+
+
+def test_average_fields_are_bit_equal_to_the_one_atom_maxwell_mean():
+    vels = maxwell_grid(10.0, CFG.species)
+    out = gap_runner(GAP_PARAMS, CFG.wavevectors, vels)
+    avg = maxwell_average(partial(gap_runner, GAP_PARAMS, CFG.wavevectors), 10.0, CFG.species)
+    for field, values in (
+        ("ground_population", out.ground_population),
+        ("mean_abs_phase", np.abs(out.ground_phase)),
+        ("r3_leak", out.r3_leak),
+        ("rydberg_time_us", out.rydberg_time_us),
+    ):
+        assert getattr(avg, field) == maxwell_mean(values, vels, 10.0, CFG.species)
 
 
 def test_average_rejects_undersized_grid():
