@@ -17,6 +17,15 @@ state (a caller that asks for none pays nothing for it).  Only the Doppler
 diagonal depends on the velocities, so a stage diagonalizes a stack of
 velocity pairs in one ``eigh`` call, and memoizes its in-frame Hamiltonian
 by content (space and drives, never times) as read-only arrays.
+
+Flipping the sign of one atom's amplitude is an exact diagonal similarity
+H(-amp) = S H(+amp) S with S = +-1, and the velocities are fixed within a
+call.  So within one :func:`propagate_stages` call, a stage whose drives
+match an earlier stage's up to amplitude signs takes that stage's
+eigensystem with rows flipped by S instead of its own ``eigh``: the gate's
+target deexcitation at -Omega_t after its excitation at +Omega_t, or the
+second of two identical pi pulses.  A stage with no such earlier relative
+diagonalizes its own Hamiltonian.
 """
 
 from __future__ import annotations
@@ -155,27 +164,70 @@ class TwoAtomSpace:
         shifts = dict(self.shifts)
         return np.array([shifts.get(label, 0.0) for label in self.labels()])
 
-    def single_rydberg_indices(self) -> list[int]:
-        out = []
-        for i, (c, t) in enumerate(self.labels()):
-            if (c.startswith("r")) != (t.startswith("r")):
-                out.append(i)
-        return out
+    @property
+    def single_rydberg_indices(self) -> np.ndarray:
+        """Basis indices of the states with exactly one atom in a Rydberg
+        level (labels starting with "r"), built once per pair of level
+        tuples and shared read-only."""
+        return _single_rydberg_indices(self.control_levels, self.target_levels)
+
+
+@lru_cache(maxsize=64)
+def _single_rydberg_indices(
+    control_levels: tuple[str, ...], target_levels: tuple[str, ...]
+) -> np.ndarray:
+    labels = [(c, t) for c in control_levels for t in target_levels]
+    indices = np.array([i for i, (c, t) in enumerate(labels)
+                        if c.startswith("r") != t.startswith("r")], dtype=int)
+    indices.flags.writeable = False
+    return indices
 
 
 @lru_cache(maxsize=256)
 def _stage_hamiltonian(
     space: TwoAtomSpace, control: AtomDrive | None, target: AtomDrive | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple, np.ndarray]:
     """Velocity-independent in-frame Hamiltonian of a stage with these
     drives and the frame rates of its basis states
-    (:func:`_build_hamiltonian`), memoized by content: the space and the
+    (:func:`_build_hamiltonian`), then the stage's sign-free key and sign
+    vector (:func:`_sign_free_key`), memoized by content: the space and the
     stage's two drives, never its times, which may be arrays.  The arrays
     are shared between calls and read-only."""
-    arrays = _build_hamiltonian(space, control, target)
-    for array in arrays:
+    h0, frame_c, frame_t = _build_hamiltonian(space, control, target)
+    key, signs = _sign_free_key(space, control, target)
+    for array in (h0, frame_c, frame_t, signs):
         array.flags.writeable = False
-    return arrays
+    return h0, frame_c, frame_t, key, signs
+
+
+def _sign_free_key(
+    space: TwoAtomSpace, control: AtomDrive | None, target: AtomDrive | None
+) -> tuple[tuple[AtomDrive | None, AtomDrive | None], np.ndarray]:
+    """Key of a stage's drives that holds no amplitude sign, and the
+    stage's sign vector relative to it.
+
+    Flipping the sign of one atom's amplitude is the exact diagonal
+    similarity H(-amp) = S H(+amp) S, with S = -1 on the levels the drive's
+    couplings drive (times the identity on the other atom) and +1
+    elsewhere: the frame rates, the interaction shifts and the other atom's
+    couplings all commute with S.  The key holds every negative amplitude
+    flipped; ``signs`` is the diagonal of the product of those flips' S, so
+    the stage's eigenvectors are the key's with their rows times ``signs``.
+    A drive whose coupling graph is not two-sided (a level both anchors a
+    coupling and is driven by one) keeps its sign.
+    """
+    key, atom_signs = [], []
+    for drive, levels in ((control, space.control_levels), (target, space.target_levels)):
+        signs = np.ones(len(levels))
+        if drive is not None and drive.amp < 0:
+            anchors = {anchor for anchor, _, _ in drive.couplings}
+            driven = {level for _, level, _ in drive.couplings}
+            if not anchors & driven:
+                signs[[levels.index(level) for level in driven]] = -1.0
+                drive = AtomDrive(-drive.amp, drive.k, drive.couplings)
+        key.append(drive)
+        atom_signs.append(signs)
+    return tuple(key), np.outer(*atom_signs).ravel()
 
 
 def _build_hamiltonian(
@@ -247,9 +299,10 @@ def propagate_stages(
 
     The velocities and initial coordinates are scalars or 1-D arrays of one
     length N (a scalar pairs with every entry of the others).  With arrays,
-    every stage takes one stacked eigendecomposition of the N velocity
-    pairs, all starting from ``psi`` (the coordinates enter only the frame
-    phases), and the results are an (N, dim) state stack and an (N,)
+    every driven stage takes one stacked eigendecomposition of the N
+    velocity pairs (or reuses an earlier stage's: see the module
+    docstring), all starting from ``psi`` (the coordinates enter only the
+    frame phases), and the results are an (N, dim) state stack and an (N,)
     occupation array.  Scalars keep every array one axis smaller, which is
     cheaper for a single pair.  A stage's ``t0`` and ``t1`` may be arrays of
     length N too: ``[GateStage(0.0, ts, drive)]`` gives the state at every
@@ -267,6 +320,7 @@ def propagate_stages(
     occupation = np.zeros(batch)
     rows = np.asarray(occupation_rows, dtype=int)
     identity = np.eye(space.dim)
+    eigensystems = {}  # by sign-free key: exact, as the rates are fixed in a call
     for stage in stages:
         t0, t1, duration = stage.t0, stage.t1, stage.duration
         if isinstance(duration, np.ndarray):  # one drive sampled at several end times
@@ -280,17 +334,22 @@ def propagate_stages(
                     duration * populations.sum(axis=-1, keepdims=True))[..., 0]
             psi = np.exp(-1j * duration * space.shift_diagonal) * psi
             continue
-        h0, frame_c, frame_t = _stage_hamiltonian(space, stage.control, stage.target)
+        h0, frame_c, frame_t, key, signs = _stage_hamiltonian(
+            space, stage.control, stage.target)
         # An undriven atom has no frame, so its velocities add nothing.
         rates = frame_c * v_c if stage.control is not None else 0.0
         if stage.target is not None:
             rates = rates + frame_t * v_t
-        h = h0 - rates[..., None] * identity
         offset = frame_c * z_c + frame_t * z_t
         theta0 = offset + rates * t0
         theta1 = offset + rates * t1
 
-        eigenvalues, vectors = np.linalg.eigh(h)
+        if key in eigensystems:
+            eigenvalues, vectors, first_signs = eigensystems[key]
+            vectors = (first_signs * signs)[:, None] * vectors
+        else:
+            eigenvalues, vectors = np.linalg.eigh(h0 - rates[..., None] * identity)
+            eigensystems[key] = eigenvalues, vectors, signs
         coeffs = ((np.exp(1j * theta0) * psi)[..., None, :] @ vectors)[..., 0, :]
         if rows.size:
             occupation = occupation + _occupation_integral(
@@ -368,6 +427,6 @@ def propagate_atom(
     """
     space = TwoAtomSpace(_levels(train), ("0",))
     psi, rydberg_time = propagate_stages(
-        np.eye(space.dim)[0], space, train, v, 0.0, z0, 0.0, space.single_rydberg_indices()
+        np.eye(space.dim)[0], space, train, v, 0.0, z0, 0.0, space.single_rydberg_indices
     )
     return ComplexState(space.control_levels, psi), rydberg_time

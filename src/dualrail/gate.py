@@ -176,7 +176,7 @@ def _simulate_input(
         space, stages = _input_stages(params, trains)
         psi, t_r = propagate_stages(
             np.eye(space.dim)[0], space, stages, v_control, v_target,
-            params.z0_control_um, params.z0_target_um, space.single_rydberg_indices(),
+            params.z0_control_um, params.z0_target_um, space.single_rydberg_indices,
         )
         # Both atoms start in "1": basis state 0.
         return scalar_or_array(psi[..., 0]), t_r
@@ -319,9 +319,13 @@ def averaged_rotation_error(
     batched run; c takes one batched run per grid row (one control
     velocity), which bounds the memory of a stack to one row.  Within a
     row, the stages that drive only the control atom share one
-    eigendecomposition across the batch.  The error reads no residence
-    time, so no run computes one: the lone lines take the engine without
-    occupation rows rather than :func:`propagate_atom`.
+    eigendecomposition across the batch, and a stage that repeats an
+    earlier one up to amplitude signs reuses its eigensystem (the dual-rail
+    target's deexcitation at -Omega_t, the traditional control's second pi
+    pulse; see :mod:`dualrail.engine`), so a dual-rail 100 x 100 grid
+    diagonalizes 10,600 matrices for n=1.  The error reads no
+    residence time, so no run computes one: the lone lines take the engine
+    without occupation rows rather than :func:`propagate_atom`.
     """
     if n_grid < 2:
         raise ValueError(f"the velocity grid needs at least 2 points, got {n_grid}")

@@ -316,8 +316,11 @@ def traditional_runner(params: SimulationParams, k: float,
 
 def sweep_to_csv(rows: Sequence[tuple], path: str, swept: str = "") -> None:
     """Write (velocity, z0, outcome) sweep rows as CSV; with a ``swept``
-    column name, each row leads with that column's value."""
-    header = "v_mps,z0_um,pop_error,phase_rad,r3_leak,rydberg_time_us"
+    column name, each row leads with that column's value.  Rows swept over
+    temperature ("temp_uk") hold Maxwell averages, whose phase column is the
+    mean |phase|, so it is named ``mean_abs_phase_rad`` there."""
+    phase = "mean_abs_phase_rad" if swept == "temp_uk" else "phase_rad"
+    header = f"v_mps,z0_um,pop_error,{phase},r3_leak,rydberg_time_us"
     with open(path, "w", newline="") as fh:
         fh.write((f"{swept},{header}" if swept else header) + "\n")
         for *lead, out in rows:

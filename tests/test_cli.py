@@ -140,7 +140,9 @@ def test_temp_and_omega_sweeps_record_the_swept_value(capsys, tmp_path, axis, co
     )
     assert code == 0
     header, *rows = [line.split(",") for line in path.read_text().strip().split("\n")]
-    assert header == [column, "v_mps", "z0_um", "pop_error", "phase_rad", "r3_leak",
+    # a temperature row holds the Maxwell mean of |phase|, not a signed phase
+    phase = "mean_abs_phase_rad" if axis == "temp" else "phase_rad"
+    assert header == [column, "v_mps", "z0_um", "pop_error", phase, "r3_leak",
                       "rydberg_time_us"]
     rows = np.array(rows, dtype=float)
     assert rows[:, 0].tolist() == list(values)
@@ -152,6 +154,8 @@ def test_temp_and_omega_sweeps_record_the_swept_value(capsys, tmp_path, axis, co
     vals = parse_kv(out)
     error = vals["population_error"] if axis == "omega" else 1.0 - vals["mean_population"]
     assert rows[-1, 3] == pytest.approx(error, rel=1e-5)
+    phase_key = "phase_1_rad" if axis == "omega" else "mean_abs_phase_rad"
+    assert rows[-1, 4] == pytest.approx(vals[phase_key], rel=1e-5)
 
 
 def test_phase_sweep_slope(capsys):

@@ -10,10 +10,16 @@ from dualrail import gate as gate_module
 from dualrail import protocols
 from dualrail.core import SimulationParams, get_config, maxwell_mean, mhz_to_rad_per_us
 from dualrail.engine import (
+    INFRARED,
+    OPTICAL_DUAL,
+    OPTICAL_SINGLE,
+    AtomDrive,
     ComplexState,
     GateStage,
     TwoAtomSpace,
+    _build_hamiltonian,
     _levels,
+    _sign_free_key,
     _stage_hamiltonian,
     pi_time,
     propagate_atom,
@@ -310,7 +316,7 @@ def test_batched_stages_match_scalar_calls(pairs, z0, method, which):
         rng = np.random.default_rng(len(pairs))
         psi0 = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
         psi0 /= np.linalg.norm(psi0)
-        rows = space.single_rydberg_indices()
+        rows = space.single_rydberg_indices
         run = lambda vc, vt: propagate_stages(psi0, space, stages, vc, vt, *z0, rows)
     else:  # a lone atom runs its own train at its own velocity and coordinate
         atom = 0 if which == "control_only" else 1
@@ -337,7 +343,7 @@ def test_wait_stage_block_diagonal():
     # block to the shelved block: the piecewise bookkeeping is exact
     full, stages = _input_stages(PARAMS, _trains(PARAMS, "dual_rail"))
     stage_b = stages[1]
-    h, _, _ = _stage_hamiltonian(full, stage_b.control, stage_b.target)
+    h, *_ = _stage_hamiltonian(full, stage_b.control, stage_b.target)
     ground_block = [full.index("1", t) for t in ("1", "r1", "r2")]
     others = [i for i in range(full.dim) if i not in ground_block]
     assert np.max(np.abs(h[np.ix_(ground_block, others)])) == 0.0
@@ -352,8 +358,8 @@ def test_spaces_differing_in_one_shift_get_their_own_hamiltonian():
     assert TwoAtomSpace(*levels, dict(reversed(shifts.items()))) == space
     other = TwoAtomSpace(*levels, {**shifts, pair: shifts[pair] + 1.0})
     drives = (stages[1].control, stages[1].target)
-    h, _, _ = _stage_hamiltonian(space, *drives)
-    h_other, _, _ = _stage_hamiltonian(other, *drives)
+    h, *_ = _stage_hamiltonian(space, *drives)
+    h_other, *_ = _stage_hamiltonian(other, *drives)
     i = space.index(*pair)
     assert h_other[i, i] == h[i, i] + 1.0
     assert np.count_nonzero(h_other != h) == 1
@@ -361,7 +367,9 @@ def test_spaces_differing_in_one_shift_get_their_own_hamiltonian():
 
 def test_cached_hamiltonian_is_read_only():
     space, stages = _input_stages(PARAMS, _trains(PARAMS, "dual_rail"))
-    for array in _stage_hamiltonian(space, stages[1].control, stages[1].target):
+    h, frame_c, frame_t, _, signs = _stage_hamiltonian(space, stages[1].control,
+                                                       stages[1].target)
+    for array in (h, frame_c, frame_t, signs):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
 
@@ -377,6 +385,95 @@ def test_report_at_new_velocities_builds_no_hamiltonian(monkeypatch):
     # a new infrared drive is new content
     gate_report(make_params(omega_if=0.9 * OMEGA), -0.13, 0.21)
     assert built
+
+
+RAILS = ("1", "r1", "r2", "r3")
+TOPOLOGIES = {"optical_dual": OPTICAL_DUAL, "optical_single": OPTICAL_SINGLE,
+              "infrared": INFRARED}
+
+
+def _atom_signs(couplings):
+    """-1 on the levels of RAILS that the couplings drive, +1 elsewhere."""
+    driven = {level for _, level, _ in couplings}
+    return np.array([-1.0 if level in driven else 1.0 for level in RAILS])
+
+
+@pytest.mark.parametrize("slot", ["control", "target"])
+@pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+def test_flipped_amplitude_is_a_diagonal_similarity(slot, topology):
+    # every pair of Rydberg levels gets its own shift, and the other atom
+    # is driven too: neither may break the identity
+    shifts = {(a, b): 10.0 * i + j for i, a in enumerate(RAILS[1:])
+              for j, b in enumerate(RAILS[1:])}
+    space = TwoAtomSpace(RAILS, RAILS, shifts)
+    other = AtomDrive(0.7 * OMEGA, 3.1, OPTICAL_DUAL)
+    plus, minus = (AtomDrive(amp, 5.3, TOPOLOGIES[topology]) for amp in (OMEGA, -OMEGA))
+
+    def drives(drive):
+        return (drive, other) if slot == "control" else (other, drive)
+
+    h_plus, *frames_plus = _build_hamiltonian(space, *drives(plus))
+    h_minus, *frames_minus = _build_hamiltonian(space, *drives(minus))
+    flip, keep = _atom_signs(TOPOLOGIES[topology]), np.ones(len(RAILS))
+    s = np.kron(*((flip, keep) if slot == "control" else (keep, flip)))
+    assert np.all(s[:, None] * h_plus * s[None, :] == h_minus)
+    for frame_plus, frame_minus in zip(frames_plus, frames_minus):
+        assert np.array_equal(frame_plus, frame_minus)
+    # the sign-free key is shared, and the sign vectors are those of S
+    key_plus, signs_plus = _sign_free_key(space, *drives(plus))
+    key_minus, signs_minus = _sign_free_key(space, *drives(minus))
+    assert key_plus == key_minus
+    assert np.array_equal(signs_plus, np.ones(space.dim))
+    assert np.array_equal(signs_minus, s)
+
+
+def test_drive_that_is_not_two_sided_keeps_its_sign():
+    # r1 is driven from "1" and anchors r2: no +-1 similarity flips the sign
+    ladder = (("1", "r1", +1), ("r1", "r2", -1))
+    space = TwoAtomSpace(RAILS, ("0",))
+    key_plus, _ = _sign_free_key(space, AtomDrive(OMEGA, 5.3, ladder), None)
+    key_minus, signs = _sign_free_key(space, AtomDrive(-OMEGA, 5.3, ladder), None)
+    assert key_plus != key_minus
+    assert np.array_equal(signs, np.ones(space.dim))
+
+
+@pytest.mark.parametrize("v_target", [0.13, velocity_grid(7)])
+def test_sign_flipped_stage_reuses_the_eigensystem_exactly(monkeypatch, v_target):
+    space, stages = _input_stages(PARAMS, _trains(PARAMS, "dual_rail"))
+    excite, deexcite = stages[1:3]  # the target at +Omega_t, then at -Omega_t
+    assert deexcite.target.amp == -excite.target.amp
+    matrices = []
+    original = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda h: matrices.append(h.shape) or original(h))
+    psi0 = np.eye(space.dim)[space.index("r1", "1")]
+    rows = space.single_rydberg_indices
+    run = (space, -0.21, v_target, 0.7, -1.1, rows)
+    joined, t_joined = propagate_stages(psi0, run[0], [excite, deexcite], *run[1:])
+    assert len(matrices) == 1
+    half, t_first = propagate_stages(psi0, run[0], [excite], *run[1:])
+    split, t_second = propagate_stages(half, run[0], [deexcite], *run[1:])
+    assert len(matrices) == 3  # each separate call diagonalizes on its own
+    assert np.max(np.abs(joined - split)) < 1e-14
+    assert np.max(np.abs(t_joined - (t_first + t_second))) < 1e-14
+
+
+@pytest.mark.parametrize("method, n_cycles, budget", [
+    ("dual_rail", 1, 135), ("dual_rail", 2, 144), ("traditional", 1, 108),
+])
+def test_grid_eigendecomposition_budget(monkeypatch, method, n_cycles, budget):
+    # 9 x 9 grid: the lone lines' stacks of 9 plus one batched run per row;
+    # losing the sign-flipped or repeated stage sharing raises the count
+    matrices = []
+    original = np.linalg.eigh
+
+    def counting(h, *args, **kwargs):
+        matrices.append(h.reshape(-1, *h.shape[-2:]).shape[0])
+        return original(h, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    averaged_rotation_error(make_params(n_cycles), 10.0, method, n_grid=9)
+    assert sum(matrices) == budget
 
 
 def test_report_builds_its_pulse_trains_once(monkeypatch):
@@ -542,8 +639,9 @@ def test_control_only_stages_share_one_eigendecomposition(monkeypatch):
     velocities = velocity_grid(100)
     _simulate_input("11", PARAMS, _trains(PARAMS, "dual_rail"), 0.12, velocities)
     # excite and deexcite drive the control only; the target's two pulses
-    # (with the control's infrared shelving) drive both atoms
-    assert sorted(matrices) == [1, 1, 100, 100]
+    # (with the control's infrared shelving) drive both atoms, and the
+    # second, at -Omega_t, reuses the first's eigensystem
+    assert sorted(matrices) == [1, 1, 100]
 
 
 @pytest.mark.parametrize("method", ["dual_rail", "traditional"])
@@ -571,7 +669,7 @@ def test_untimed_run_returns_the_timed_state(method, n_cycles, v_target):
     psi0 = np.zeros(full.dim, dtype=complex)
     psi0[full.index("1", "1")] = 1.0
     run = (psi0, full, stages, -0.21, v_target, 0.7, -1.1)
-    timed, t_r = propagate_stages(*run, occupation_rows=full.single_rydberg_indices())
+    timed, t_r = propagate_stages(*run, occupation_rows=full.single_rydberg_indices)
     untimed, occupation = propagate_stages(*run, occupation_rows=())
     assert np.array_equal(untimed, timed)
     assert np.all(np.asarray(t_r) > 0.0)
@@ -585,7 +683,7 @@ def test_array_end_times_match_separate_runs():
     drive = control[0].control
     psi0 = np.zeros(space.dim, dtype=complex)
     psi0[space.index("1", "0")] = 1.0
-    rows = space.single_rydberg_indices()
+    rows = space.single_rydberg_indices
     ends = np.array([0.05, 0.2, 0.31])
     psi, t_r = propagate_stages(
         psi0, space, [GateStage(0.0, ends, control=drive)], 0.12, 0.0, 0.7, 0.0, rows
