@@ -1,5 +1,7 @@
 """Command-line front end: protocol runs, sweeps, gates, benchmark tables.
 
+The one module that formats or writes output; the others only compute.
+
 Exit codes: 0 success, 2 usage error, 3 numerical failure.  A NumPy
 overflow, invalid operation or division by zero anywhere in a command is a
 numerical failure, so no command prints a NaN and exits 0.
@@ -79,6 +81,15 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
+def _write_csv(path: str, header: list[str], rows) -> None:
+    """Write ``rows`` of numbers under ``header``, each field in ``.11e``
+    (12 significant digits)."""
+    line = ",".join(["{:.11e}"] * len(header)) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(line.format(*row) for row in rows)
+
+
 def _phase(amp: complex) -> float:
     """Phase of an amplitude; a roundoff-sized one has none and reads 0,
     the value ``np.angle`` gives for an exact zero."""
@@ -113,14 +124,9 @@ def cmd_excite(args) -> int:
         rotate_back = dual_rail_rotation().conj().T
         amps = [rotate_back @ a for a in amps]
     if args.output:
-        with open(args.output, "w", newline="") as fh:
-            header = ["t_us"] + [f"pop_{l}" for l in levels] + [f"phase_{l}" for l in levels]
-            fh.write(",".join(header) + "\n")
-            for t, a in zip(ts, amps):
-                row = [f"{t:.11e}"]
-                row += [f"{abs(x) ** 2:.11e}" for x in a]
-                row += [f"{_phase(x):.11e}" for x in a]
-                fh.write(",".join(row) + "\n")
+        header = ["t_us"] + [f"pop_{l}" for l in levels] + [f"phase_{l}" for l in levels]
+        _write_csv(args.output, header, ([t, *(abs(x) ** 2 for x in a), *(_phase(x) for x in a)]
+                                         for t, a in zip(ts, amps)))
     final = ComplexState(levels, amps[-1])
     print(f"population_1 = {final.population('1'):.6e}")
     print(f"phase_1_rad = {_phase(final.amplitude('1')):.6e}")
@@ -135,13 +141,34 @@ def _print_outcome(out: protocols.ProtocolOutcome) -> None:
     print(f"rydberg_time_us = {out.rydberg_time_us:.6e}")
 
 
+def _summary(avg: protocols.AveragedOutcome) -> str:
+    """Key/value text report of a Maxwell-averaged protocol outcome."""
+    return (
+        f"mean_population = {avg.ground_population:.12g}\n"
+        f"mean_abs_phase_rad = {avg.mean_abs_phase:.12g}\n"
+        f"mean_r3_leak = {avg.r3_leak:.12g}\n"
+        f"mean_rydberg_time_us = {avg.rydberg_time_us:.12g}\n"
+        f"weight_mass = {avg.weight_mass:.12g}\n"
+        f"grid_points = {avg.n_points}\n"
+    )
+
+
+# Columns of a protocol run's CSV row; a swept column, if any, leads.
+OUTCOME_HEADER = ["v_mps", "z0_um", "pop_error", "phase_rad", "r3_leak", "rydberg_time_us"]
+
+
+def _outcome_fields(out: protocols.ProtocolOutcome) -> list:
+    """The last four columns of :data:`OUTCOME_HEADER`, scalars or arrays."""
+    return [out.error, out.ground_phase, out.r3_leak, out.rydberg_time_us]
+
+
 def _run_or_average(args, cfg, runner) -> int:
     """One ``runner`` call at ``--v``, or its Maxwell average at ``--temp-uk``."""
     if args.temp_uk is None:
         out = runner(args.v)
         _print_outcome(out)
         if args.output:
-            protocols.sweep_to_csv([(args.v, args.z0, out)], args.output)
+            _write_csv(args.output, OUTCOME_HEADER, [[args.v, args.z0, *_outcome_fields(out)]])
         return 0
     if args.grid_points < 2:
         raise UsageError(f"the velocity grid needs at least 2 points, got {args.grid_points}")
@@ -149,10 +176,11 @@ def _run_or_average(args, cfg, runner) -> int:
         runner, args.temp_uk, cfg.species,
         velocities=core.maxwell_grid(args.temp_uk, cfg.species, args.grid_points),
     )
-    print(protocols.summary_report(avg), end="")
+    text = _summary(avg)
+    print(text, end="")
     if args.output:
         with open(args.output, "w") as fh:
-            fh.write(protocols.summary_report(avg))
+            fh.write(text)
     return 0
 
 
@@ -256,10 +284,21 @@ def cmd_gate(args) -> int:
             "grid_points": args.grid_points,
             "fidelity": fidelity,
             "rotation_error_avg": grid.averaged,
-            **report.to_dict(),
+            "method": report.method,
+            "amplitudes": {label: [z.real, z.imag] for label, z in
+                           (("a_01", report.a), ("b_10", report.b), ("c_11", report.c))},
+            "rotation_error": report.rotation_error,
+            "decay_error": report.decay_error,
+            "duration_us": report.duration_us,
+            "rydberg_times_us": report.rydberg_times_us,
+            "v_control_mps": report.v_control,
+            "v_target_mps": report.v_target,
         })
     if args.grid_output:
-        gate.grid_to_csv(grid, args.grid_output)
+        v = grid.velocities.tolist()
+        _write_csv(args.grid_output, ["v_c_mps", "v_t_mps", "e_ro"],
+                   ((v_c, v_t, e) for v_c, errors in zip(v, grid.errors.tolist())
+                    for v_t, e in zip(v, errors)))
     return 0
 
 
@@ -276,16 +315,12 @@ def cmd_sweep(args) -> int:
             raise UsageError("the phase sweep is defined over the v axis")
         omega = mhz_to_rad_per_us(args.omega_mhz)
         fit = protocols.phase_linearity(omega, k, axis)
-        lines = ["v_mps,phi_rad,ratio"]
-        for v, ratio in zip(axis, fit.ratios):
-            phi = ratio * 2.0 * math.pi * k * v / omega
-            lines.append(f"{v:.11e},{phi:.11e},{ratio:.11e}")
-        text = "\n".join(lines) + "\n"
         print(f"slope_ratio = {fit.slope_ratio:.6f}")
         print(f"residual = {fit.residual:.3e}")
         if args.output:
-            with open(args.output, "w", newline="") as fh:
-                fh.write(text)
+            _write_csv(args.output, ["v_mps", "phi_rad", "ratio"],
+                       ((v, ratio * 2.0 * math.pi * k * v / omega, ratio)
+                        for v, ratio in zip(axis, fit.ratios)))
         return 0
 
     base = SimulationParams(
@@ -305,36 +340,30 @@ def cmd_sweep(args) -> int:
             return protocols.run_gap_protocol(params, cfg.wavevectors)
         return protocols.run_traditional_restore(params, k)
 
-    if args.axis in ("v", "z0"):
-        # One batched run over the whole axis, split into rows for the CSV.
+    # Float rows ending in the four outcome columns, error first.
+    header = OUTCOME_HEADER
+    if args.axis in ("v", "z0"):  # one batched run over the whole axis
         p = replace(base, **{"v_mps" if args.axis == "v" else "z0_um": axis})
-        out = run_one(p)
-        columns = np.broadcast_arrays(
-            p.v_mps, p.z0_um, out.ground_population, out.ground_phase,
-            out.r3_leak, out.rydberg_time_us,
-        )
-        rows = [(v, z0, protocols.ProtocolOutcome(*fields))
-                for v, z0, *fields in zip(*columns)]
+        columns = np.broadcast_arrays(p.v_mps, p.z0_um, *_outcome_fields(run_one(p)))
+        rows = np.column_stack(columns).tolist()
     elif args.axis == "omega":
-        rows = [(x, base.v_mps, base.z0_um,
-                 run_one(replace(base, omega=mhz_to_rad_per_us(float(x))))) for x in axis]
+        header = ["omega_mhz", *header]
+        rows = [[x, base.v_mps, base.z0_um,
+                 *_outcome_fields(run_one(replace(base, omega=mhz_to_rad_per_us(float(x)))))]
+                for x in axis]
     else:  # temp axis: Maxwell-average at each temperature; no one v_mps applies
+        header = ["temp_uk", "v_mps", "z0_um", "pop_error", "mean_abs_phase_rad",
+                  "r3_leak", "rydberg_time_us"]
         rows = []
         for x in axis:
-            avg = protocols.maxwell_average(
-                lambda v: run_one(replace(base, v_mps=v)), float(x), cfg.species
-            )
-            out = protocols.ProtocolOutcome(
-                avg.ground_population, avg.mean_abs_phase,
-                avg.r3_leak, avg.rydberg_time_us,
-            )
-            rows.append((x, float("nan"), base.z0_um, out))
+            avg = protocols.maxwell_average(lambda v: run_one(replace(base, v_mps=v)),
+                                            float(x), cfg.species)
+            rows.append([x, math.nan, base.z0_um, avg.error, avg.mean_abs_phase,
+                         avg.r3_leak, avg.rydberg_time_us])
     if args.output:
-        swept = {"omega": "omega_mhz", "temp": "temp_uk"}.get(args.axis, "")
-        protocols.sweep_to_csv(rows, args.output, swept)
-    worst = max(r[-1].error for r in rows)
+        _write_csv(args.output, header, rows)
     print(f"points = {len(rows)}")
-    print(f"max_error = {worst:.6e}")
+    print(f"max_error = {max(row[-4] for row in rows):.6e}")
     return 0
 
 

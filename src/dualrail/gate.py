@@ -245,22 +245,6 @@ class GateReport:
     v_control: float
     v_target: float
 
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "amplitudes": {
-                "a_01": [self.a.real, self.a.imag],
-                "b_10": [self.b.real, self.b.imag],
-                "c_11": [self.c.real, self.c.imag],
-            },
-            "rotation_error": self.rotation_error,
-            "decay_error": self.decay_error,
-            "duration_us": self.duration_us,
-            "rydberg_times_us": dict(self.rydberg_times_us),
-            "v_control_mps": self.v_control,
-            "v_target_mps": self.v_target,
-        }
-
 
 def gate_report(
     params: GateParams,
@@ -348,13 +332,3 @@ def averaged_rotation_error(
     averaged = maxwell_mean(errors, velocities, temperature_uk, params.config.species)
     return RotationErrorGrid(velocities, errors, averaged)
 
-
-def grid_to_csv(grid: RotationErrorGrid, path: str) -> None:
-    """Dump the rotation-error grid as CSV rows (v_c, v_t, E_ro)."""
-    with open(path, "w", newline="") as fh:
-        fh.write("v_c_mps,v_t_mps,e_ro\n")
-        for i, v_c in enumerate(grid.velocities):
-            for j, v_t in enumerate(grid.velocities):
-                fh.write(
-                    f"{v_c:.11e},{v_t:.11e},{grid.errors[i, j]:.11e}\n"
-                )

@@ -226,12 +226,14 @@ def optimize_deexcitation(
     Returns the signed amplitude in rad/us.
 
     At v_ref = 0 every 3*pi-area pulse restores the state exactly and the
-    objective is degenerate; the convention is to return sign*|Omega|.
+    objective is degenerate; the convention is to return sign*|Omega|.  A
+    zero Omega raises ValueError at any v_ref.
     """
     # Imported here: scipy.optimize is slow to import and only this
     # function needs it.
     from scipy.optimize import minimize_scalar
 
+    pi_time(omega)  # rejects a zero amplitude, as every pulse does
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     if v_ref == 0.0:
@@ -313,29 +315,3 @@ def traditional_runner(params: SimulationParams, k: float,
                        v: float | np.ndarray) -> ProtocolOutcome:
     return run_traditional_restore(replace(params, v_mps=v), k)
 
-
-def sweep_to_csv(rows: Sequence[tuple], path: str, swept: str = "") -> None:
-    """Write (velocity, z0, outcome) sweep rows as CSV; with a ``swept``
-    column name, each row leads with that column's value.  Rows swept over
-    temperature ("temp_uk") hold Maxwell averages, whose phase column is the
-    mean |phase|, so it is named ``mean_abs_phase_rad`` there."""
-    phase = "mean_abs_phase_rad" if swept == "temp_uk" else "phase_rad"
-    header = f"v_mps,z0_um,pop_error,{phase},r3_leak,rydberg_time_us"
-    with open(path, "w", newline="") as fh:
-        fh.write((f"{swept},{header}" if swept else header) + "\n")
-        for *lead, out in rows:
-            values = (*lead, out.error, out.ground_phase, out.r3_leak, out.rydberg_time_us)
-            fh.write(",".join(f"{x:.11e}" for x in values) + "\n")
-
-
-def summary_report(avg: AveragedOutcome) -> str:
-    """Key/value text report of a Maxwell-averaged protocol outcome."""
-    lines = [
-        f"mean_population = {avg.ground_population:.12g}",
-        f"mean_abs_phase_rad = {avg.mean_abs_phase:.12g}",
-        f"mean_r3_leak = {avg.r3_leak:.12g}",
-        f"mean_rydberg_time_us = {avg.rydberg_time_us:.12g}",
-        f"weight_mass = {avg.weight_mass:.12g}",
-        f"grid_points = {avg.n_points}",
-    ]
-    return "\n".join(lines) + "\n"

@@ -1,9 +1,11 @@
+import ast
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,15 +44,21 @@ def test_excite_reference_point(capsys):
     assert vals["population_1"] == pytest.approx(3.54e-7, rel=0.05)
 
 
-def test_restore_reference_point(capsys):
+def test_restore_reference_point(capsys, tmp_path):
+    path = tmp_path / "restore.csv"
     code, out, _ = run_cli(
         capsys, "restore", "--omega-mhz", "2", "--omega-dp-mhz", "-2.0399",
-        "--v", "0.05",
+        "--v", "0.05", "--output", str(path),
     )
     assert code == 0
     vals = parse_kv(out)
     assert vals["population_error"] == pytest.approx(1.0e-5, rel=0.2)
     assert abs(vals["phase_1_rad"]) == pytest.approx(math.pi, abs=1e-6)
+    # one run is one CSV row
+    lines = path.read_text().strip().split("\n")
+    assert lines[0] == "v_mps,z0_um,pop_error,phase_rad,r3_leak,rydberg_time_us"
+    assert len(lines) == 2
+    assert len(lines[1].split(",")) == 6
 
 
 def test_gap_at_rest(capsys):
@@ -71,6 +79,7 @@ def test_maxwell_average_prints_and_writes_its_summary(capsys, tmp_path, command
     assert code == 0
     assert path.read_text() == out
     vals = parse_kv(out)
+    assert {"mean_population", "mean_abs_phase_rad", "weight_mass", "grid_points"} <= vals.keys()
     assert vals["grid_points"] == 201 and vals["weight_mass"] > 0.999
     assert vals["mean_abs_phase_rad"] == pytest.approx(math.pi, abs=1e-8)
 
@@ -376,7 +385,12 @@ def test_gate_grid_output_computes_grid_and_report_once(capsys, tmp_path, monkey
     )
     assert code == 0
     assert calls == {"averaged_rotation_error": 1, "gate_report": 1}
-    assert len(grid.read_text().strip().split("\n")) == 17
+    payload = json.loads(report.read_text())
+    assert payload["method"] == "dual_rail"
+    assert set(payload["amplitudes"]) == {"a_01", "b_10", "c_11"}
+    lines = grid.read_text().strip().split("\n")
+    assert lines[0] == "v_c_mps,v_t_mps,e_ro"
+    assert len(lines) == 17
 
 
 def test_table2_builds_one_grid_per_method_and_cycle_count(capsys, monkeypatch):
@@ -468,6 +482,7 @@ def test_coarse_maxwell_grid_is_a_numerical_failure(capsys, command, n_points):
     ("gate", "--n-cycles", "1" + "0" * 400, "--grid-points", "4"),
     *((command, "--omega-dp-mhz", "-2.0399", "--temp-uk", "10", "--grid-points", n)
       for command in ("gap", "restore") for n in ("1", "0")),  # Maxwell average of < 2 points
+    ("optimize", "--omega-mhz", "0", "--v-ref", "0"),
 ])
 def test_bad_numbers_are_usage_errors(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
@@ -566,6 +581,19 @@ def test_cli_import_loads_no_scipy():
     assert "dualrail.propagator" not in dualrail_modules
 
 
+def test_only_the_cli_opens_files():
+    # gate and protocols only compute; every file the program writes is
+    # formatted and opened in cli (core reads INI files through configparser)
+    package = Path(dualrail.__file__).parent
+    callers = sorted(
+        path.name for path in package.glob("*.py") if path.name != "cli.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "open"
+    )
+    assert callers == []
+
+
 # Floats the command line accepts: the specials, zero, negatives and extremes.
 FUZZ_FLOATS = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0]),
@@ -621,4 +649,28 @@ FUZZ_RUNS = st.one_of(
 @given(argv=FUZZ_RUNS)
 def test_fuzzed_arguments_end_with_a_known_exit_code(argv):
     # no exception may escape main: 0 success, 2 usage, 3 numerical failure
+    assert main(argv) in (0, 2, 3)
+
+
+FUZZ_SWEEPS_AND_OPTIMIZE = st.one_of(
+    _fuzz_argv(
+        st.tuples(st.sampled_from(["v", "z0", "omega", "temp"]),
+                  st.sampled_from(["restore", "gap", "traditional", "phase"]),
+                  FUZZ_FLOATS, FUZZ_FLOATS, FUZZ_COUNTS).map(
+            lambda d: ["sweep", f"--axis={d[0]}", f"--protocol={d[1]}", f"--start={d[2]}",
+                       f"--stop={d[3]}", f"--num={d[4]}", f"--output={os.devnull}"]),
+        omega_mhz=FUZZ_FLOATS, omega_dp_mhz=FUZZ_FLOATS, omega_if_mhz=FUZZ_FLOATS,
+        n_cycles=st.integers(-1, 3), t_wait=FUZZ_FLOATS, v=FUZZ_FLOATS, z0=FUZZ_FLOATS,
+    ),
+    _fuzz_argv(
+        st.tuples(FUZZ_FLOATS, FUZZ_FLOATS).map(
+            lambda d: ["optimize", f"--omega-mhz={d[0]}", f"--v-ref={d[1]}"]),
+        sign=st.sampled_from([1, -1]), output=st.just(os.devnull),
+    ),
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(argv=FUZZ_SWEEPS_AND_OPTIMIZE)
+def test_fuzzed_sweeps_and_optimizations_end_with_a_known_exit_code(argv):
     assert main(argv) in (0, 2, 3)

@@ -32,7 +32,6 @@ from dualrail.gate import (
     decay_error_analytic,
     gate_duration,
     gate_report,
-    grid_to_csv,
     rotation_error,
     simulate_gate_input,
     velocity_grid,
@@ -731,16 +730,3 @@ def test_rotation_grid_nonnegative():
     grid = averaged_rotation_error(PARAMS, 10.0, n_grid=6)
     assert np.all(grid.errors >= 0.0)
     assert grid.averaged >= 0.0
-
-
-def test_report_dict_and_grid_csv(tmp_path):
-    rep = gate_report(PARAMS, 0.0, 0.0)
-    d = rep.to_dict()
-    assert d["method"] == "dual_rail"
-    assert set(d["amplitudes"]) == {"a_01", "b_10", "c_11"}
-    grid = averaged_rotation_error(PARAMS, 10.0, n_grid=4)
-    path = tmp_path / "grid.csv"
-    grid_to_csv(grid, str(path))
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "v_c_mps,v_t_mps,e_ro"
-    assert len(lines) == 17

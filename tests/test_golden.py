@@ -9,6 +9,13 @@ number at 1e-12 relative; entries below 1e-15 in magnitude (the
 roundoff-sized imaginary parts of unit amplitudes) count as zero.  A change
 that moves a printed digit updates the file in the same change and says
 which bytes moved and why.
+
+The files written by ``--output`` of ``excite``, of a Maxwell-averaged
+``gap`` and of ``sweep`` over each axis and protocol predate the change that
+made ``dualrail.cli`` the one module that writes them.  Their headers and
+keys must match exactly and their numbers at 1e-12 relative; a phase
+column is compared modulo 2*pi, since a restored phase of pi may come back
+as +pi or -pi by roundoff.
 """
 
 import gzip
@@ -74,3 +81,46 @@ def test_gate_stdout_and_report_are_golden(capsys, tmp_path):
             assert got[key] == pytest.approx(value, rel=1e-12, abs=1e-15), key
         else:
             assert got[key] == value, key
+
+
+# Written file in tests/golden (gzipped when large) and the command that writes it.
+GOLDEN_OUTPUTS = {
+    "excite_v_0.05.csv.gz": ("excite", "--v", "0.05"),
+    "gap_temp_uk_10.txt": ("gap", "--temp-uk", "10"),
+    "sweep_gap_v.csv": ("sweep", "--protocol", "gap", "--axis", "v",
+                        "--start", "0.01", "--stop", "0.1", "--num", "5"),
+    "sweep_traditional_z0.csv": ("sweep", "--protocol", "traditional", "--axis", "z0",
+                                 "--start", "0", "--stop", "8", "--num", "5"),
+    "sweep_restore_omega.csv": ("sweep", "--protocol", "restore", "--axis", "omega",
+                                "--start", "1.5", "--stop", "2.5", "--num", "5"),
+    "sweep_gap_temp.csv": ("sweep", "--protocol", "gap", "--axis", "temp",
+                           "--start", "10", "--stop", "200", "--num", "3"),
+    "sweep_phase_v.csv": ("sweep", "--protocol", "phase", "--axis", "v",
+                          "--start", "0.01", "--stop", "0.1", "--num", "5"),
+}
+
+
+@pytest.mark.parametrize("name, argv", GOLDEN_OUTPUTS.items(), ids=list(GOLDEN_OUTPUTS))
+def test_written_output_is_golden(capsys, tmp_path, name, argv):
+    path = tmp_path / "out"
+    _stdout(capsys, *argv, "--output", str(path))
+    opener = gzip.open if name.endswith(".gz") else open
+    with opener(GOLDEN / name, "rt") as fh:
+        want_lines = fh.read().splitlines()
+    got_lines = path.read_text().splitlines()
+    if name.endswith(".txt"):  # "key = value" lines
+        (got_keys, got), (want_keys, want) = (
+            zip(*(line.split(" = ") for line in lines)) for lines in (got_lines, want_lines)
+        )
+        assert got_keys == want_keys
+        np.testing.assert_allclose(np.array(got, float), np.array(want, float),
+                                   rtol=1e-12, atol=1e-15)
+        return
+    header = want_lines[0].split(",")
+    assert got_lines[0].split(",") == header
+    got = np.loadtxt(got_lines[1:], delimiter=",", ndmin=2)
+    want = np.loadtxt(want_lines[1:], delimiter=",", ndmin=2)
+    assert got.shape == want.shape
+    phase = ["phase" in column for column in header]
+    got[:, phase] = want[:, phase] + np.angle(np.exp(1j * (got - want)[:, phase]))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)

@@ -41,7 +41,6 @@ from dualrail.hamiltonians import (
 from dualrail import protocols
 from dualrail.propagator import evolve
 from dualrail.protocols import (
-    AveragedOutcome,
     ConvergenceError,
     OptimizationError,
     analytic_w,
@@ -54,8 +53,6 @@ from dualrail.protocols import (
     run_excite_restore,
     run_gap_protocol,
     run_traditional_restore,
-    summary_report,
-    sweep_to_csv,
 )
 
 CFG = get_config("rb87_5p12")
@@ -515,25 +512,3 @@ def test_batched_protocols_match_scalar_runs(v, z0, z0_array):
     phis = extract_phase_phi(om, K_MINUS, v)
     for v_i, phi in zip(v, phis):
         assert abs(phi - extract_phase_phi(om, K_MINUS, float(v_i))) < 1e-12
-
-
-# --- reporting ---------------------------------------------------------------
-
-def test_sweep_csv_format(tmp_path):
-    out = run_excite_restore(
-        SimulationParams(omega=OMEGA2, omega_dp=-OMEGA2, v_mps=0.05), K_MINUS
-    )
-    path = tmp_path / "sweep.csv"
-    sweep_to_csv([(0.05, 0.0, out)], str(path))
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "v_mps,z0_um,pop_error,phase_rad,r3_leak,rydberg_time_us"
-    assert len(lines) == 2
-    assert len(lines[1].split(",")) == 6
-
-
-def test_summary_report_fields():
-    avg = AveragedOutcome(0.9999, 3.14159, 1e-6, 0.9, 0.999999, 201)
-    text = summary_report(avg)
-    for key in ("mean_population", "mean_abs_phase_rad", "weight_mass",
-                "grid_points"):
-        assert key in text
