@@ -33,16 +33,22 @@ from dualrail.engine import (
 
 JSON_SCHEMA_VERSION = 1
 
+# The paper's operating point: Omega/2pi for every excitation, target and
+# infrared drive, and the deexcitation amplitude Omega_dp/2pi.  Both tables
+# are computed here, and every command's amplitude defaults read it.
+OMEGA_MHZ = 2.0
+OMEGA_DP_MHZ = -2.0339
+
 # Reference benchmark rows bundled for the `table` subcommand.  Row tuples:
 # (method, omega_mhz, omega_dp_mhz, n_cycles or wait_us, temp_uk, population,
-#  mean |phase|).
+#  mean |phase|).  The traditional baseline drives one rail at sqrt(2)*Omega.
 RESTORATION_BENCHMARK = (
-    ("dual_rail", 2.0, -2.0339, 1, 10.0, 0.9999797, math.pi),
-    ("traditional", 2.0 * math.sqrt(2.0), None, math.sqrt(2.0) / 2.0, 10.0, 0.9999955, 3.024902),
-    ("dual_rail", 2.0, -2.0339, 1, 200.0, 0.9968510, math.pi),
-    ("traditional", 2.0 * math.sqrt(2.0), None, math.sqrt(2.0) / 2.0, 200.0, 0.9984545, 2.620949),
-    ("dual_rail", 2.0, -2.0339, 2, 200.0, 0.9922810, math.pi),
-    ("traditional", 2.0 * math.sqrt(2.0), None, math.sqrt(2.0), 200.0, 0.9961266, 2.208995),
+    ("dual_rail", OMEGA_MHZ, OMEGA_DP_MHZ, 1, 10.0, 0.9999797, math.pi),
+    ("traditional", OMEGA_MHZ * math.sqrt(2.0), None, math.sqrt(2.0) / 2.0, 10.0, 0.9999955, 3.024902),
+    ("dual_rail", OMEGA_MHZ, OMEGA_DP_MHZ, 1, 200.0, 0.9968510, math.pi),
+    ("traditional", OMEGA_MHZ * math.sqrt(2.0), None, math.sqrt(2.0) / 2.0, 200.0, 0.9984545, 2.620949),
+    ("dual_rail", OMEGA_MHZ, OMEGA_DP_MHZ, 2, 200.0, 0.9922810, math.pi),
+    ("traditional", OMEGA_MHZ * math.sqrt(2.0), None, math.sqrt(2.0), 200.0, 0.9961266, 2.208995),
 )
 
 # (method, temp_uk, n_cycles, duration_us, averaged rotation error).
@@ -96,8 +102,7 @@ def _phase(amp: complex) -> float:
     return float(np.angle(amp)) if abs(amp) >= 1e-12 else 0.0
 
 
-def cmd_excite(args) -> int:
-    cfg = get_config(args.preset, args.config)
+def cmd_excite(args, cfg) -> int:
     params = SimulationParams(omega=mhz_to_rad_per_us(args.omega_mhz),
                               z0_um=args.z0, v_mps=args.v)
     if not 0.0 <= args.t < math.inf:
@@ -184,8 +189,16 @@ def _run_or_average(args, cfg, runner) -> int:
     return 0
 
 
-def cmd_restore(args) -> int:
-    cfg = get_config(args.preset, args.config)
+def _runner(name: str, params: SimulationParams, cfg):
+    """Protocol ``name`` (restore, gap or traditional) at ``params``, as a
+    function of velocity."""
+    if name == "gap":
+        return partial(protocols.gap_runner, params, cfg.wavevectors)
+    run = protocols.restore_runner if name == "restore" else protocols.traditional_runner
+    return partial(run, params, cfg.wavevectors.k_excite)
+
+
+def cmd_restore(args, cfg) -> int:
     k = cfg.wavevectors.k_excite
     omega = mhz_to_rad_per_us(args.omega_mhz)
     if args.omega_dp_mhz is not None:
@@ -195,25 +208,19 @@ def cmd_restore(args) -> int:
         print(f"optimized_omega_dp_mhz = {rad_per_us_to_mhz(omega_dp):.6f}")
     params = SimulationParams(omega=omega, omega_dp=omega_dp,
                               z0_um=args.z0, v_mps=args.v)
-    return _run_or_average(args, cfg, partial(protocols.restore_runner, params, k))
+    return _run_or_average(args, cfg, _runner("restore", params, cfg))
 
 
-def cmd_gap(args) -> int:
-    cfg = get_config(args.preset, args.config)
-    omega = mhz_to_rad_per_us(args.omega_mhz)
-    params = SimulationParams(
-        omega=omega,
-        omega_dp=mhz_to_rad_per_us(args.omega_dp_mhz),
-        omega_if=mhz_to_rad_per_us(args.omega_if_mhz),
-        n_gap_cycles=args.n_cycles,
-        z0_um=args.z0,
-        v_mps=args.v,
+def cmd_gap(args, cfg) -> int:
+    params = SimulationParams.from_mhz(
+        omega_mhz=args.omega_mhz, omega_dp_mhz=args.omega_dp_mhz,
+        omega_if_mhz=args.omega_if_mhz, n_gap_cycles=args.n_cycles,
+        z0_um=args.z0, v_mps=args.v,
     )
-    return _run_or_average(args, cfg, partial(protocols.gap_runner, params, cfg.wavevectors))
+    return _run_or_average(args, cfg, _runner("gap", params, cfg))
 
 
-def cmd_optimize(args) -> int:
-    cfg = get_config(args.preset, args.config)
+def cmd_optimize(args, cfg) -> int:
     k = cfg.wavevectors.k_excite
     omega = mhz_to_rad_per_us(args.omega_mhz)
     omega_dp = protocols.optimize_deexcitation(
@@ -239,6 +246,7 @@ def cmd_optimize(args) -> int:
 
 
 def _gate_params(args, cfg) -> gate.GateParams:
+    """Gate parameters of ``dualrail gate`` run with ``args``."""
     if args.l_um is not None and cfg.interactions is not None:
         cfg = replace(
             cfg,
@@ -254,8 +262,7 @@ def _gate_params(args, cfg) -> gate.GateParams:
     )
 
 
-def cmd_gate(args) -> int:
-    cfg = get_config(args.preset, args.config)
+def cmd_gate(args, cfg) -> int:
     params = _gate_params(args, cfg)
     started = time.perf_counter()
     grid = gate.averaged_rotation_error(
@@ -302,8 +309,7 @@ def cmd_gate(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    cfg = get_config(args.preset, args.config)
+def cmd_sweep(args, cfg) -> int:
     k = cfg.wavevectors.k_excite
     if args.num < 2:
         raise UsageError("sweep needs at least two points")
@@ -323,40 +329,33 @@ def cmd_sweep(args) -> int:
                         for v, ratio in zip(axis, fit.ratios)))
         return 0
 
-    base = SimulationParams(
-        omega=mhz_to_rad_per_us(args.omega_mhz),
-        omega_dp=mhz_to_rad_per_us(args.omega_dp_mhz),
-        omega_if=mhz_to_rad_per_us(args.omega_if_mhz),
-        n_gap_cycles=args.n_cycles,
-        z0_um=args.z0,
-        v_mps=args.v,
+    base = SimulationParams.from_mhz(
+        omega_mhz=args.omega_mhz, omega_dp_mhz=args.omega_dp_mhz,
+        omega_if_mhz=args.omega_if_mhz, n_gap_cycles=args.n_cycles,
+        z0_um=args.z0, v_mps=args.v,
         t_wait_us=args.t_wait if args.protocol == "traditional" else 0.0,
     )
-
-    def run_one(params: SimulationParams) -> protocols.ProtocolOutcome:
-        if args.protocol == "restore":
-            return protocols.run_excite_restore(params, k)
-        if args.protocol == "gap":
-            return protocols.run_gap_protocol(params, cfg.wavevectors)
-        return protocols.run_traditional_restore(params, k)
 
     # Float rows ending in the four outcome columns, error first.
     header = OUTCOME_HEADER
     if args.axis in ("v", "z0"):  # one batched run over the whole axis
         p = replace(base, **{"v_mps" if args.axis == "v" else "z0_um": axis})
-        columns = np.broadcast_arrays(p.v_mps, p.z0_um, *_outcome_fields(run_one(p)))
+        out = _runner(args.protocol, p, cfg)(p.v_mps)
+        columns = np.broadcast_arrays(p.v_mps, p.z0_um, *_outcome_fields(out))
         rows = np.column_stack(columns).tolist()
     elif args.axis == "omega":
         header = ["omega_mhz", *header]
-        rows = [[x, base.v_mps, base.z0_um,
-                 *_outcome_fields(run_one(replace(base, omega=mhz_to_rad_per_us(float(x)))))]
-                for x in axis]
+        rows = []
+        for x in axis:
+            p = replace(base, omega=mhz_to_rad_per_us(float(x)))
+            out = _runner(args.protocol, p, cfg)(p.v_mps)
+            rows.append([x, p.v_mps, p.z0_um, *_outcome_fields(out)])
     else:  # temp axis: Maxwell-average at each temperature; no one v_mps applies
         header = ["temp_uk", "v_mps", "z0_um", "pop_error", "mean_abs_phase_rad",
                   "r3_leak", "rydberg_time_us"]
         rows = []
         for x in axis:
-            avg = protocols.maxwell_average(lambda v: run_one(replace(base, v_mps=v)),
+            avg = protocols.maxwell_average(_runner(args.protocol, base, cfg),
                                             float(x), cfg.species)
             rows.append([x, math.nan, base.z0_um, avg.error, avg.mean_abs_phase,
                          avg.r3_leak, avg.rydberg_time_us])
@@ -367,14 +366,14 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_table(args) -> int:
-    cfg = get_config(args.preset, args.config)
-    rows = args.rows or None
+def cmd_table(args, cfg) -> int:
     table = RESTORATION_BENCHMARK if args.which == 1 else GATE_BENCHMARK
-    if rows and not all(1 <= i <= len(table) for i in rows):
+    if args.rows and not all(1 <= i <= len(table) for i in args.rows):
         raise UsageError(f"table {args.which} has rows 1 to {len(table)}")
     if args.output:
         raise UsageError("table prints to stdout and writes no --output file")
+    rows = [(i, row) for i, row in enumerate(table, start=1)
+            if not args.rows or i in args.rows]
     if args.which == 1:
         if args.grid_points is not None:
             raise UsageError("--grid-points sets table 2's velocity grid; "
@@ -385,66 +384,40 @@ def cmd_table(args) -> int:
     return 0
 
 
-def compute_restoration_row(cfg, row) -> tuple[float, float]:
-    """Maxwell-averaged (population, mean |phase|) for one benchmark row."""
-    method, omega_mhz, omega_dp_mhz, wait_spec, temp, _, _ = row
-    if method == "dual_rail":
-        params = SimulationParams.from_mhz(
-            omega_mhz=omega_mhz, omega_dp_mhz=omega_dp_mhz,
-            omega_if_mhz=omega_mhz, n_gap_cycles=wait_spec,
-        )
-        runner = partial(protocols.gap_runner, params, cfg.wavevectors)
-    else:
-        params = SimulationParams.from_mhz(
-            omega_mhz=omega_mhz, t_wait_us=wait_spec
-        )
-        runner = partial(protocols.traditional_runner, params,
-                         cfg.wavevectors.k_excite)
-    avg = protocols.maxwell_average(runner, temp, cfg.species)
-    return avg.ground_population, avg.mean_abs_phase
-
-
 def _run_table1(cfg, rows) -> None:
+    """Maxwell-averaged population and mean |phase| of each (number, row)."""
     print("row  method        T_uK   computed_pop  reference_pop  rel_dev    "
           "computed_|phase|  reference_|phase|")
-    for i, row in enumerate(RESTORATION_BENCHMARK, start=1):
-        if rows and i not in rows:
-            continue
-        pop, phase = compute_restoration_row(cfg, row)
-        _, _, _, _, temp, ref_pop, ref_phase = row
+    for i, (method, omega_mhz, omega_dp_mhz, wait_spec, temp, ref_pop, ref_phase) in rows:
+        if method == "dual_rail":
+            params = SimulationParams.from_mhz(
+                omega_mhz=omega_mhz, omega_dp_mhz=omega_dp_mhz,
+                omega_if_mhz=omega_mhz, n_gap_cycles=wait_spec,
+            )
+        else:
+            params = SimulationParams.from_mhz(omega_mhz=omega_mhz, t_wait_us=wait_spec)
+        runner = _runner("gap" if method == "dual_rail" else method, params, cfg)
+        avg = protocols.maxwell_average(runner, temp, cfg.species)
+        pop, phase = avg.ground_population, avg.mean_abs_phase
         print(
-            f"{i:<4d} {row[0]:<13s} {temp:<6g} {pop:.7f}     {ref_pop:.7f}      "
+            f"{i:<4d} {method:<13s} {temp:<6g} {pop:.7f}     {ref_pop:.7f}      "
             f"{pop / ref_pop - 1:+.2e}  {phase:.6f}          {ref_phase:.6f}"
         )
 
 
-def compute_gate_row(cfg, row, n_grid=100) -> tuple[float, gate.RotationErrorGrid]:
-    """Duration and velocity-error grid of one Table-2 row; only the grid's
-    average depends on the row's temperature."""
-    method, temp, n_cycles, _, _ = row
-    params = gate.GateParams(
-        omega=mhz_to_rad_per_us(2.0),
-        omega_dp=mhz_to_rad_per_us(-2.0339),
-        omega_t=mhz_to_rad_per_us(2.0),
-        omega_if=mhz_to_rad_per_us(2.0),
-        n_gap_cycles=n_cycles,
-        config=cfg,
-    )
-    grid = gate.averaged_rotation_error(params, temp, method, n_grid=n_grid)
-    return gate.gate_duration(params, method), grid
-
-
 def _run_table2(cfg, rows, n_grid) -> None:
+    """Duration and averaged rotation error of each (number, row): the gate
+    of ``dualrail gate`` at its defaults with the row's cycle count."""
     print("row  method        T_uK   n  duration  ref_dur  e_ro_avg    "
           "ref_e_ro    rel_dev")
     # Rows that differ only in temperature reweight one grid.
     grids = {}
-    for i, row in enumerate(GATE_BENCHMARK, start=1):
-        if rows and i not in rows:
-            continue
-        method, temp, n_cycles, ref_dur, ref_ero = row
+    for i, (method, temp, n_cycles, ref_dur, ref_ero) in rows:
         if (method, n_cycles) not in grids:
-            grids[method, n_cycles] = compute_gate_row(cfg, row, n_grid)
+            params = _gate_params(
+                build_parser().parse_args(["gate", "--n-cycles", str(n_cycles)]), cfg)
+            grid = gate.averaged_rotation_error(params, temp, method, n_grid=n_grid)
+            grids[method, n_cycles] = gate.gate_duration(params, method), grid
         duration, grid = grids[method, n_cycles]
         ero = core.maxwell_mean(grid.errors, grid.velocities, temp, cfg.species)
         print(
@@ -477,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("restore", help="pi + 3*pi excite/restore sequence")
     _add_common(p)
-    p.add_argument("--omega-mhz", type=float, default=2.0)
+    p.add_argument("--omega-mhz", type=float, default=OMEGA_MHZ)
     p.add_argument("--omega-dp-mhz", type=float, default=None,
                    help="deexcitation amplitude; optimized when omitted")
     p.add_argument("--sign", type=int, choices=(+1, -1), default=-1,
@@ -489,9 +462,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gap", help="excite / infrared wait / restore sequence")
     _add_common(p)
-    p.add_argument("--omega-mhz", type=float, default=2.0)
-    p.add_argument("--omega-dp-mhz", type=float, default=-2.0339)
-    p.add_argument("--omega-if-mhz", type=float, default=2.0)
+    p.add_argument("--omega-mhz", type=float, default=OMEGA_MHZ)
+    p.add_argument("--omega-dp-mhz", type=float, default=OMEGA_DP_MHZ)
+    p.add_argument("--omega-if-mhz", type=float, default=OMEGA_MHZ)
     p.add_argument("--n-cycles", type=int, default=1)
     _add_velocity_or_temperature(p)
     p.add_argument("--z0", type=float, default=0.0)
@@ -509,10 +482,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--method", choices=("dual_rail", "traditional"),
                    default="dual_rail")
-    p.add_argument("--omega-mhz", type=float, default=2.0)
-    p.add_argument("--omega-dp-mhz", type=float, default=-2.0339)
-    p.add_argument("--omega-t-mhz", type=float, default=2.0)
-    p.add_argument("--omega-if-mhz", type=float, default=2.0)
+    p.add_argument("--omega-mhz", type=float, default=OMEGA_MHZ)
+    p.add_argument("--omega-dp-mhz", type=float, default=OMEGA_DP_MHZ)
+    p.add_argument("--omega-t-mhz", type=float, default=OMEGA_MHZ)
+    p.add_argument("--omega-if-mhz", type=float, default=OMEGA_MHZ)
     p.add_argument("--n-cycles", type=int, default=1)
     p.add_argument("--temp-uk", type=float, default=10.0)
     p.add_argument("--grid-points", type=int, default=100)
@@ -529,9 +502,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--num", type=int, required=True)
     p.add_argument("--protocol", choices=("restore", "gap", "traditional", "phase"),
                    default="restore")
-    p.add_argument("--omega-mhz", type=float, default=2.0)
-    p.add_argument("--omega-dp-mhz", type=float, default=-2.0339)
-    p.add_argument("--omega-if-mhz", type=float, default=2.0)
+    p.add_argument("--omega-mhz", type=float, default=OMEGA_MHZ)
+    p.add_argument("--omega-dp-mhz", type=float, default=OMEGA_DP_MHZ)
+    p.add_argument("--omega-if-mhz", type=float, default=OMEGA_MHZ)
     p.add_argument("--n-cycles", type=int, default=1)
     p.add_argument("--t-wait", type=float, default=math.sqrt(2.0) / 2.0)
     p.add_argument("--v", type=float, default=0.05)
@@ -558,7 +531,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return args.func(args)
+            return args.func(args, get_config(args.preset, args.config))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -49,9 +49,12 @@ INFRARED = (("r3", "r1", +1), ("r3", "r2", -1))
 
 
 def pi_time(omega: float) -> float:
-    """Duration pi/(sqrt(2)|Omega|) of a dual-rail pi pulse."""
+    """Duration pi/(sqrt(2)|Omega|) of a dual-rail pi pulse; a zero or
+    non-finite amplitude raises ValueError."""
     if omega == 0:
         raise ValueError("a zero Rabi amplitude has no pulse length")
+    if not math.isfinite(omega):
+        raise ValueError(f"a Rabi amplitude must be finite, got {omega}")
     return math.pi / (math.sqrt(2.0) * abs(omega))
 
 

@@ -197,7 +197,8 @@ def phase_linearity(
     """Fit phi(pi/(sqrt(2)*Omega)) against its linear Doppler form.
 
     The ratio phi / (2 pi k v / Omega) is undefined at v = 0, so a zero
-    velocity raises ValueError.
+    velocity raises ValueError.  phi is the same for +Omega and -Omega, so
+    the slope ratio takes the sign of Omega.
     """
     velocities = np.asarray(velocities, dtype=float)
     if np.any(velocities == 0.0):

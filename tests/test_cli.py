@@ -490,6 +490,48 @@ def test_bad_numbers_are_usage_errors(capsys, argv):
     assert err.startswith("usage error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ("restore", "--omega-mhz", "nan", "--v", "0.05"),
+    ("restore", "--omega-mhz", "inf", "--v", "0.05"),
+    ("restore", "--omega-mhz", "1e308", "--v", "0.05"),  # inf in rad/us
+    ("sweep", "--axis", "v", "--protocol", "phase", "--start", "0.01", "--stop", "0.1",
+     "--num", "3", "--omega-mhz", "nan"),
+])
+def test_non_finite_rabi_amplitude_is_a_usage_error_naming_it(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("usage error:") and "Rabi amplitude" in err
+    assert out == ""
+
+
+def test_table1_rows_are_the_gap_command_at_its_defaults(capsys):
+    code, out, _ = run_cli(capsys, "table", "--which", "1", "--rows", "1,3,5")
+    assert code == 0
+    table = {int(line.split()[0]): line.split()[3] for line in out.strip().split("\n")[1:]}
+    assert sorted(table) == [1, 3, 5]
+    for i in table:
+        _, _, _, n_cycles, temp, _, _ = cli.RESTORATION_BENCHMARK[i - 1]
+        code, out, _ = run_cli(capsys, "gap", "--temp-uk", f"{temp:g}",
+                               "--n-cycles", str(n_cycles))
+        assert code == 0
+        assert f"{parse_kv(out)['mean_population']:.7f}" == table[i], i
+
+
+def test_table2_rows_are_the_gate_command_at_its_defaults(capsys):
+    code, out, _ = run_cli(capsys, "table", "--which", "2", "--grid-points", "4")
+    assert code == 0
+    table = {int(line.split()[0]): line.split() for line in out.strip().split("\n")[1:]}
+    assert sorted(table) == list(range(1, 9))
+    for i in (1, 2, 5, 6):  # one row per method and cycle count
+        method, temp, n_cycles, _, _ = cli.GATE_BENCHMARK[i - 1]
+        code, out, _ = run_cli(capsys, "gate", "--method", method, "--n-cycles", str(n_cycles),
+                               "--temp-uk", f"{temp:g}", "--grid-points", "4")
+        assert code == 0
+        got = parse_kv(out)
+        printed = f"{got['duration_us']:.4f}", f"{got['rotation_error_avg']:.4e}"
+        assert printed == (table[i][4], table[i][6]), i
+
+
 @pytest.mark.parametrize("body", [
     "[p]\n" + PRESET_KEYS,  # no tau_us
     "[p]\ntau_us = 787.0\n" + PRESET_KEYS + "c6_95_95 = -14.0\n",  # c6 without l_um

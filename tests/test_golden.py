@@ -16,6 +16,10 @@ made ``dualrail.cli`` the one module that writes them.  Their headers and
 keys must match exactly and their numbers at 1e-12 relative; a phase
 column is compared modulo 2*pi, since a restored phase of pi may come back
 as +pi or -pi by roundoff.
+
+The ``--help`` text of ``dualrail`` and of each subcommand is kept as
+``help_<command>.txt`` and compared byte for byte at an 80-column terminal,
+since argparse wraps help to the terminal width.
 """
 
 import gzip
@@ -124,3 +128,14 @@ def test_written_output_is_golden(capsys, tmp_path, name, argv):
     phase = ["phase" in column for column in header]
     got[:, phase] = want[:, phase] + np.angle(np.exp(1j * (got - want)[:, phase]))
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+HELP_COMMANDS = ("top", "excite", "restore", "gap", "optimize", "gate", "sweep", "table")
+
+
+@pytest.mark.parametrize("command", HELP_COMMANDS)
+def test_help_is_golden(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["--help"] if command == "top" else [command, "--help"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / f"help_{command}.txt").read_bytes()

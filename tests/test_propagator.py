@@ -14,6 +14,7 @@ from dualrail.engine import (
     ComplexState,
     GateStage,
     _levels,
+    _occupation_integral,
     pi_time,
     propagate_atom,
     pulse_train,
@@ -223,3 +224,18 @@ def test_atom_levels_are_read_from_its_drives(topologies, levels):
     assert final.basis == _levels(train) == levels
     if topologies == (INFRARED,):  # a drive that misses the ground leaves the atom there
         assert final.population("1") == 1.0
+
+
+def test_occupation_integral_resolves_a_gap_of_one_radian_per_duration():
+    # gap * duration = 1: the closed form, not the degenerate one, applies,
+    # even though the gap (5e-7 rad/us) is far below 1e-6
+    gap, duration = 5e-7, 2e6
+    eigenvalues = np.array([0.0, gap])
+    vectors = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    coeffs = vectors.T @ np.array([1.0, 0.0])
+    rows = np.array([0])
+    got = _occupation_integral(vectors, coeffs, eigenvalues, duration, rows)
+    t = np.linspace(0.0, duration, 400_001)
+    amps = (vectors[0] * coeffs) @ np.exp(-1j * np.outer(eigenvalues, t))
+    want = np.trapezoid(abs(amps) ** 2, t)
+    assert got == pytest.approx(want, rel=1e-11)

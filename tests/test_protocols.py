@@ -113,6 +113,17 @@ def test_phase_linearity_slope():
     assert fit.residual < 1e-2 * abs(fit.slope_ratio)
 
 
+def test_phase_is_even_in_omega_and_the_slope_ratio_takes_its_sign():
+    om = mhz_to_rad_per_us(2.0)
+    velocities = np.linspace(0.01, 0.1, 5)
+    assert np.array_equal(extract_phase_phi(om, K_MINUS, velocities),
+                          extract_phase_phi(-om, K_MINUS, velocities))
+    plus = phase_linearity(om, K_MINUS, velocities)
+    minus = phase_linearity(-om, K_MINUS, velocities)
+    assert plus.slope_ratio > 0
+    assert minus.slope_ratio == -plus.slope_ratio
+
+
 def test_phase_linearity_rejects_zero_velocity():
     om = mhz_to_rad_per_us(math.sqrt(2.0))
     with pytest.raises(ValueError, match="v = 0"):
