@@ -168,11 +168,25 @@ class TwoAtomSpace:
         return np.array([shifts.get(label, 0.0) for label in self.labels()])
 
     @property
+    def first_state(self) -> np.ndarray:
+        """Basis state 0, both atoms in their first level, as a read-only
+        unit vector (a row of :func:`_identity`)."""
+        return _identity(self.dim)[0]
+
+    @property
     def single_rydberg_indices(self) -> np.ndarray:
         """Basis indices of the states with exactly one atom in a Rydberg
         level (labels starting with "r"), built once per pair of level
         tuples and shared read-only."""
         return _single_rydberg_indices(self.control_levels, self.target_levels)
+
+
+@lru_cache(maxsize=64)
+def _identity(dim: int) -> np.ndarray:
+    """The dim x dim identity, built once per dim and shared read-only."""
+    identity = np.eye(dim)
+    identity.flags.writeable = False
+    return identity
 
 
 @lru_cache(maxsize=64)
@@ -322,7 +336,7 @@ def propagate_stages(
     psi = np.zeros(batch + (space.dim,), dtype=complex) + psi
     occupation = np.zeros(batch)
     rows = np.asarray(occupation_rows, dtype=int)
-    identity = np.eye(space.dim)
+    identity = _identity(space.dim)
     eigensystems = {}  # by sign-free key: exact, as the rates are fixed in a call
     for stage in stages:
         t0, t1, duration = stage.t0, stage.t1, stage.duration
@@ -430,6 +444,6 @@ def propagate_atom(
     """
     space = TwoAtomSpace(_levels(train), ("0",))
     psi, rydberg_time = propagate_stages(
-        np.eye(space.dim)[0], space, train, v, 0.0, z0, 0.0, space.single_rydberg_indices
+        space.first_state, space, train, v, 0.0, z0, 0.0, space.single_rydberg_indices
     )
     return ComplexState(space.control_levels, psi), rydberg_time

@@ -175,7 +175,7 @@ def _simulate_input(
     if input_label == "11":
         space, stages = _input_stages(params, trains)
         psi, t_r = propagate_stages(
-            np.eye(space.dim)[0], space, stages, v_control, v_target,
+            space.first_state, space, stages, v_control, v_target,
             params.z0_control_um, params.z0_target_um, space.single_rydberg_indices,
         )
         # Both atoms start in "1": basis state 0.
@@ -320,13 +320,13 @@ def averaged_rotation_error(
     for label in ("01", "10"):
         train, z0 = _lone_train(label, params, trains)
         space = TwoAtomSpace(_levels(train), ("0",))
-        psi, _ = propagate_stages(np.eye(space.dim)[0], space, train, velocities, 0.0, z0, 0.0)
+        psi, _ = propagate_stages(space.first_state, space, train, velocities, 0.0, z0, 0.0)
         lone[label] = psi[:, 0]
     space, stages = _input_stages(params, trains)
     z0 = (params.z0_control_um, params.z0_target_um)
     errors = np.empty((n_grid, n_grid))
     for i, v_c in enumerate(velocities):
-        psi, _ = propagate_stages(np.eye(space.dim)[0], space, stages, v_c, velocities, *z0)
+        psi, _ = propagate_stages(space.first_state, space, stages, v_c, velocities, *z0)
         errors[i] = rotation_error(lone["01"], lone["10"][i], psi[:, 0])
 
     averaged = maxwell_mean(errors, velocities, temperature_uk, params.config.species)

@@ -219,9 +219,11 @@ def optimize_deexcitation(
 ) -> float:
     """Deexcitation amplitude minimizing the restored-population error.
 
-    Scans |Omega_dp| within 10% of |Omega| with a bounded scalar
-    minimizer at 1e-6 MHz resolution, evaluating the pi + 3*pi sequence at
-    the reference velocity.  The optimum belongs to ``v_ref``: for
+    Scans |Omega_dp| within 10% of |Omega| with Brent's bounded
+    minimization without derivatives (:func:`_minimize_bounded`, which
+    matches SciPy's bounded ``minimize_scalar`` exactly) at 1e-6 MHz
+    resolution, evaluating the pi + 3*pi sequence at the reference
+    velocity.  The optimum belongs to ``v_ref``: for
     |Omega|/2pi = 2 MHz on the positive branch it is 2.0013 MHz at
     v_ref = 0.01 m/s, 2.0317 MHz at 0.05 m/s and 2.1179 MHz at 0.1 m/s.
     Returns the signed amplitude in rad/us.
@@ -230,10 +232,6 @@ def optimize_deexcitation(
     objective is degenerate; the convention is to return sign*|Omega|.  A
     zero Omega raises ValueError at any v_ref.
     """
-    # Imported here: scipy.optimize is slow to import and only this
-    # function needs it.
-    from scipy.optimize import minimize_scalar
-
     pi_time(omega)  # rejects a zero amplitude, as every pulse does
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -252,20 +250,104 @@ def optimize_deexcitation(
         )
         return run_excite_restore(params, k).error
 
-    res = minimize_scalar(
-        objective,
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": xatol_mhz},
-    )
-    if not res.success:
-        raise OptimizationError(res.message)
-    if min(res.x - lo, hi - res.x) < 10.0 * xatol_mhz:
+    x = _minimize_bounded(objective, lo, hi, xatol_mhz)
+    if min(x - lo, hi - x) < 10.0 * xatol_mhz:
         raise OptimizationError(
-            f"optimum {res.x:.6f} MHz sits on the bracket edge "
+            f"optimum {x:.6f} MHz sits on the bracket edge "
             f"[{lo:.6f}, {hi:.6f}], 10% around |Omega|"
         )
-    return sign * mhz_to_rad_per_us(res.x)
+    return sign * mhz_to_rad_per_us(x)
+
+
+def _minimize_bounded(
+    f: Callable[[float], float], lo: float, hi: float, xatol: float
+) -> float:
+    """Minimum of ``f`` on [lo, hi] by Brent's bounded minimization without
+    derivatives (R. P. Brent, *Algorithms for Minimization without
+    Derivatives*, 1973): golden-section steps, parabolic steps where a
+    parabola through the three best points is acceptable, to an absolute
+    tolerance ``xatol`` in x.
+
+    A step-for-step port of SciPy's ``_minimize_scalar_bounded`` (BSD-3):
+    it evaluates the same points in the same order and returns the same x,
+    bit for bit, as ``minimize_scalar(f, bounds=(lo, hi),
+    method="bounded", options={"xatol": xatol})``.  Non-finite or reversed
+    bounds raise ValueError; a NaN, or 500 evaluations without convergence
+    (SciPy's default cap), raise OptimizationError with SciPy's message.
+    """
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("Optimization bounds must be finite scalars.")
+    if lo > hi:
+        raise ValueError("The lower bound exceeds the upper bound.")
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    # a, b: the bracket; xf: the best point so far, nfc the second best,
+    # fulc the third (the previous value of nfc).
+    a, b = lo, hi
+    fulc = nfc = xf = a + golden_mean * (b - a)
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    fu = math.inf
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    capped = False
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        parabolic = False
+        if abs(e) > tol1:
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            parabolic = abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf)
+            if parabolic:
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if not parabolic:  # golden section into the larger part
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        # Never step by less than tol1.
+        step = max(abs(rat), tol1)
+        x = xf + step if rat >= 0.0 else xf - step
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            capped = True
+            break
+    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
+        raise OptimizationError("NaN result encountered.")
+    if capped:
+        raise OptimizationError("Maximum number of function calls reached.")
+    return xf
 
 
 def maxwell_average(

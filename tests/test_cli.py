@@ -605,8 +605,8 @@ def test_nan_input_is_usage_error_not_hang(argv):
 
 
 def test_cli_import_loads_no_scipy():
-    # SciPy serves the optimizer and the test oracle only; importing it
-    # would dominate every short command.  The oracle modules
+    # SciPy serves the test oracle only; importing it would dominate every
+    # short command.  The oracle modules
     # (hamiltonians, propagator) serve the tests only, and the production
     # modules import the engine, never them.
     proc = subprocess.run(
@@ -621,6 +621,23 @@ def test_cli_import_loads_no_scipy():
     assert scipy_modules == "[]"
     assert "dualrail.hamiltonians" not in dualrail_modules
     assert "dualrail.propagator" not in dualrail_modules
+
+
+@pytest.mark.parametrize("argv", [
+    ("restore", "--v", "0.05"),
+    ("optimize", "--omega-mhz", "2"),
+])
+def test_optimizing_commands_load_no_scipy(argv):
+    # the Omega_dp optimizer is a plain-Python port of SciPy's bounded method
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from dualrail.cli import main; "
+         f"code = main({list(argv)!r}); "
+         "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, timeout=60, env=_subprocess_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def test_only_the_cli_opens_files():

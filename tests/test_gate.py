@@ -298,6 +298,35 @@ def test_traditional_engine_matches_adaptive_integrator():
     _check_engine_against_adaptive_integrator("traditional")
 
 
+def test_control_shelves_alone_after_a_target_train_that_ends_early():
+    # The target's 1+3 pi train ends 1e-4 us before the wait window closes,
+    # so the control shelves alone for the rest.  The oracle takes each
+    # interval's drives from the two atoms' own trains, not from the merged
+    # stage list of _input_stages.  At rest the lab-frame Hamiltonian is
+    # constant on each interval, which keeps the stiff blockade shifts cheap.
+    t_wait = PARAMS.t_wait
+    params = make_params(omega_t=4.0 * math.pi / (math.sqrt(2.0) * (t_wait - 1e-4)),
+                         z0_control_um=0.8, z0_target_um=-1.3)
+    control, target = _trains(params, "dual_rail")
+    assert control[1].t1 - target[-1].t1 == pytest.approx(1e-4, rel=1e-9)
+    space, _ = _input_stages(params, (control, target))
+
+    def drive(train, t):
+        return next((s.control for s in train if s.t0 <= t < s.t1), None)
+
+    times = sorted({t for s in control + target for t in (s.t0, s.t1)})
+    psi0 = np.zeros(space.dim, dtype=complex)
+    psi0[space.index("1", "1")] = 1.0
+    state = ComplexState(tuple(f"{c}|{t}" for c, t in space.labels()), psi0)
+    for t0, t1 in zip(times, times[1:]):
+        mid = 0.5 * (t0 + t1)
+        stage = GateStage(t0, t1, drive(control, mid), drive(target, mid))
+        h = lab_hamiltonian(space, stage, mid, 0.0, 0.0, 0.8, -1.3)
+        state = evolve(state, lambda t, h=h: h, t0, t1)
+    c_engine, _ = simulate_gate_input("11", params, 0.0, 0.0)
+    assert abs(state.amplitudes[space.index("1", "1")] - c_engine) < 1e-8
+
+
 speeds = st.floats(-0.6, 0.6)
 
 
@@ -368,7 +397,10 @@ def test_cached_hamiltonian_is_read_only():
     space, stages = _input_stages(PARAMS, _trains(PARAMS, "dual_rail"))
     h, frame_c, frame_t, _, signs = _stage_hamiltonian(space, stages[1].control,
                                                        stages[1].target)
-    for array in (h, frame_c, frame_t, signs):
+    # the initial state is a row of the identity that is built once per dim
+    assert space.first_state.tolist() == [1.0] + [0.0] * (space.dim - 1)
+    assert np.shares_memory(space.first_state, engine._identity(space.dim))
+    for array in (h, frame_c, frame_t, signs, space.first_state):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
 

@@ -173,6 +173,88 @@ def test_optimizer_bracket_escape():
         )
 
 
+@pytest.mark.parametrize("v_ref, optimum_mhz", [
+    (0.01, 2.0013), (0.05, 2.0317), (0.1, 2.1179),
+])
+def test_optimizer_docstring_optima(v_ref, optimum_mhz):
+    omega_dp = optimize_deexcitation(OMEGA2, K_MINUS, v_ref=v_ref, sign=+1)
+    assert round(rad_per_us_to_mhz(omega_dp), 4) == optimum_mhz
+
+
+def _scipy_bounded(f, lo, hi, xatol):
+    # imported here, as the ODE oracle imports it: no production path does
+    from scipy.optimize import minimize_scalar
+
+    return minimize_scalar(f, bounds=(lo, hi), method="bounded",
+                           options={"xatol": xatol})
+
+
+def _recorded(f):
+    """``f`` and the list of points it is evaluated at, in order."""
+    points = []
+
+    def recording(x):
+        points.append(x)
+        return f(x)
+    return recording, points
+
+
+def _c3_objective(monkeypatch, sign, v_ref):
+    """The restore-error objective, bracket and tolerance that
+    optimize_deexcitation hands its minimizer at Omega/2pi = 2 MHz."""
+    calls = []
+    monkeypatch.setattr(protocols, "_minimize_bounded",
+                        lambda *call: calls.append(call) or 0.5 * (call[1] + call[2]))
+    optimize_deexcitation(OMEGA2, K_MINUS, v_ref=v_ref, sign=sign)
+    monkeypatch.undo()
+    return calls[0]
+
+
+@pytest.mark.parametrize("case", [
+    *[("c3", sign, v_ref) for sign in (+1, -1) for v_ref in (0.01, 0.05, 0.1)],
+    ("smooth interior", lambda x: (x - 0.3) ** 2 + math.cos(x), -1.0, 2.0),
+    ("bracket edge", lambda x: math.exp(x), 0.5, 1.5),
+    ("kink", lambda x: abs(x - 0.7123), 0.0, 1.0),
+], ids=lambda case: f"c3{case[1]:+d}-v{case[2]}" if case[0] == "c3" else case[0])
+def test_bounded_minimizer_matches_scipy(monkeypatch, case):
+    if case[0] == "c3":
+        f, lo, hi, xatol = _c3_objective(monkeypatch, *case[1:])
+    else:
+        (_, f, lo, hi), xatol = case, 1e-6
+    f_port, points_port = _recorded(f)
+    f_scipy, points_scipy = _recorded(f)
+    x = protocols._minimize_bounded(f_port, lo, hi, xatol)
+    res = _scipy_bounded(f_scipy, lo, hi, xatol)
+    assert res.success
+    assert x == res.x
+    assert points_port == points_scipy
+    assert len(points_port) > 5
+
+
+@pytest.mark.parametrize("f, xatol, message", [
+    # a negative tolerance never converges
+    (lambda x: (x - 0.3) ** 2, -1.0, "Maximum number of function calls reached."),
+    (lambda x: math.nan, 1e-6, "NaN result encountered."),
+])
+def test_bounded_minimizer_failures_carry_scipy_messages(f, xatol, message):
+    f_port, points_port = _recorded(f)
+    f_scipy, points_scipy = _recorded(f)
+    res = _scipy_bounded(f_scipy, 0.0, 1.0, xatol)
+    assert not res.success and res.message == message
+    with pytest.raises(OptimizationError) as exc_info:
+        protocols._minimize_bounded(f_port, 0.0, 1.0, xatol)
+    assert str(exc_info.value) == message
+    assert points_port == points_scipy
+    if message.startswith("Maximum"):
+        assert len(points_port) == 500
+
+
+@pytest.mark.parametrize("lo, hi", [(math.nan, 1.0), (0.0, math.inf), (1.0, 0.0)])
+def test_bounded_minimizer_rejects_bad_bounds(lo, hi):
+    with pytest.raises(ValueError):
+        protocols._minimize_bounded(lambda x: x * x, lo, hi, 1e-6)
+
+
 def test_restore_beats_unoptimized():
     omega_dp = optimize_deexcitation(OMEGA2, K_MINUS, sign=+1)
     p_opt = SimulationParams(omega=OMEGA2, omega_dp=omega_dp, v_mps=0.05)
