@@ -410,16 +410,22 @@ def _run_table2(cfg, rows, n_grid) -> None:
     of ``dualrail gate`` at its defaults with the row's cycle count."""
     print("row  method        T_uK   n  duration  ref_dur  e_ro_avg    "
           "ref_e_ro    rel_dev")
-    # Rows that differ only in temperature reweight one grid.
+    # Rows that differ only in temperature reweight one grid, and one call
+    # computes every cycle count of a method, sharing the stages they share.
+    params = _gate_params(build_parser().parse_args(["gate"]), cfg)
+    cycle_counts = {}
+    for _, (method, _, n_cycles, _, _) in rows:
+        cycle_counts.setdefault(method, {})[n_cycles] = None  # an ordered set
     grids = {}
+    for method, counts in cycle_counts.items():
+        errors = gate.rotation_error_grids(params, method, list(counts), n_grid)
+        for n_cycles, grid in zip(counts, errors):
+            duration = gate.gate_duration(replace(params, n_gap_cycles=n_cycles), method)
+            grids[method, n_cycles] = duration, grid
+    velocities = gate.velocity_grid(n_grid)
     for i, (method, temp, n_cycles, ref_dur, ref_ero) in rows:
-        if (method, n_cycles) not in grids:
-            params = _gate_params(
-                build_parser().parse_args(["gate", "--n-cycles", str(n_cycles)]), cfg)
-            grid = gate.averaged_rotation_error(params, temp, method, n_grid=n_grid)
-            grids[method, n_cycles] = gate.gate_duration(params, method), grid
-        duration, grid = grids[method, n_cycles]
-        ero = core.maxwell_mean(grid.errors, grid.velocities, temp, cfg.species)
+        duration, errors = grids[method, n_cycles]
+        ero = core.maxwell_mean(errors, velocities, temp, cfg.species)
         print(
             f"{i:<4d} {method:<13s} {temp:<6g} {n_cycles}  {duration:.4f}    "
             f"{ref_dur:.3f}    {ero:.4e}  {ref_ero:.2e}  {ero / ref_ero - 1:+.2e}"

@@ -14,17 +14,20 @@ symmetric Hamiltonian: half-amplitudes off the diagonal, the Doppler rates
 stage gives the exact propagator and, for the rows a caller asks for, the
 exact time-integrated Rydberg occupation, which never feeds back into the
 state (a caller that asks for none pays nothing for it).  Only the Doppler
-diagonal depends on the velocities, so a stage diagonalizes a stack of
-velocity pairs in one ``eigh`` call, and memoizes its in-frame Hamiltonian
-by content (space and drives, never times) as read-only arrays.
+diagonal depends on the velocities, and only on those of the atoms a stage
+drives, so a stage diagonalizes the stack of the velocities it sees in one
+``eigh`` call (control and target velocities may lie on separate broadcast
+axes), and memoizes its in-frame Hamiltonian by content (space and drives,
+never times) as read-only arrays.
 
 Flipping the sign of one atom's amplitude is an exact diagonal similarity
 H(-amp) = S H(+amp) S with S = +-1, and the velocities are fixed within a
 call.  So within one :func:`propagate_stages` call, a stage whose drives
 match an earlier stage's up to amplitude signs takes that stage's
-eigensystem with rows flipped by S instead of its own ``eigh``: the gate's
-target deexcitation at -Omega_t after its excitation at +Omega_t, or the
-second of two identical pi pulses.  A stage with no such earlier relative
+eigensystem instead of its own ``eigh``, and multiplies the state by S on
+the way into and out of the eigenbasis, which is exact: the gate's target
+deexcitation at -Omega_t after its excitation at +Omega_t, or the second of
+two identical pi pulses.  A stage with no such earlier relative
 diagonalizes its own Hamiltonian.
 """
 
@@ -314,16 +317,25 @@ def propagate_stages(
     """Exact staged evolution; returns the final state and the summed
     time-integrated population of ``occupation_rows``.
 
-    The velocities and initial coordinates are scalars or 1-D arrays of one
-    length N (a scalar pairs with every entry of the others).  With arrays,
-    every driven stage takes one stacked eigendecomposition of the N
-    velocity pairs (or reuses an earlier stage's: see the module
-    docstring), all starting from ``psi`` (the coordinates enter only the
-    frame phases), and the results are an (N, dim) state stack and an (N,)
-    occupation array.  Scalars keep every array one axis smaller, which is
-    cheaper for a single pair.  A stage's ``t0`` and ``t1`` may be arrays of
-    length N too: ``[GateStage(0.0, ts, drive)]`` gives the state at every
-    end time in ``ts`` from one eigendecomposition.
+    The velocities and initial coordinates are scalars or arrays that
+    broadcast against each other to a batch shape B, such as ``v[:, None]``
+    for the control against ``v[None, :]`` for the target (a scalar pairs
+    with every entry of the others).  Every run starts from ``psi``, which
+    may carry the batch axes too (the coordinates enter only the frame
+    phases), and the results are a B + (dim,) state stack and a B-shaped
+    occupation array.  A driven stage takes one stacked eigendecomposition
+    over the velocities its own drives see (or reuses an earlier stage's:
+    see the module docstring): a stage that drives only the target above
+    takes one matrix per target velocity, not one per pair.  Scalars keep
+    every array one axis smaller, which is cheaper for a single pair.  A
+    stage's ``t0`` and ``t1`` may be 1-D arrays of length N too:
+    ``[GateStage(0.0, ts, drive)]`` gives the state at every end time in
+    ``ts`` from one eigendecomposition.
+
+    Splitting a stage list into two calls, the second starting from the
+    first's state, is the same arithmetic as one call, as the state passes
+    between stages in the lab frame; only the eigensystem reuse does not
+    reach across calls.
 
     The occupation is computed only for the rows asked for.  With none
     (the default) it is 0 and costs nothing, and the state is the same,
@@ -331,9 +343,13 @@ def propagate_stages(
     """
     v_c, v_t, z_c, z_t = (np.asarray(x, dtype=float)
                           for x in (v_control, v_target, z0_control, z0_target))
-    batch = v_c.shape or v_t.shape or z_c.shape or z_t.shape
+    shapes = (v_c.shape, v_t.shape, z_c.shape, z_t.shape)
+    # Scalar calls skip broadcast_shapes, whose microseconds they would feel.
+    batch = np.broadcast_shapes(*shapes) if any(shapes) else ()
     v_c, v_t, z_c, z_t = v_c[..., None], v_t[..., None], z_c[..., None], z_t[..., None]
-    psi = np.zeros(batch + (space.dim,), dtype=complex) + psi
+    # The state takes the batch axes only as stages reach them: a first
+    # stage that drives only the control runs once per control velocity.
+    psi = np.asarray(psi, dtype=complex)
     occupation = np.zeros(batch)
     rows = np.asarray(occupation_rows, dtype=int)
     identity = _identity(space.dim)
@@ -361,21 +377,29 @@ def propagate_stages(
         theta0 = offset + rates * t0
         theta1 = offset + rates * t1
 
+        psi = np.exp(1j * theta0) * psi
+        flip = None
         if key in eigensystems:
+            # This stage's eigenvectors are the stored ones with rows times
+            # flip; the +-1 goes on the state, not on the (..., d, d) stack.
             eigenvalues, vectors, first_signs = eigensystems[key]
-            vectors = (first_signs * signs)[:, None] * vectors
+            flip = first_signs * signs
+            psi = flip * psi
         else:
             eigenvalues, vectors = np.linalg.eigh(h0 - rates[..., None] * identity)
             eigensystems[key] = eigenvalues, vectors, signs
-        coeffs = ((np.exp(1j * theta0) * psi)[..., None, :] @ vectors)[..., 0, :]
+        coeffs = (psi[..., None, :] @ vectors)[..., 0, :]
         if rows.size:
+            # A row's sign cancels in its population: the stored vectors do.
             occupation = occupation + _occupation_integral(
                 vectors, coeffs, eigenvalues, duration, rows
             )
         phases = np.exp(-1j * duration * eigenvalues) * coeffs
         phi = (vectors @ phases[..., None])[..., 0]
+        if flip is not None:
+            phi = flip * phi
         psi = np.exp(-1j * theta1) * phi
-    return psi, scalar_or_array(occupation)
+    return np.zeros(batch + (space.dim,), dtype=complex) + psi, scalar_or_array(occupation)
 
 
 def pulse_train(t0: float, *pulses: tuple[float, AtomDrive | None]) -> list[GateStage]:
@@ -437,10 +461,11 @@ def propagate_atom(
     The atom takes the control slot of a space whose target is the
     uncoupled spectator ("0",), and the whole train is one
     :func:`propagate_stages` call, so the coordinate z0 + v*t runs on
-    across stage boundaries.  ``v`` and ``z0`` may be 1-D arrays of one
-    length N, and so may a stage's end time, which samples one drive at N
-    times from the same start (``dualrail excite``); the state and the
-    Rydberg time then carry a leading axis of length N.
+    across stage boundaries.  ``v`` and ``z0`` may be arrays that broadcast
+    against each other, and a stage's end time a 1-D array of length N,
+    which samples one drive at N times from the same start (``dualrail
+    excite``); the state and the Rydberg time then carry the broadcast
+    axes, or a leading axis of length N.
     """
     space = TwoAtomSpace(_levels(train), ("0",))
     psi, rydberg_time = propagate_stages(

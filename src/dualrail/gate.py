@@ -9,9 +9,12 @@ per-input diagonal amplitudes (a, b, c) feed a trace-formula rotation
 error; Rydberg residence times feed the decay error.
 
 Every input runs on the exact engine of :mod:`dualrail.engine`.  The
-100 x 100 grid average runs one batch per grid row (one control velocity
-against every target velocity).  :func:`gate_report` builds the gate's
-pulse trains once for its three inputs and its duration.
+100 x 100 grid runs input "11" in blocks of grid rows (control velocities
+on one axis against every target velocity on the other), each block no
+larger than one 100-point dual-rail row, and several cycle counts of one
+gate share the stages they have in common (:func:`rotation_error_grids`).
+:func:`gate_report` builds the gate's pulse trains once for its three
+inputs and its duration.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from __future__ import annotations
 import math
 # Unused; perfbench's tracer patches this name until it stops looking it up.
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
-from dataclasses import dataclass
-from typing import Literal
+from dataclasses import dataclass, replace
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -43,6 +46,10 @@ GATE_INPUTS = ("00", "01", "10", "11")
 
 # Principal quantum numbers keying the interaction table per rail level.
 DEFAULT_PRINCIPAL = {"r1": 95, "r2": 97, "r3": 99}
+
+# No matrix stack of a grid run holds more elements than one 100-point
+# dual-rail row (100 x 12 x 12): the bound on a grid's peak memory.
+MAX_STACK_ELEMENTS = 100 * 12 * 12
 
 
 @dataclass(frozen=True)
@@ -298,37 +305,76 @@ def averaged_rotation_error(
 
     The two atomic velocities run over the same uniform grid; weights are
     the product of one-dimensional Maxwell factors, normalized by their
-    sum (:func:`~dualrail.core.maxwell_mean`).  a depends only on the target
-    velocity and b only on the control velocity, so each line takes one
-    batched run; c takes one batched run per grid row (one control
-    velocity), which bounds the memory of a stack to one row.  Within a
-    row, the stages that drive only the control atom share one
-    eigendecomposition across the batch, and a stage that repeats an
-    earlier one up to amplitude signs reuses its eigensystem (the dual-rail
-    target's deexcitation at -Omega_t, the traditional control's second pi
-    pulse; see :mod:`dualrail.engine`), so a dual-rail 100 x 100 grid
-    diagonalizes 10,600 matrices for n=1.  The error reads no
-    residence time, so no run computes one: the lone lines take the engine
-    without occupation rows rather than :func:`propagate_atom`.
+    sum (:func:`~dualrail.core.maxwell_mean`).  The grid is
+    :func:`rotation_error_grids` at the gate's own cycle count.
     """
-    if n_grid < 2:
-        raise ValueError(f"the velocity grid needs at least 2 points, got {n_grid}")
     thermal_rms_speed(temperature_uk, params.config.species)  # rejects a bad T early
+    errors, = rotation_error_grids(params, method, (params.n_gap_cycles,), n_grid)
     velocities = velocity_grid(n_grid)
-    trains = _trains(params, method)
-    lone = {}
-    for label in ("01", "10"):
-        train, z0 = _lone_train(label, params, trains)
-        space = TwoAtomSpace(_levels(train), ("0",))
-        psi, _ = propagate_stages(space.first_state, space, train, velocities, 0.0, z0, 0.0)
-        lone[label] = psi[:, 0]
-    space, stages = _input_stages(params, trains)
-    z0 = (params.z0_control_um, params.z0_target_um)
-    errors = np.empty((n_grid, n_grid))
-    for i, v_c in enumerate(velocities):
-        psi, _ = propagate_stages(space.first_state, space, stages, v_c, velocities, *z0)
-        errors[i] = rotation_error(lone["01"], lone["10"][i], psi[:, 0])
-
     averaged = maxwell_mean(errors, velocities, temperature_uk, params.config.species)
     return RotationErrorGrid(velocities, errors, averaged)
 
+
+def rotation_error_grids(
+    params: GateParams,
+    method: Method,
+    cycle_counts: Sequence[int],
+    n_grid: int = 100,
+) -> list[np.ndarray]:
+    """Rotation errors over the (v_control, v_target) grid of
+    :func:`velocity_grid` for the gate of ``params`` at each cycle count.
+
+    a depends only on the target velocity and b only on the control
+    velocity, so each line takes one batched run.  c runs in blocks of grid
+    rows, the control velocities of the block on one axis and every target
+    velocity on the other, so each stage diagonalizes only over the
+    velocities its drives see: a stage that drives only the control takes
+    one matrix per row, and the traditional target's 2*pi pulse, which
+    drives only the target, one per target velocity.  A block holds as many
+    rows as keep every matrix stack within ``MAX_STACK_ELEMENTS``: one row
+    of a 100-point dual-rail grid, nine of a traditional one.  Within a
+    block, a stage that repeats an earlier one up to amplitude signs reuses
+    its eigensystem (the dual-rail target's deexcitation at -Omega_t, the
+    traditional control's second pi pulse; see :mod:`dualrail.engine`).
+
+    The cycle counts' "11" stage lists agree up to the end of the target's
+    train; each block runs that shared prefix once and finishes every cycle
+    count from its state, which is the arithmetic of one run.  A dual-rail
+    100 x 100 grid diagonalizes 10,600 matrices for one cycle count and
+    11,200 for n = 1 and 2 together.  The error reads no residence time, so
+    no run computes one: the lone lines take the engine without occupation
+    rows rather than :func:`propagate_atom`.
+    """
+    if n_grid < 2:
+        raise ValueError(f"the velocity grid needs at least 2 points, got {n_grid}")
+    velocities = velocity_grid(n_grid)
+    runs = []
+    for n_cycles in cycle_counts:
+        gate = replace(params, n_gap_cycles=n_cycles)
+        trains = _trains(gate, method)
+        lone = {}
+        for label in ("01", "10"):
+            train, z0 = _lone_train(label, gate, trains)
+            atom = TwoAtomSpace(_levels(train), ("0",))
+            psi, _ = propagate_stages(atom.first_state, atom, train, velocities, 0.0, z0, 0.0)
+            lone[label] = psi[:, 0]
+        space, stages = _input_stages(gate, trains)  # the same space for every count
+        runs.append((lone, stages))
+    first = runs[0][1]
+    shared = 0
+    while all(shared < len(stages) and stages[shared] == first[shared] for _, stages in runs):
+        shared += 1
+    z0 = (params.z0_control_um, params.z0_target_um)
+    block = max(1, MAX_STACK_ELEMENTS // (n_grid * space.dim ** 2))
+    errors = [np.empty((n_grid, n_grid)) for _ in runs]
+    v_t = velocities[None, :]
+    for start in range(0, n_grid, block):
+        rows = slice(start, start + block)
+        v_c = velocities[rows, None]
+        prefix, _ = propagate_stages(space.first_state, space, first[:shared], v_c, v_t, *z0)
+        for (lone, stages), grid in zip(runs, errors):
+            psi = prefix
+            if len(stages) > shared:
+                psi, _ = propagate_stages(prefix, space, stages[shared:], v_c, v_t, *z0)
+            grid[rows] = rotation_error(lone["01"], lone["10"][rows, None], psi[..., 0])
+    return errors

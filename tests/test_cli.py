@@ -394,21 +394,42 @@ def test_gate_grid_output_computes_grid_and_report_once(capsys, tmp_path, monkey
 
 
 def test_table2_builds_one_grid_per_method_and_cycle_count(capsys, monkeypatch):
-    # rows 1/3, 2/4, 5/7 and 6/8 differ only in temperature
-    calls = []
-    original = gate.averaged_rotation_error
+    # rows 1/3, 2/4, 5/7 and 6/8 differ only in temperature, and one call
+    # per method computes both of its cycle counts
+    calls, grids = [], []
+    original = gate.rotation_error_grids
 
-    def counting(params, temperature_uk, method, **kwargs):
-        calls.append((method, params.n_gap_cycles))
-        return original(params, temperature_uk, method, **kwargs)
+    def counting(params, method, cycle_counts, *args, **kwargs):
+        calls.append(method)
+        grids.extend((method, n) for n in cycle_counts)
+        return original(params, method, cycle_counts, *args, **kwargs)
 
-    monkeypatch.setattr(gate, "averaged_rotation_error", counting)
+    monkeypatch.setattr(gate, "rotation_error_grids", counting)
     code, out, _ = run_cli(capsys, "table", "--which", "2", "--grid-points", "4")
     assert code == 0
     assert len(out.strip().split("\n")) == 9
-    assert sorted(calls) == [
+    assert sorted(calls) == ["dual_rail", "traditional"]
+    assert sorted(grids) == [
         ("dual_rail", 1), ("dual_rail", 2), ("traditional", 1), ("traditional", 2)
     ]
+
+
+def test_table2_eigendecomposition_budget(capsys, monkeypatch):
+    # 9 x 9 grids, one block of rows each.  Per method, the lone lines of
+    # both cycle counts (72 dual-rail, 36 traditional), the shared prefix
+    # once (90, 18) and each count's remainder (9 + 18, 9 + 9); running the
+    # two counts separately would take 279 + 72 = 351
+    matrices = []
+    original = np.linalg.eigh
+
+    def counting(h, *args, **kwargs):
+        matrices.append(h.reshape(-1, *h.shape[-2:]).shape[0])
+        return original(h, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    code, _, _ = run_cli(capsys, "table", "--which", "2", "--grid-points", "9")
+    assert code == 0
+    assert sum(matrices) == 261
 
 
 @pytest.mark.parametrize("argv", [

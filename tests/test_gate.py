@@ -273,8 +273,21 @@ def test_numeric_decay_matches_analytic():
 
 # --- cross-validation of the stage engine -------------------------------------
 
+def _train_intervals(control, target):
+    """The intervals between the switching times of the two atoms' own
+    trains, each as a stage with the drive each train has there: the
+    oracle's stages, built without the merge of _input_stages."""
+    def drive(train, t):
+        return next((s.control for s in train if s.t0 <= t < s.t1), None)
+
+    times = sorted({t for s in control + target for t in (s.t0, s.t1)})
+    return [GateStage(t0, t1, drive(control, 0.5 * (t0 + t1)), drive(target, 0.5 * (t0 + t1)))
+            for t0, t1 in zip(times, times[1:])]
+
+
 def _check_engine_against_adaptive_integrator(method):
-    full, stages = _input_stages(PARAMS, _trains(PARAMS, method))
+    trains = _trains(PARAMS, method)
+    full, stages = _input_stages(PARAMS, trains)
     v_c, v_t, z0c, z0t = 0.13, -0.07, 0.8, -1.3
     psi0 = np.zeros(full.dim, dtype=complex)
     psi0[full.index("1", "1")] = 1.0
@@ -283,7 +296,7 @@ def _check_engine_against_adaptive_integrator(method):
     )
     labels = tuple(f"{c}|{t}" for c, t in full.labels())
     state = ComplexState(labels, psi0)
-    for st_ in stages:
+    for st_ in _train_intervals(*trains):
         h = lambda t, st_=st_: lab_hamiltonian(full, st_, t, v_c, v_t, z0c, z0t)
         state = evolve(state, h, st_.t0, st_.t1, rtol=1e-12, atol=1e-14)
     assert np.max(np.abs(state.amplitudes - psi_frame)) < 1e-8
@@ -301,28 +314,22 @@ def test_traditional_engine_matches_adaptive_integrator():
 def test_control_shelves_alone_after_a_target_train_that_ends_early():
     # The target's 1+3 pi train ends 1e-4 us before the wait window closes,
     # so the control shelves alone for the rest.  The oracle takes each
-    # interval's drives from the two atoms' own trains, not from the merged
-    # stage list of _input_stages.  At rest the lab-frame Hamiltonian is
-    # constant on each interval, which keeps the stiff blockade shifts cheap.
+    # interval's drives from the two atoms' own trains.  At rest the
+    # lab-frame Hamiltonian is constant on each interval, which keeps the
+    # stiff blockade shifts cheap.
     t_wait = PARAMS.t_wait
     params = make_params(omega_t=4.0 * math.pi / (math.sqrt(2.0) * (t_wait - 1e-4)),
                          z0_control_um=0.8, z0_target_um=-1.3)
     control, target = _trains(params, "dual_rail")
     assert control[1].t1 - target[-1].t1 == pytest.approx(1e-4, rel=1e-9)
     space, _ = _input_stages(params, (control, target))
-
-    def drive(train, t):
-        return next((s.control for s in train if s.t0 <= t < s.t1), None)
-
-    times = sorted({t for s in control + target for t in (s.t0, s.t1)})
     psi0 = np.zeros(space.dim, dtype=complex)
     psi0[space.index("1", "1")] = 1.0
     state = ComplexState(tuple(f"{c}|{t}" for c, t in space.labels()), psi0)
-    for t0, t1 in zip(times, times[1:]):
-        mid = 0.5 * (t0 + t1)
-        stage = GateStage(t0, t1, drive(control, mid), drive(target, mid))
+    for stage in _train_intervals(control, target):
+        mid = 0.5 * (stage.t0 + stage.t1)
         h = lab_hamiltonian(space, stage, mid, 0.0, 0.0, 0.8, -1.3)
-        state = evolve(state, lambda t, h=h: h, t0, t1)
+        state = evolve(state, lambda t, h=h: h, stage.t0, stage.t1)
     c_engine, _ = simulate_gate_input("11", params, 0.0, 0.0)
     assert abs(state.amplitudes[space.index("1", "1")] - c_engine) < 1e-8
 
@@ -489,12 +496,7 @@ def test_sign_flipped_stage_reuses_the_eigensystem_exactly(monkeypatch, v_target
     assert np.max(np.abs(t_joined - (t_first + t_second))) < 1e-14
 
 
-@pytest.mark.parametrize("method, n_cycles, budget", [
-    ("dual_rail", 1, 135), ("dual_rail", 2, 144), ("traditional", 1, 108),
-])
-def test_grid_eigendecomposition_budget(monkeypatch, method, n_cycles, budget):
-    # 9 x 9 grid: the lone lines' stacks of 9 plus one batched run per row;
-    # losing the sign-flipped or repeated stage sharing raises the count
+def _count_eigh_matrices(monkeypatch):
     matrices = []
     original = np.linalg.eigh
 
@@ -503,8 +505,110 @@ def test_grid_eigendecomposition_budget(monkeypatch, method, n_cycles, budget):
         return original(h, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
+    return matrices
+
+
+@pytest.mark.parametrize("method, n_cycles, budget", [
+    ("dual_rail", 1, 135), ("dual_rail", 2, 144), ("traditional", 1, 36),
+])
+def test_grid_eigendecomposition_budget(monkeypatch, method, n_cycles, budget):
+    # 9 x 9 grid, one block of rows: the lone lines' stacks of 9, 9 matrices
+    # for a control-only stage and 9 for the traditional target-only 2*pi
+    # pulse, 81 for a stage that drives both atoms.  Losing the broadcast
+    # velocity axes or the sign-flipped or repeated stage sharing raises it.
+    matrices = _count_eigh_matrices(monkeypatch)
     averaged_rotation_error(make_params(n_cycles), 10.0, method, n_grid=9)
     assert sum(matrices) == budget
+
+
+@pytest.mark.parametrize("method", ["dual_rail", "traditional"])
+def test_broadcast_velocity_axes_match_scalar_calls(monkeypatch, method):
+    space, stages = _input_stages(PARAMS, _trains(PARAMS, method))
+    v_c, v_t = np.array([[-0.31], [0.05], [0.44]]), np.array([-0.2, 0.0, 0.17, 0.5])
+    z_c, z_t = np.array([[0.8], [-0.3], [1.7]]), np.array([-1.3, 0.0, 0.4, 2.2])
+    rows = space.single_rydberg_indices
+    matrices = _count_eigh_matrices(monkeypatch)
+    psi, occupation = propagate_stages(
+        space.first_state, space, stages, v_c, v_t, z_c, z_t, rows)
+    assert psi.shape == (3, 4, space.dim) and occupation.shape == (3, 4)
+    # each stage diagonalizes over the velocities its own drives see
+    driven = [(s.control is not None, s.target is not None) for s in stages]
+    if method == "dual_rail":  # the target's deexcitation reuses its excitation
+        assert driven == [(True, False), (True, True), (True, True), (True, False)]
+        assert matrices == [3, 12, 3]
+    else:  # the control's second pi pulse reuses its first
+        assert driven == [(True, False), (False, True), (False, False), (True, False)]
+        assert matrices == [3, 4]
+    for i in range(3):
+        for j in range(4):
+            one, t_one = propagate_stages(space.first_state, space, stages, v_c[i, 0],
+                                          v_t[j], z_c[i, 0], z_t[j], rows)
+            assert np.max(np.abs(psi[i, j] - one)) < 1e-12
+            assert abs(occupation[i, j] - t_one) < 1e-12
+
+
+def _row_by_row_grid(params, method, n_grid):
+    """The grid with one engine call per row: one control velocity against
+    every target velocity."""
+    v = velocity_grid(n_grid)
+    trains = _trains(params, method)
+    lone = {}
+    for label in ("01", "10"):
+        train, z0 = _lone_train(label, params, trains)
+        atom = TwoAtomSpace(_levels(train), ("0",))
+        lone[label] = propagate_stages(atom.first_state, atom, train, v, 0.0, z0, 0.0)[0][:, 0]
+    space, stages = _input_stages(params, trains)
+    errors = np.empty((n_grid, n_grid))
+    for i, v_c in enumerate(v):
+        psi, _ = propagate_stages(space.first_state, space, stages, v_c, v,
+                                  params.z0_control_um, params.z0_target_um)
+        errors[i] = rotation_error(lone["01"], lone["10"][i], psi[:, 0])
+    return errors
+
+
+@pytest.mark.parametrize("method, n_grid, blocks", [
+    ("dual_rail", 12, [8, 4]), ("traditional", 40, [22, 18]),
+])
+@pytest.mark.parametrize("n_cycles", [1, 2])
+def test_row_blocks_that_do_not_divide_the_grid(monkeypatch, method, n_grid, blocks, n_cycles):
+    # a block holds as many rows as keep a stack within one 100-point
+    # dual-rail row: 14,400 // (12 * 144) = 8, 14,400 // (40 * 16) = 22
+    params = make_params(n_cycles, z0_control_um=0.7, z0_target_um=-1.1)
+    expected = _row_by_row_grid(params, method, n_grid)
+    rows = []
+    original = gate_module.propagate_stages
+
+    def recording(psi, space, stages, v_control, *args, **kwargs):
+        rows.append(np.shape(v_control)[:1])
+        return original(psi, space, stages, v_control, *args, **kwargs)
+
+    monkeypatch.setattr(gate_module, "propagate_stages", recording)
+    errors = averaged_rotation_error(params, 10.0, method, n_grid=n_grid).errors
+    assert rows == [(n_grid,)] * 2 + [(b,) for b in blocks]  # the lone lines first
+    if method == "dual_rail":  # blocks of rows are the row loop's arithmetic
+        assert np.array_equal(errors, expected)
+    else:
+        assert np.max(np.abs(errors - expected) / expected) < 1e-12
+
+
+@pytest.mark.parametrize("method", ["dual_rail", "traditional"])
+def test_cycle_counts_share_their_prefix_exactly(monkeypatch, method):
+    params = make_params(1, z0_control_um=0.7, z0_target_um=-1.1)
+    single = [averaged_rotation_error(make_params(n, z0_control_um=0.7, z0_target_um=-1.1),
+                                      10.0, method, n_grid=12).errors for n in (1, 2)]
+    calls = []
+    original = gate_module.propagate_stages
+    monkeypatch.setattr(gate_module, "propagate_stages",
+                        lambda *args: calls.append(len(args[2])) or original(*args))
+    both = gate_module.rotation_error_grids(params, method, (1, 2), n_grid=12)
+    assert all(np.array_equal(a, b) for a, b in zip(both, single))
+    # after the four lone lines, per block: the stages up to the end of the
+    # target's train once, then the rest of each count's stage list
+    shared = 3 if method == "dual_rail" else 2
+    rest = [len(_input_stages(p, _trains(p, method))[1]) - shared
+            for p in (make_params(1), make_params(2))]
+    blocks = 2 if method == "dual_rail" else 1
+    assert calls[4:] == [shared, *rest] * blocks
 
 
 def test_report_builds_its_pulse_trains_once(monkeypatch):
@@ -659,14 +763,7 @@ def test_batched_grid_matches_pointwise_loop(method, n_cycles):
 
 
 def test_control_only_stages_share_one_eigendecomposition(monkeypatch):
-    matrices = []
-    original = np.linalg.eigh
-
-    def counting(h, *args, **kwargs):
-        matrices.append(h.reshape(-1, *h.shape[-2:]).shape[0])
-        return original(h, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+    matrices = _count_eigh_matrices(monkeypatch)
     velocities = velocity_grid(100)
     _simulate_input("11", PARAMS, _trains(PARAMS, "dual_rail"), 0.12, velocities)
     # excite and deexcite drive the control only; the target's two pulses
