@@ -42,8 +42,9 @@ from dualrail.core import (
     scalar_or_array,
 )
 from dualrail.engine import (
-    INFRARED, OPTICAL_DUAL, AtomDrive, ComplexState, pi_time, propagate_atom,
-    pulse_train, resilient_pair, single_rail_restore,
+    INFRARED, OPTICAL_DUAL, AtomDrive, ComplexState, TwoAtomSpace, _levels,
+    pi_time, propagate_atom, propagate_stages, pulse_train, resilient_pair,
+    single_rail_restore,
 )
 
 
@@ -222,19 +223,26 @@ def optimize_deexcitation(
     Scans |Omega_dp| within 10% of |Omega| with Brent's bounded
     minimization without derivatives (:func:`_minimize_bounded`, which
     matches SciPy's bounded ``minimize_scalar`` exactly) at 1e-6 MHz
-    resolution, evaluating the pi + 3*pi sequence at the reference
-    velocity.  The optimum belongs to ``v_ref``: for
+    resolution, minimizing the restore error of the pi + 3*pi sequence
+    (:func:`run_excite_restore`) at the reference velocity.  The pi
+    excitation does not depend on Omega_dp, so it runs once per search;
+    each evaluation runs only the 3*pi stage from the stored state, which
+    is the same arithmetic as the whole pair in one call (see
+    :func:`dualrail.engine.propagate_stages`).  The optimum belongs to
+    ``v_ref``: for
     |Omega|/2pi = 2 MHz on the positive branch it is 2.0013 MHz at
     v_ref = 0.01 m/s, 2.0317 MHz at 0.05 m/s and 2.1179 MHz at 0.1 m/s.
     Returns the signed amplitude in rad/us.
 
     At v_ref = 0 every 3*pi-area pulse restores the state exactly and the
     objective is degenerate; the convention is to return sign*|Omega|.  A
-    zero Omega raises ValueError at any v_ref.
+    zero Omega, or a NaN or infinite v_ref, raises ValueError.
     """
     pi_time(omega)  # rejects a zero amplitude, as every pulse does
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
+    if not math.isfinite(v_ref):
+        raise ValueError(f"v_ref must be finite, got {v_ref!r}")
     if v_ref == 0.0:
         return sign * abs(omega)
 
@@ -242,13 +250,16 @@ def optimize_deexcitation(
     lo, hi = 0.9 * omega_mhz, 1.1 * omega_mhz
     xatol_mhz = 1e-6
 
+    # The lone atom from z0 = 0 at v_ref, as run_excite_restore runs it:
+    # the pi excitation once, then each evaluation's 3*pi stage from there.
+    excite = resilient_pair(abs(omega), abs(omega), k)[:1]
+    space = TwoAtomSpace(_levels(excite), ("0",))
+    excited, _ = propagate_stages(space.first_state, space, excite, v_ref, 0.0, 0.0, 0.0)
+
     def objective(x_mhz: float) -> float:
-        params = SimulationParams(
-            omega=abs(omega),
-            omega_dp=sign * mhz_to_rad_per_us(x_mhz),
-            v_mps=v_ref,
-        )
-        return run_excite_restore(params, k).error
+        pair = resilient_pair(abs(omega), sign * mhz_to_rad_per_us(x_mhz), k)
+        final, _ = propagate_stages(excited, space, pair[1:], v_ref, 0.0, 0.0, 0.0)
+        return 1.0 - ComplexState(space.control_levels, final).population("1")
 
     x = _minimize_bounded(objective, lo, hi, xatol_mhz)
     if min(x - lo, hi - x) < 10.0 * xatol_mhz:

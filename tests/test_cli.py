@@ -511,6 +511,14 @@ def test_bad_numbers_are_usage_errors(capsys, argv):
     assert err.startswith("usage error:")
 
 
+@pytest.mark.parametrize("v_ref", ["nan", "inf", "-inf"])
+def test_non_finite_reference_velocity_is_a_usage_error_naming_it(capsys, v_ref):
+    code, out, err = run_cli(capsys, "optimize", "--omega-mhz", "2", f"--v-ref={v_ref}")
+    assert code == 2
+    assert err.startswith("usage error:") and f"got {v_ref}" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ("restore", "--omega-mhz", "nan", "--v", "0.05"),
     ("restore", "--omega-mhz", "inf", "--v", "0.05"),

@@ -165,6 +165,12 @@ def test_optimizer_sign_validation():
         optimize_deexcitation(OMEGA2, K_MINUS, sign=2)
 
 
+@pytest.mark.parametrize("v_ref", [math.nan, math.inf, -math.inf])
+def test_optimizer_rejects_a_non_finite_reference_velocity(v_ref):
+    with pytest.raises(ValueError, match=f"v_ref must be finite, got {v_ref!r}"):
+        optimize_deexcitation(OMEGA2, K_MINUS, v_ref=v_ref, sign=+1)
+
+
 def test_optimizer_bracket_escape():
     # at large reference velocity the optimum leaves the +-10% bracket
     with pytest.raises(OptimizationError):
@@ -199,15 +205,60 @@ def _recorded(f):
     return recording, points
 
 
-def _c3_objective(monkeypatch, sign, v_ref):
+def _c3_objective(monkeypatch, sign, v_ref, omega=OMEGA2):
     """The restore-error objective, bracket and tolerance that
-    optimize_deexcitation hands its minimizer at Omega/2pi = 2 MHz."""
+    optimize_deexcitation hands its minimizer (at Omega/2pi = 2 MHz unless
+    ``omega`` says otherwise)."""
     calls = []
     monkeypatch.setattr(protocols, "_minimize_bounded",
                         lambda *call: calls.append(call) or 0.5 * (call[1] + call[2]))
-    optimize_deexcitation(OMEGA2, K_MINUS, v_ref=v_ref, sign=sign)
+    optimize_deexcitation(omega, K_MINUS, v_ref=v_ref, sign=sign)
     monkeypatch.undo()
     return calls[0]
+
+
+def _full_pair_error(omega, sign, v_ref):
+    """Restore error of the whole pi + 3*pi pair as a function of
+    |Omega_dp|/2pi in MHz: what the optimizer's objective must equal."""
+    def error(x_mhz):
+        params = SimulationParams(omega=omega, omega_dp=sign * mhz_to_rad_per_us(x_mhz),
+                                  v_mps=v_ref)
+        return run_excite_restore(params, K_MINUS).error
+    return error
+
+
+@pytest.mark.parametrize("omega_mhz", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("sign", [+1, -1])
+@pytest.mark.parametrize("v_ref", [0.01, 0.05, 0.1])
+def test_optimizer_objective_is_the_full_pair_bit_for_bit(monkeypatch, omega_mhz, sign, v_ref):
+    # the search runs the excitation once and one 3*pi stage per point;
+    # splitting the pair must not move a bit of the restore error
+    omega = mhz_to_rad_per_us(omega_mhz)
+    f, lo, hi, _ = _c3_objective(monkeypatch, sign, v_ref, omega)
+    full = _full_pair_error(omega, sign, v_ref)
+    for x in np.linspace(lo, hi, 25):
+        assert f(x) == full(x), x
+
+
+@pytest.mark.parametrize("omega_mhz, sign", [(2.0, +1), (1.0, -1), (1.5, -1)])
+def test_c3_optima_are_the_full_pair_optima(monkeypatch, omega_mhz, sign):
+    omega = mhz_to_rad_per_us(omega_mhz)
+    _, lo, hi, xatol = _c3_objective(monkeypatch, sign, 0.05, omega)
+    x = protocols._minimize_bounded(_full_pair_error(omega, sign, 0.05), lo, hi, xatol)
+    assert optimize_deexcitation(omega, K_MINUS, sign=sign) == sign * mhz_to_rad_per_us(x)
+
+
+def test_optimizer_diagonalizes_the_excitation_once(monkeypatch):
+    # one eigh for the pi excitation, then one per evaluation for its 3*pi
+    # stage; running the whole pair per evaluation would take two each
+    points, matrices = [], []
+    minimize, eigh = protocols._minimize_bounded, np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: matrices.append(h.shape) or eigh(h))
+    monkeypatch.setattr(protocols, "_minimize_bounded",
+                        lambda f, *rest: minimize(lambda x: points.append(x) or f(x), *rest))
+    optimize_deexcitation(OMEGA2, K_MINUS, sign=+1)
+    assert len(points) > 5
+    assert len(matrices) == 1 + len(points)
 
 
 @pytest.mark.parametrize("case", [
@@ -358,16 +409,33 @@ def test_gap_wait_time_must_close_cycles():
     run_gap_protocol(good, CFG.wavevectors)
 
 
-def test_gap_mirror_symmetry():
-    # error(z0, v) = error(-z0, -v)
-    for z0, v in [(1.5, 0.05), (4.0, 0.1), (-2.5, 0.02)]:
-        a = run_gap_protocol(
-            replace(GAP_PARAMS, z0_um=z0, v_mps=v), CFG.wavevectors
-        )
-        b = run_gap_protocol(
-            replace(GAP_PARAMS, z0_um=-z0, v_mps=-v), CFG.wavevectors
-        )
-        assert abs(a.error - b.error) < 1e-9
+def test_dual_rail_protocols_are_mirror_symmetric():
+    """(v, z0) -> (-v, -z0) swaps the rails r1 <-> r2, whose wavevectors
+    are opposite in the V configuration, and leaves the ground state
+    alone: a lone dual-rail atom's endpoint observables do not change.
+    The single-rail baseline keeps only its population.  The two-atom
+    rotation-error grid has no such symmetry (ROADMAP, "Struck")."""
+    rng = np.random.default_rng(2019)
+    v, z0 = rng.uniform(-0.5, 0.5, 50), rng.uniform(-5.0, 5.0, 50)
+    gap = partial(run_gap_protocol, wavevectors=CFG.wavevectors)
+    restore = partial(run_excite_restore, k=K_MINUS)
+    restore_params = SimulationParams(omega=OMEGA2, omega_dp=-mhz_to_rad_per_us(2.0399))
+    for run, params in ((gap, GAP_PARAMS), (restore, restore_params)):
+        a = run(replace(params, v_mps=v, z0_um=z0))
+        b = run(replace(params, v_mps=-v, z0_um=-z0))
+        for field in ("ground_population", "r3_leak", "rydberg_time_us"):
+            assert np.max(np.abs(getattr(a, field) - getattr(b, field))) < 1e-13, field
+        phase_gap = np.remainder(a.ground_phase - b.ground_phase + math.pi, 2.0 * math.pi)
+        assert np.max(np.abs(phase_gap - math.pi)) < 1e-13
+    # flipping v alone moves the gap population, so the above is not vacuous
+    a = gap(replace(GAP_PARAMS, v_mps=v, z0_um=z0))
+    b = gap(replace(GAP_PARAMS, v_mps=-v, z0_um=z0))
+    assert np.max(np.abs(a.ground_population - b.ground_population)) > 1e-3
+    # the single-rail phase keeps its Doppler term, which flips with v
+    traditional = SimulationParams(omega=OMEGA2, t_wait_us=gap_wait_time(1, OMEGA2))
+    a = run_traditional_restore(replace(traditional, v_mps=v, z0_um=z0), K_MINUS)
+    b = run_traditional_restore(replace(traditional, v_mps=-v, z0_um=-z0), K_MINUS)
+    assert np.max(np.abs(a.ground_population - b.ground_population)) < 1e-13
 
 
 def test_gap_error_decreases_away_from_origin():
