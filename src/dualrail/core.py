@@ -13,14 +13,17 @@ frequency equals 1 cycle/us, so the conversions are exact.
 
 from __future__ import annotations
 
-import configparser
 import math
 import os
 import sys
 from dataclasses import dataclass, fields
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    import configparser
 
 TWO_PI = 2.0 * math.pi
 
@@ -467,6 +470,8 @@ def load_configs(path: str) -> list[AtomLaserConfig]:
     or a number that is not finite, or not positive where the quantity
     must be, raises ValueError.
     """
+    import configparser  # the only INI reader; kept out of start-up
+
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path)

@@ -20,8 +20,6 @@ inputs and its duration.
 from __future__ import annotations
 
 import math
-# Unused; perfbench's tracer patches this name until it stops looking it up.
-from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass, replace
 from typing import Literal, Sequence
 
@@ -39,6 +37,16 @@ from dualrail.engine import (
     INFRARED, OPTICAL_SINGLE, AtomDrive, GateStage, TwoAtomSpace, _levels, pi_time,
     propagate_atom, propagate_stages, pulse_train, resilient_pair, single_rail_restore,
 )
+
+
+def __getattr__(name: str):
+    # perfbench's tracer patches ProcessPoolExecutor here; it resolves on
+    # lookup so that no import loads the unused process-pool machinery.
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 Method = Literal["dual_rail", "traditional"]
 
@@ -332,16 +340,22 @@ def rotation_error_grids(
     one matrix per row, and the traditional target's 2*pi pulse, which
     drives only the target, one per target velocity.  A block holds as many
     rows as keep every matrix stack within ``MAX_STACK_ELEMENTS``: one row
-    of a 100-point dual-rail grid, nine of a traditional one.  Within a
-    block, a stage that repeats an earlier one up to amplitude signs reuses
-    its eigensystem (the dual-rail target's deexcitation at -Omega_t, the
-    traditional control's second pi pulse; see :mod:`dualrail.engine`).
+    of a 100-point dual-rail grid, nine of a traditional one.  Within one
+    :func:`propagate_stages` call, a stage that repeats an earlier one up to
+    amplitude signs reuses its eigensystem (the dual-rail target's
+    deexcitation at -Omega_t; see :mod:`dualrail.engine`).
 
     The cycle counts' "11" stage lists agree up to the end of the target's
     train; each block runs that shared prefix once and finishes every cycle
     count from its state, which is the arithmetic of one run.  A dual-rail
     100 x 100 grid diagonalizes 10,600 matrices for one cycle count and
-    11,200 for n = 1 and 2 together.  The error reads no residence time, so
+    11,200 for n = 1 and 2 together.  The reuse does not reach across
+    calls: for a single cycle count the prefix is the whole stage list, so
+    the traditional control's second pi pulse reuses the first's
+    eigensystem, but with several counts each count's remainder is its own
+    call and diagonalizes that pulse again, one matrix per control velocity
+    (100 per traditional count at 100 points, 200 of the 13,100 matrices of
+    ``dualrail table --which 2``).  The error reads no residence time, so
     no run computes one: the lone lines take the engine without occupation
     rows rather than :func:`propagate_atom`.
     """

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import math
 import warnings
-# Unused; perfbench's tracer patches this name until it stops looking it up.
-from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -46,6 +44,15 @@ from dualrail.engine import (
     pi_time, propagate_atom, propagate_stages, pulse_train, resilient_pair,
     single_rail_restore,
 )
+
+
+def __getattr__(name: str):
+    # perfbench's tracer patches ProcessPoolExecutor here; it resolves on
+    # lookup so that no import loads the unused process-pool machinery.
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class OptimizationError(RuntimeError):

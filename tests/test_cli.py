@@ -652,6 +652,32 @@ def test_cli_import_loads_no_scipy():
     assert "dualrail.propagator" not in dualrail_modules
 
 
+def test_cli_import_loads_no_process_pool_or_ini_parser(tmp_path):
+    # nothing runs a process pool, and only --config reads an INI file, so
+    # start-up loads neither; the pool name perfbench patches still resolves
+    path = _write_ini(tmp_path, "[p]\ntau_us = 787.0\n" + PRESET_KEYS)
+    unused = ("concurrent.futures.process", "multiprocessing", "socket",
+              "subprocess", "logging", "configparser")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, dualrail.cli; "
+         f"print(sorted(m for m in {unused!r} if m in sys.modules)); "
+         "import concurrent.futures as cf; from dualrail import gate, protocols; "
+         "print(gate.ProcessPoolExecutor is cf.ProcessPoolExecutor, "
+         "protocols.ProcessPoolExecutor is cf.ProcessPoolExecutor); "
+         f"code = dualrail.cli.main(['gap', '--v', '0', '--config', {path!r}, '--preset', 'p']); "
+         "print(code, 'configparser' in sys.modules)"],
+        capture_output=True, text=True, timeout=60, env=_subprocess_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert lines[1] == "True True"
+    # preset "p" exists only in the INI file, so exit 0 means it was read
+    assert lines[-1] == "0 True"
+    assert parse_kv("\n".join(lines[2:-1]))["population_error"] < 1e-9
+
+
 @pytest.mark.parametrize("argv", [
     ("restore", "--v", "0.05"),
     ("optimize", "--omega-mhz", "2"),
