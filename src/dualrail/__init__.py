@@ -8,7 +8,6 @@ from dualrail.core import (
     WavevectorSet,
     builtin_configs,
     get_config,
-    interaction_shifts,
     load_configs,
     maxwell_grid,
     maxwell_weight,
@@ -25,7 +24,6 @@ __all__ = [
     "WavevectorSet",
     "builtin_configs",
     "get_config",
-    "interaction_shifts",
     "load_configs",
     "maxwell_grid",
     "maxwell_weight",

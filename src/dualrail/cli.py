@@ -4,7 +4,9 @@ The one module that formats or writes output; the others only compute.
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure.  A NumPy
 overflow, invalid operation or division by zero anywhere in a command is a
-numerical failure, so no command prints a NaN and exits 0.
+numerical failure, so no command prints a NaN and exits 0; so is running
+out of memory.  An output path no run could write is refused before any
+computing, and any other operating-system error is a usage error.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import replace
@@ -529,6 +532,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output_paths(args) -> None:
+    """Refuse an output path that no run could write, before any computing."""
+    for flag in ("output", "grid_output"):
+        path = getattr(args, flag, None)
+        if not path:
+            continue
+        name = "--" + flag.replace("_", "-")
+        if os.path.isdir(path):
+            raise UsageError(f"{name} {path} is a directory")
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise UsageError(f"{name} {path} lies in no existing directory")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -536,6 +552,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
+        _check_output_paths(args)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.func(args, get_config(args.preset, args.config))
     except UsageError as exc:
@@ -549,7 +566,10 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (KeyError, ValueError, FileNotFoundError) as exc:
+    except MemoryError as exc:
+        print("numerical failure: out of memory", *exc.args, file=sys.stderr)
+        return 3
+    except (KeyError, ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

@@ -53,13 +53,6 @@ def wavelength_to_wavevector(lambda_nm: float) -> float:
     return TWO_PI * 1000.0 / lambda_nm
 
 
-def wavevector_to_wavelength(k_rad_um: float) -> float:
-    """Inverse of :func:`wavelength_to_wavevector`."""
-    if k_rad_um <= 0:
-        raise ValueError("wavevector must be positive")
-    return TWO_PI * 1000.0 / k_rad_um
-
-
 def two_photon_wavevector(
     lambda_a_nm: float, lambda_b_nm: float, counterpropagating: bool = True
 ) -> float:
@@ -161,11 +154,6 @@ class InteractionTable:
         if not math.isfinite(shift):
             raise ValueError(f"separation {self.separation_um!r} um gives no finite shift")
         return shift
-
-
-def interaction_shifts(table: InteractionTable) -> dict[tuple[int, int], float]:
-    """All pair shifts of ``table`` in rad/us, keyed by sorted pair."""
-    return {pair: table.shift(pair) for pair in table.entries}
 
 
 @dataclass(frozen=True)

@@ -76,15 +76,16 @@ def dual_rail_rotation() -> np.ndarray:
 
 @dataclass(frozen=True)
 class ComplexState:
-    """Complex amplitudes over a named level basis, optionally with a
-    leading batch axis (one state per row; the accessors return arrays)."""
+    """Complex amplitudes over a named level basis, optionally with
+    leading batch axes (one state per batch entry; the accessors return
+    arrays of the batch shape)."""
 
     basis: tuple[str, ...]
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
         amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.ndim not in (1, 2) or amps.shape[-1] != len(self.basis):
+        if amps.ndim == 0 or amps.shape[-1] != len(self.basis):
             raise ValueError("amplitude vector does not match basis size")
         object.__setattr__(self, "amplitudes", amps)
 

@@ -50,8 +50,6 @@ def __getattr__(name: str):
 
 Method = Literal["dual_rail", "traditional"]
 
-GATE_INPUTS = ("00", "01", "10", "11")
-
 # Principal quantum numbers keying the interaction table per rail level.
 DEFAULT_PRINCIPAL = {"r1": 95, "r2": 97, "r3": 99}
 
@@ -62,12 +60,7 @@ MAX_STACK_ELEMENTS = 100 * 12 * 12
 
 @dataclass(frozen=True)
 class GateParams:
-    """Blockade-gate drives, geometry and interaction data.
-
-    The target's 1+3 pi train (excitation at ``omega_t``, deexcitation at
-    ``-omega_t``) must fit inside the wait window, whatever the sign of
-    ``omega_t``.
-    """
+    """Blockade-gate drives, geometry and interaction data."""
 
     omega: float
     omega_dp: float
@@ -83,12 +76,6 @@ class GateParams:
         for name in ("omega", "omega_dp", "omega_t", "omega_if"):
             if getattr(self, name) == 0:
                 raise ValueError(f"{name} must be nonzero")
-        target_window = 4.0 * pi_time(self.omega_t)
-        if target_window > self.t_wait + 1e-12:
-            raise ValueError(
-                "target pulse train must fit inside the wait window: "
-                f"{target_window} > {self.t_wait}"
-            )
 
     @property
     def t_wait(self) -> float:
@@ -122,10 +109,17 @@ def _trains(params: GateParams, method: Method) -> tuple[list[GateStage], list[G
     Resilient: the control runs the gap protocol, the target the restore
     pair at +-Omega_t.  Traditional (pi - 2pi - pi): the control runs the
     single-rail restore at Omega' = sqrt(2) Omega around its wait, the
-    target one 2*pi pulse at Omega'.
+    target one 2*pi pulse at Omega'.  Either target's train must fit inside
+    the wait window, whatever the sign of its amplitude.
     """
     k = params.config.wavevectors.k_excite
     if method == "dual_rail":
+        target_window = 4.0 * pi_time(params.omega_t)
+        if target_window > params.t_wait + 1e-12:
+            raise ValueError(
+                "target pulse train must fit inside the wait window: "
+                f"{target_window} > {params.t_wait}"
+            )
         ir = AtomDrive(params.omega_if, params.config.wavevectors.k_wait, INFRARED)
         control = resilient_pair(params.omega, params.omega_dp, k, (params.t_wait, ir))
         target = resilient_pair(params.omega_t, -params.omega_t, k, t0=control[1].t0)
@@ -184,9 +178,11 @@ def _simulate_input(
     v_control: float | np.ndarray,
     v_target: float | np.ndarray,
 ) -> tuple[complex, float] | tuple[np.ndarray, np.ndarray]:
-    """:func:`simulate_gate_input` for input "01", "10" or "11" of the gate
+    """Diagonal amplitude <input|U|input> and single-Rydberg residence time
+    of input "01", "10" or "11" (input "00" is the identity) of the gate
     whose pulse trains are ``trains``, with scalar or 1-D array velocities
-    as in :func:`propagate_stages`; a scalar amplitude is a Python complex."""
+    as in :func:`propagate_stages`; a scalar amplitude is a Python complex.
+    An atom in |0> is an uncoupled spectator (:func:`_lone_train`)."""
     if input_label == "11":
         space, stages = _input_stages(params, trains)
         psi, t_r = propagate_stages(
@@ -198,28 +194,6 @@ def _simulate_input(
     train, z0 = _lone_train(input_label, params, trains)
     final, t_r = propagate_atom(train, v_control if input_label == "10" else v_target, z0)
     return final.amplitude("1"), t_r
-
-
-def simulate_gate_input(
-    input_label: str,
-    params: GateParams,
-    v_control: float = 0.0,
-    v_target: float = 0.0,
-    method: Method = "dual_rail",
-) -> tuple[complex, float]:
-    """Diagonal amplitude <input|U|input> and single-Rydberg residence time.
-
-    Atoms initialized in |0> are uncoupled spectators, so |10> reduces to
-    the control's pulse train alone, |01> to the target's (idling on to the
-    end of the gate), and |11> to the full two-atom space with blockade
-    shifts.
-    """
-    if input_label not in GATE_INPUTS:
-        raise ValueError(f"input must be one of {GATE_INPUTS}")
-    trains = _trains(params, method)  # checked for "00" too
-    if input_label == "00":
-        return 1.0 + 0.0j, 0.0
-    return _simulate_input(input_label, params, trains, v_control, v_target)
 
 
 def rotation_error(a: complex, b: complex, c: complex) -> float:

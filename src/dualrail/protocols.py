@@ -380,25 +380,19 @@ def maxwell_average(
     whole grid.  The default grid spans +-5 thermal rms speeds with 201
     points.  The grid's share of the continuum probability mass must be 1
     within 1e-3: too narrow a grid misses weight, too coarse a one
-    miscounts it.  Single-point grids bypass weighting and return that
-    outcome.
+    miscounts it, and a single point carries none.
     """
     if velocities is None:
         velocities = maxwell_grid(temperature_uk, species)
     velocities = np.asarray(velocities, dtype=float).reshape(-1)
-    mass = 1.0
-    if velocities.size > 1:
-        mass = continuum_weight_mass(velocities, temperature_uk, species)
-        if abs(mass - 1.0) > 1e-3:
-            raise ConvergenceError(f"velocity grid carries {mass:.6f} of the "
-                                   "Maxwell weight, not 1 within 1e-3")
+    mass = continuum_weight_mass(velocities, temperature_uk, species)
+    if abs(mass - 1.0) > 1e-3:
+        raise ConvergenceError(f"velocity grid carries {mass:.6f} of the "
+                               "Maxwell weight, not 1 within 1e-3")
     out = runner(velocities)
     fields = (out.ground_population, np.abs(out.ground_phase), out.r3_leak,
               out.rydberg_time_us)
-    if velocities.size == 1:
-        means = [float(np.reshape(f, -1)[0]) for f in fields]
-    else:
-        means = [maxwell_mean(f, velocities, temperature_uk, species) for f in fields]
+    means = [maxwell_mean(f, velocities, temperature_uk, species) for f in fields]
     return AveragedOutcome(*means, weight_mass=mass, n_points=velocities.size)
 
 

@@ -462,6 +462,57 @@ def test_flags_a_command_would_drop_are_usage_errors(capsys, tmp_path, argv, mes
     assert out == "" and not path.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("gap", "--v", "0.05", "--output", "."), "--output . is a directory"),
+    (("optimize", "--omega-mhz", "2", "--output", "."), "--output . is a directory"),
+    (("excite", "--output", "."), "--output . is a directory"),
+    (("gate", "--grid-output", "."), "--grid-output . is a directory"),
+    (("gate", "--output", "nope/x.json"), "--output nope/x.json lies in no existing directory"),
+    (("gap", "--output", "file.txt/x.csv"), "--output file.txt/x.csv lies in no existing"),
+])
+def test_unwritable_output_is_refused_before_computing(capsys, monkeypatch, tmp_path,
+                                                       argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file.txt").write_text("")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"usage error: {message}")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("error, code, message", [
+    (PermissionError(13, "Permission denied"), 2, "usage error: [Errno 13] Permission denied\n"),
+    (MemoryError(), 3, "numerical failure: out of memory\n"),
+    (MemoryError("Unable to allocate 8 GiB"), 3,
+     "numerical failure: out of memory Unable to allocate 8 GiB\n"),
+])
+def test_write_errors_end_with_a_known_exit_code(capsys, monkeypatch, tmp_path,
+                                                error, code, message):
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr(cli, "_write_json", fail)
+    got, _, err = run_cli(capsys, "optimize", "--omega-mhz", "2",
+                          "--output", str(tmp_path / "x.json"))
+    assert got == code
+    assert err == message
+
+
+def test_traditional_gate_ignores_the_target_amplitude(capsys):
+    # the traditional sequence never reads omega_t, so a target too slow
+    # for the dual-rail wait window refuses only the dual-rail gate
+    argv = ("gate", "--grid-points", "4", "--omega-t-mhz", "0.1")
+    code, out, err = run_cli(capsys, *argv, "--method", "traditional")
+    assert code == 0, err
+    _, plain, _ = run_cli(capsys, *argv[:-2], "--method", "traditional")
+    timed = re.compile(r"wall_time_s = .*\n")
+    assert timed.sub("", out) == timed.sub("", plain)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: target pulse train must fit inside the wait window")
+
+
 def _write_ini(tmp_path, body):
     ini = tmp_path / "cfg.ini"
     ini.write_text(body)
@@ -678,21 +729,44 @@ def test_cli_import_loads_no_process_pool_or_ini_parser(tmp_path):
     assert parse_kv("\n".join(lines[2:-1]))["population_error"] < 1e-9
 
 
+# Refuses every import of SciPy, so that a command that needs it fails.
+NO_SCIPY = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+"""
+
+
 @pytest.mark.parametrize("argv", [
-    ("restore", "--v", "0.05"),
-    ("optimize", "--omega-mhz", "2"),
+    [("restore", "--v", "0.05")],
+    [("optimize", "--omega-mhz", "2")],
+    [("excite",), ("restore",), ("gap", "--temp-uk", "10"), ("optimize", "--omega-mhz", "2"),
+     ("gate", "--grid-points", "4"),
+     ("sweep", "--axis", "v", "--start", "0.01", "--stop", "0.05", "--num", "3"),
+     ("sweep", "--axis", "v", "--protocol", "phase", "--start", "0.01", "--stop", "0.05",
+      "--num", "3"),
+     ("table", "--which", "1", "--rows", "1"),
+     ("table", "--which", "2", "--rows", "1", "--grid-points", "4")],
 ])
 def test_optimizing_commands_load_no_scipy(argv):
-    # the Omega_dp optimizer is a plain-Python port of SciPy's bounded method
+    # SciPy is a test dependency only: every subcommand, the Omega_dp
+    # optimizer (a plain-Python port of SciPy's bounded method) included,
+    # runs with its import blocked.  Each case's command lines run in turn
+    # in one child process.
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from dualrail.cli import main; "
-         f"code = main({list(argv)!r}); "
-         "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        [sys.executable, "-c", NO_SCIPY +
+         "from dualrail.cli import main\n"
+         f"codes = [main(list(a)) for a in {argv!r}]\n"
+         "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         capture_output=True, text=True, timeout=60, env=_subprocess_env(),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert proc.stdout.splitlines()[-1] == f"{[0] * len(argv)} []", proc.stderr
 
 
 def test_only_the_cli_opens_files():

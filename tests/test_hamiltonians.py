@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualrail.core import interaction_shifts, mhz_to_rad_per_us, RB_D_STATE_C6
+from dualrail.core import mhz_to_rad_per_us, RB_D_STATE_C6
 from dualrail.engine import (
     DUAL_RAIL_BASIS,
     INFRARED,
@@ -135,13 +135,13 @@ def test_gap_deexcite_sign_flip():
 
 
 def _shifts():
-    table = interaction_shifts(RB_D_STATE_C6)
+    shift = RB_D_STATE_C6.shift
     return {
-        (1, 1): table[(95, 95)],
-        (1, 2): table[(95, 97)],
-        (1, 3): table[(95, 99)],
-        (2, 2): table[(97, 97)],
-        (2, 3): table[(97, 99)],
+        (1, 1): shift((95, 95)),
+        (1, 2): shift((95, 97)),
+        (1, 3): shift((95, 99)),
+        (2, 2): shift((97, 97)),
+        (2, 3): shift((97, 99)),
     }
 
 

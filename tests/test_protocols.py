@@ -483,15 +483,6 @@ def test_traditional_phase_error_grows_with_wait():
 
 # --- Maxwell averaging ------------------------------------------------------
 
-def test_average_single_point_grid_is_identity():
-    runner = partial(restore_runner, GAP_PARAMS, K_MINUS)
-    avg = maxwell_average(runner, 10.0, CFG.species, velocities=np.array([0.05]))
-    direct = runner(0.05)
-    assert avg.ground_population == direct.ground_population
-    assert avg.mean_abs_phase == abs(direct.ground_phase)
-    assert avg.weight_mass == 1.0
-
-
 def test_average_calls_its_runner_once_with_the_whole_grid():
     calls = []
 
@@ -523,6 +514,9 @@ def test_average_rejects_undersized_grid():
     narrow = np.linspace(-0.01, 0.01, 11)  # ~0.3 sigma at 10 uK
     with pytest.raises(ConvergenceError):
         maxwell_average(runner, 10.0, CFG.species, velocities=narrow)
+    # a lone point carries none of the weight: it certifies no average
+    with pytest.raises(ConvergenceError, match="carries 0.000000"):
+        maxwell_average(runner, 10.0, CFG.species, velocities=np.array([0.05]))
 
 
 @pytest.mark.parametrize("n_points, mass", [(3, 1.9947), (5, 1.0850), (7, 1.0016)])
@@ -644,8 +638,9 @@ def _assert_batch_matches_points(run, params, v, z0):
     """A run over arrays equals per-point scalar runs to 1e-12 (phases modulo
     2*pi: a restored pi may come back as +pi or -pi by roundoff)."""
     batch = run(replace(params, v_mps=v, z0_um=z0))
-    for i, (v_i, z0_i) in enumerate(zip(*np.broadcast_arrays(v, z0))):
-        point = run(replace(params, v_mps=float(v_i), z0_um=float(z0_i)))
+    v, z0 = np.broadcast_arrays(v, z0)
+    for i in np.ndindex(v.shape):
+        point = run(replace(params, v_mps=float(v[i]), z0_um=float(z0[i])))
         for name in ("ground_population", "r3_leak", "rydberg_time_us"):
             assert abs(getattr(batch, name)[i] - getattr(point, name)) < 1e-12, name
         assert abs(math.remainder(batch.ground_phase[i] - point.ground_phase,
@@ -673,3 +668,17 @@ def test_batched_protocols_match_scalar_runs(v, z0, z0_array):
     phis = extract_phase_phi(om, K_MINUS, v)
     for v_i, phi in zip(v, phis):
         assert abs(phi - extract_phase_phi(om, K_MINUS, float(v_i))) < 1e-12
+
+
+def test_protocols_broadcast_velocities_against_coordinates():
+    # propagate_atom takes v and z0 that broadcast against each other: a
+    # (2, 1) velocity column against a (1, 3) coordinate row is a (2, 3) batch
+    v = np.array([[-0.3], [0.05]])
+    z0 = np.array([[-4.0, 0.0, 2.5]])
+    trad = SimulationParams(omega=mhz_to_rad_per_us(2.0 * math.sqrt(2.0)), t_wait_us=0.5)
+    _assert_batch_matches_points(lambda p: run_excite_restore(p, K_MINUS), GAP_PARAMS, v, z0)
+    _assert_batch_matches_points(lambda p: run_gap_protocol(p, CFG.wavevectors),
+                                 GAP_PARAMS, v, z0)
+    _assert_batch_matches_points(lambda p: run_traditional_restore(p, K_MINUS), trad, v, z0)
+    final, t_r = propagate_atom(resilient_pair(OMEGA2, -OMEGA2, K_MINUS), v, z0)
+    assert final.amplitudes.shape == (2, 3, 3) and np.shape(t_r) == (2, 3)
