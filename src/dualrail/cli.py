@@ -99,6 +99,17 @@ def _write_csv(path: str, header: list[str], rows) -> None:
         fh.writelines(line.format(*row) for row in rows)
 
 
+def _write_grid_csv(path: str, velocities: np.ndarray, errors: np.ndarray) -> None:
+    """Write a (v_c, v_t) error grid as :func:`_write_csv` writes its rows,
+    (v_c, v_t, error) in ``.11e``, formatting each velocity once rather
+    than once per row."""
+    v = [f"{x:.11e}" for x in velocities.tolist()]
+    with open(path, "w", newline="") as fh:
+        fh.write("v_c_mps,v_t_mps,e_ro\n")
+        for v_c, row in zip(v, errors.tolist()):
+            fh.writelines(f"{v_c},{v_t},{e:.11e}\n" for v_t, e in zip(v, row))
+
+
 def _phase(amp: complex) -> float:
     """Phase of an amplitude; a roundoff-sized one has none and reads 0,
     the value ``np.angle`` gives for an exact zero."""
@@ -305,10 +316,7 @@ def cmd_gate(args, cfg) -> int:
             "v_target_mps": report.v_target,
         })
     if args.grid_output:
-        v = grid.velocities.tolist()
-        _write_csv(args.grid_output, ["v_c_mps", "v_t_mps", "e_ro"],
-                   ((v_c, v_t, e) for v_c, errors in zip(v, grid.errors.tolist())
-                    for v_t, e in zip(v, errors)))
+        _write_grid_csv(args.grid_output, grid.velocities, grid.errors)
     return 0
 
 

@@ -18,7 +18,8 @@ import os
 import sys
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import TYPE_CHECKING
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
@@ -118,9 +119,13 @@ class InteractionTable:
     ``entries`` maps (n_a, n_b) principal quantum numbers to C6 in
     THz*um^6 (ordinary frequency).  ``separation_um`` is the trap
     separation L; pair shifts are C6/L^6 scaled to angular rad/us.
+
+    The entries are stored read-only (a write raises TypeError), and a
+    table hashes and compares by content, whatever the insertion order:
+    a preset is shared by every caller, and gate plans are cached by it.
     """
 
-    entries: dict[tuple[int, int], float]
+    entries: Mapping[tuple[int, int], float]
     separation_um: float
 
     def __post_init__(self) -> None:
@@ -132,7 +137,14 @@ class InteractionTable:
             if key in normalized and normalized[key] != c6:
                 raise ValueError(f"conflicting C6 entries for pair {key}")
             normalized[key] = float(c6)
-        object.__setattr__(self, "entries", normalized)
+        object.__setattr__(self, "entries", MappingProxyType(normalized))
+
+    def __hash__(self) -> int:
+        return hash((frozenset(self.entries.items()), self.separation_um))
+
+    def __reduce__(self):
+        # A mappingproxy does not pickle; its dict does.
+        return type(self), (dict(self.entries), self.separation_um)
 
     def c6(self, pair: tuple[int, int]) -> float:
         key = (min(pair), max(pair))

@@ -13,7 +13,9 @@ symmetric Hamiltonian: half-amplitudes off the diagonal, the Doppler rates
 -k*v per rail and the interaction shifts on it.  One eigendecomposition per
 stage gives the exact propagator and, for the rows a caller asks for, the
 exact time-integrated Rydberg occupation, which never feeds back into the
-state (a caller that asks for none pays nothing for it).  Only the Doppler
+state (a caller that asks for none pays nothing for it).  The occupation
+is reduced once per call: each driven stage keeps its eigensystem, and one
+stacked integral over all of them follows the last stage.  Only the Doppler
 diagonal depends on the velocities, and only on those of the atoms a stage
 drives, so a stage diagonalizes the stack of the velocities it sees in one
 ``eigh`` call (control and target velocities may lie on separate broadcast
@@ -167,9 +169,11 @@ class TwoAtomSpace:
 
     @cached_property
     def shift_diagonal(self) -> np.ndarray:
-        """Interaction shift of every basis state, in basis order."""
+        """Interaction shift of every basis state, in basis order, read-only."""
         shifts = dict(self.shifts)
-        return np.array([shifts.get(label, 0.0) for label in self.labels()])
+        diagonal = np.array([shifts.get(label, 0.0) for label in self.labels()])
+        diagonal.flags.writeable = False
+        return diagonal
 
     @property
     def first_state(self) -> np.ndarray:
@@ -291,18 +295,61 @@ def _occupation_integral(
     rows: np.ndarray,
 ) -> np.ndarray:
     """Exact integral of the summed populations of ``rows`` over a stage,
-    for one eigensystem or a stack of them (leading batch axis); an array
+    for one eigensystem or a stack of them (leading batch axes); an array
     ``duration`` has a trailing axis of length 1, as in
     :func:`propagate_stages`."""
     gaps = eigenvalues[..., :, None] - eigenvalues[..., None, :]
     small = np.abs(gaps) < 1e-12
-    safe = gaps + small
-    if isinstance(duration, np.ndarray):  # sampled end times: (..., 1, 1)
+    safe = np.add(gaps, small, out=gaps)
+    if isinstance(duration, np.ndarray):  # (..., 1): one per stage or end time
         duration = duration[..., None]
-    integrals = 1j * ((np.exp(-1j * duration * safe) - 1.0) / safe)
+    # 1j (e^{-i d s} - 1) / s, each step in place on one buffer (a stacked
+    # call's temporaries stay few); d * s first, a real product with the
+    # bits of (-1j * d) * s.
+    integrals = np.multiply(-1j, duration * safe)
+    np.exp(integrals, out=integrals)
+    np.subtract(integrals, 1.0, out=integrals)
+    np.divide(integrals, safe, out=integrals)
+    np.multiply(1j, integrals, out=integrals)
     np.copyto(integrals, duration, where=small)
     amps = vectors[..., rows, :] * coeffs[..., None, :]
-    return np.real(((amps @ integrals) * amps.conj()).sum(axis=(-2, -1)))
+    weighted = amps @ integrals
+    weighted *= np.conjugate(amps, out=amps)
+    return np.real(weighted.sum(axis=(-2, -1)))
+
+
+def _total_occupation(terms: list, rows: np.ndarray, batch: tuple[int, ...]) -> np.ndarray:
+    """Sum of every stage's occupation term, added in stage order, from
+    ``terms``: an undriven stage's term as it is, and a driven stage's from
+    its (eigenvalues, vectors, coeffs, duration).
+
+    The driven stages' integrals take one :func:`_occupation_integral`
+    call over their stacked eigensystems.  An entry whose batch shape
+    differs from the others' (a stage that sees only one atom's
+    velocities, or samples several end times) is broadcast to the common
+    shape; the integral is elementwise over the stack, so each stage's term
+    is the one it would get alone, and the sum is a stage-by-stage one.
+    """
+    driven = [term for term in terms if isinstance(term, tuple)]
+    if driven:
+        # A stage's coefficients carry its eigensystem's batch axes, and a
+        # sampled end time the axis of its samples.
+        shapes = {coeffs.shape[:-1] for _, _, coeffs, _ in driven}
+        shapes.update(duration.shape[:-1] for *_, duration in driven
+                      if isinstance(duration, np.ndarray))
+        shape = shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
+        n, dim = len(driven), driven[0][0].shape[-1]
+        eigenvalues = np.empty((n, *shape, dim))
+        vectors = np.empty((n, *shape, dim, dim))
+        coeffs = np.empty((n, *shape, dim), dtype=complex)
+        durations = np.empty((n, *shape, 1))
+        for i, entry in enumerate(driven):
+            eigenvalues[i], vectors[i], coeffs[i], durations[i] = entry
+        integrals = iter(_occupation_integral(vectors, coeffs, eigenvalues, durations, rows))
+    occupation = np.zeros(batch)
+    for term in terms:
+        occupation = occupation + (next(integrals) if isinstance(term, tuple) else term)
+    return occupation
 
 
 def propagate_stages(
@@ -341,6 +388,11 @@ def propagate_stages(
     The occupation is computed only for the rows asked for.  With none
     (the default) it is 0 and costs nothing, and the state is the same,
     bit for bit, as with rows: the integral never feeds back into it.
+    With rows, each driven stage keeps its eigensystem, coefficients and
+    duration, and after the last stage one :func:`_occupation_integral`
+    call integrates them all (:func:`_total_occupation`); the stages'
+    terms are then added in stage order, undriven ones included, so the
+    sum is the one a stage-by-stage integral gives.
     """
     v_c, v_t, z_c, z_t = (np.asarray(x, dtype=float)
                           for x in (v_control, v_target, z0_control, z0_target))
@@ -351,8 +403,8 @@ def propagate_stages(
     # The state takes the batch axes only as stages reach them: a first
     # stage that drives only the control runs once per control velocity.
     psi = np.asarray(psi, dtype=complex)
-    occupation = np.zeros(batch)
     rows = np.asarray(occupation_rows, dtype=int)
+    terms = []  # per stage: an undriven term, or what a driven one integrates
     identity = _identity(space.dim)
     eigensystems = {}  # by sign-free key: exact, as the rates are fixed in a call
     for stage in stages:
@@ -364,8 +416,7 @@ def propagate_stages(
             # Undriven: no frame, and H is the diagonal of interaction shifts.
             if rows.size:
                 populations = np.abs(psi[..., rows]) ** 2
-                occupation = occupation + (
-                    duration * populations.sum(axis=-1, keepdims=True))[..., 0]
+                terms.append((duration * populations.sum(axis=-1, keepdims=True))[..., 0])
             psi = np.exp(-1j * duration * space.shift_diagonal) * psi
             continue
         h0, frame_c, frame_t, key, signs = _stage_hamiltonian(
@@ -392,14 +443,13 @@ def propagate_stages(
         coeffs = (psi[..., None, :] @ vectors)[..., 0, :]
         if rows.size:
             # A row's sign cancels in its population: the stored vectors do.
-            occupation = occupation + _occupation_integral(
-                vectors, coeffs, eigenvalues, duration, rows
-            )
+            terms.append((eigenvalues, vectors, coeffs, duration))
         phases = np.exp(-1j * duration * eigenvalues) * coeffs
         phi = (vectors @ phases[..., None])[..., 0]
         if flip is not None:
             phi = flip * phi
         psi = np.exp(-1j * theta1) * phi
+    occupation = _total_occupation(terms, rows, batch)
     return np.zeros(batch + (space.dim,), dtype=complex) + psi, scalar_or_array(occupation)
 
 
@@ -450,6 +500,13 @@ def _levels(train: Sequence[GateStage]) -> tuple[str, ...]:
     return tuple(levels)
 
 
+@lru_cache(maxsize=64)
+def _atom_space(levels: tuple[str, ...]) -> TwoAtomSpace:
+    """The space of one atom with these levels beside the uncoupled
+    spectator ("0",), built once per level tuple and shared."""
+    return TwoAtomSpace(levels, ("0",))
+
+
 def propagate_atom(
     train: Sequence[GateStage],
     v: float | np.ndarray,
@@ -468,7 +525,7 @@ def propagate_atom(
     excite``); the state and the Rydberg time then carry the broadcast
     axes, or a leading axis of length N.
     """
-    space = TwoAtomSpace(_levels(train), ("0",))
+    space = _atom_space(_levels(train))
     psi, rydberg_time = propagate_stages(
         space.first_state, space, train, v, 0.0, z0, 0.0, space.single_rydberg_indices
     )

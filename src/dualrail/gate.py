@@ -13,14 +13,20 @@ Every input runs on the exact engine of :mod:`dualrail.engine`.  The
 on one axis against every target velocity on the other), each block no
 larger than one 100-point dual-rail row, and several cycle counts of one
 gate share the stages they have in common (:func:`rotation_error_grids`).
-:func:`gate_report` builds the gate's pulse trains once for its three
-inputs and its duration.
+
+Everything about a gate that no velocity changes is its plan
+(:class:`GatePlan`): the duration, and each input's space, stage tuple and
+start coordinates.  A plan is built once per parameter set and method and
+cached (parameters hash by content); :func:`gate_report`,
+:func:`gate_duration` and :func:`rotation_error_grids` read it.  Only
+plans are cached, never results: every call propagates its own inputs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Literal, Sequence
 
 import numpy as np
@@ -34,8 +40,8 @@ from dualrail.core import (
     thermal_rms_speed,
 )
 from dualrail.engine import (
-    INFRARED, OPTICAL_SINGLE, AtomDrive, GateStage, TwoAtomSpace, _levels, pi_time,
-    propagate_atom, propagate_stages, pulse_train, resilient_pair, single_rail_restore,
+    INFRARED, OPTICAL_SINGLE, AtomDrive, GateStage, TwoAtomSpace, _atom_space, _levels,
+    pi_time, propagate_stages, pulse_train, resilient_pair, single_rail_restore,
 )
 
 
@@ -98,7 +104,7 @@ def gate_duration(params: GateParams, method: Method = "dual_rail") -> float:
     Resilient method: pi/(sqrt(2) Omega) + t_wait + 3 pi/(sqrt(2)|Omega_dp|).
     Traditional method: pi/Omega' + t_wait + pi/Omega' with Omega' = sqrt(2) Omega.
     """
-    return _trains(params, method)[0][-1].t1
+    return _plan(params, method).duration
 
 
 def _trains(params: GateParams, method: Method) -> tuple[list[GateStage], list[GateStage]]:
@@ -171,6 +177,63 @@ def _input_stages(params: GateParams, trains: Trains) -> tuple[TwoAtomSpace, lis
     return TwoAtomSpace(levels_c, levels_t, shifts), stages + restore
 
 
+@dataclass(frozen=True)
+class InputRun:
+    """One gate input's run on the engine: its space, its stages and the
+    start coordinates of the control and target slots.  A lone atom of
+    input "01" or "10" takes the control slot beside the spectator."""
+
+    label: str
+    space: TwoAtomSpace
+    stages: tuple[GateStage, ...]
+    z0: tuple[float, float]
+
+
+@dataclass(frozen=True)
+class GatePlan:
+    """The velocity-independent part of a gate: its duration and the runs
+    of inputs "01", "10" and "11", in that order."""
+
+    duration: float
+    runs: tuple[InputRun, InputRun, InputRun]
+
+
+def _input_run(input_label: str, params: GateParams, trains: Trains) -> InputRun:
+    """Run of input "01", "10" or "11" (input "00" is the identity) of the
+    gate whose pulse trains are ``trains``.  An atom in |0> is an uncoupled
+    spectator (:func:`_lone_train`)."""
+    if input_label == "11":
+        space, stages = _input_stages(params, trains)
+        return InputRun("11", space, tuple(stages), (params.z0_control_um, params.z0_target_um))
+    train, z0 = _lone_train(input_label, params, trains)
+    return InputRun(input_label, _atom_space(_levels(train)), tuple(train), (z0, 0.0))
+
+
+@lru_cache(maxsize=64)
+def _plan(params: GateParams, method: Method) -> GatePlan:
+    """The plan of the gate of ``params`` and ``method``, built once per
+    pair from one set of pulse trains and shared: its stage sequences are
+    tuples and its spaces' arrays read-only."""
+    trains = _trains(params, method)
+    return GatePlan(trains[0][-1].t1,
+                    tuple(_input_run(label, params, trains) for label in ("01", "10", "11")))
+
+
+def _run_input(
+    run: InputRun, v_control: float | np.ndarray, v_target: float | np.ndarray
+) -> tuple[complex, float] | tuple[np.ndarray, np.ndarray]:
+    """Diagonal amplitude <input|U|input> and single-Rydberg residence time
+    of one input's run, with scalar or 1-D array velocities as in
+    :func:`propagate_stages`; a scalar amplitude is a Python complex."""
+    if run.label != "11":  # the lone atom takes the control slot
+        v_control, v_target = (v_control if run.label == "10" else v_target), 0.0
+    space = run.space
+    psi, t_r = propagate_stages(space.first_state, space, run.stages, v_control, v_target,
+                                *run.z0, space.single_rydberg_indices)
+    # The input is basis state 0: both slots in their first level.
+    return scalar_or_array(psi[..., 0]), t_r
+
+
 def _simulate_input(
     input_label: str,
     params: GateParams,
@@ -178,22 +241,9 @@ def _simulate_input(
     v_control: float | np.ndarray,
     v_target: float | np.ndarray,
 ) -> tuple[complex, float] | tuple[np.ndarray, np.ndarray]:
-    """Diagonal amplitude <input|U|input> and single-Rydberg residence time
-    of input "01", "10" or "11" (input "00" is the identity) of the gate
-    whose pulse trains are ``trains``, with scalar or 1-D array velocities
-    as in :func:`propagate_stages`; a scalar amplitude is a Python complex.
-    An atom in |0> is an uncoupled spectator (:func:`_lone_train`)."""
-    if input_label == "11":
-        space, stages = _input_stages(params, trains)
-        psi, t_r = propagate_stages(
-            space.first_state, space, stages, v_control, v_target,
-            params.z0_control_um, params.z0_target_um, space.single_rydberg_indices,
-        )
-        # Both atoms start in "1": basis state 0.
-        return scalar_or_array(psi[..., 0]), t_r
-    train, z0 = _lone_train(input_label, params, trains)
-    final, t_r = propagate_atom(train, v_control if input_label == "10" else v_target, z0)
-    return final.amplitude("1"), t_r
+    """:func:`_run_input` of input ``input_label`` of the gate whose pulse
+    trains are ``trains``, built afresh rather than read from a plan."""
+    return _run_input(_input_run(input_label, params, trains), v_control, v_target)
 
 
 def rotation_error(a: complex, b: complex, c: complex) -> float:
@@ -242,12 +292,10 @@ def gate_report(
     method: Method = "dual_rail",
 ) -> GateReport:
     """Run all inputs at one velocity pair and collect the metrics; the
-    gate's pulse trains are built once and serve every input and the
-    duration."""
-    trains = _trains(params, method)
+    gate's plan (:func:`_plan`) serves every input and the duration."""
+    plan = _plan(params, method)
     (a, t01), (b, t10), (c, t11) = (
-        _simulate_input(label, params, trains, v_control, v_target)
-        for label in ("01", "10", "11")
+        _run_input(run, v_control, v_target) for run in plan.runs
     )
     return GateReport(
         method=method,
@@ -256,7 +304,7 @@ def gate_report(
         c=c,
         rotation_error=rotation_error(a, b, c),
         decay_error=decay_error(t01, t10, t11, params.tau_us),
-        duration_us=trains[0][-1].t1,  # as gate_duration
+        duration_us=plan.duration,
         rydberg_times_us={"01": t01, "10": t10, "11": t11},
         v_control=v_control,
         v_target=v_target,
@@ -338,21 +386,19 @@ def rotation_error_grids(
     velocities = velocity_grid(n_grid)
     runs = []
     for n_cycles in cycle_counts:
-        gate = replace(params, n_gap_cycles=n_cycles)
-        trains = _trains(gate, method)
+        *lone_runs, pair = _plan(replace(params, n_gap_cycles=n_cycles), method).runs
         lone = {}
-        for label in ("01", "10"):
-            train, z0 = _lone_train(label, gate, trains)
-            atom = TwoAtomSpace(_levels(train), ("0",))
-            psi, _ = propagate_stages(atom.first_state, atom, train, velocities, 0.0, z0, 0.0)
-            lone[label] = psi[:, 0]
-        space, stages = _input_stages(gate, trains)  # the same space for every count
+        for run in lone_runs:
+            atom = run.space
+            psi, _ = propagate_stages(atom.first_state, atom, run.stages, velocities, 0.0, *run.z0)
+            lone[run.label] = psi[:, 0]
+        space, stages = pair.space, pair.stages  # the same space for every count
         runs.append((lone, stages))
     first = runs[0][1]
     shared = 0
     while all(shared < len(stages) and stages[shared] == first[shared] for _, stages in runs):
         shared += 1
-    z0 = (params.z0_control_um, params.z0_target_um)
+    z0 = pair.z0
     block = max(1, MAX_STACK_ELEMENTS // (n_grid * space.dim ** 2))
     errors = [np.empty((n_grid, n_grid)) for _ in runs]
     v_t = velocities[None, :]

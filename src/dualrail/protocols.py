@@ -12,7 +12,11 @@ Doppler term.
 Every protocol is one atom's pulse train, built by the builders that also
 build the gate's two atoms and run in one call by
 :func:`dualrail.engine.propagate_atom`, batched over velocity and
-coordinate arrays.  Because the restored ground phase comes out of an
+coordinate arrays.  A protocol's train depends on its scalar drive fields
+alone (the amplitudes, the wait and the wavevectors), so each train is
+built once per set of them and cached as a tuple of stages; the velocity
+and the start coordinate, which may be arrays, never key it, and every
+call still propagates.  Because the restored ground phase comes out of an
 exact computation, a phase of pi can come back as +pi or -pi by roundoff;
 compare phases modulo 2*pi.
 """
@@ -22,6 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,7 +45,7 @@ from dualrail.core import (
     scalar_or_array,
 )
 from dualrail.engine import (
-    INFRARED, OPTICAL_DUAL, AtomDrive, ComplexState, TwoAtomSpace, _levels,
+    INFRARED, OPTICAL_DUAL, AtomDrive, ComplexState, GateStage, _atom_space, _levels,
     pi_time, propagate_atom, propagate_stages, pulse_train, resilient_pair,
     single_rail_restore,
 )
@@ -139,9 +144,27 @@ def _outcome(final: ComplexState, rydberg_time) -> ProtocolOutcome:
     return ProtocolOutcome(population, final.phase("1"), r3_leak, rydberg_time)
 
 
+@lru_cache(maxsize=256)
+def _restore_train(omega: float, omega_dp: float, k: float) -> tuple[GateStage, ...]:
+    return tuple(resilient_pair(omega, omega_dp, k))
+
+
+@lru_cache(maxsize=256)
+def _gap_train(
+    omega: float, omega_dp: float, omega_if: float, t_wait: float, k_excite: float, k_wait: float
+) -> tuple[GateStage, ...]:
+    ir = AtomDrive(omega_if, k_wait, INFRARED)
+    return tuple(resilient_pair(omega, omega_dp, k_excite, (t_wait, ir)))
+
+
+@lru_cache(maxsize=256)
+def _traditional_train(omega: float, k: float, t_wait: float) -> tuple[GateStage, ...]:
+    return tuple(single_rail_restore(omega, k, t_wait))
+
+
 def run_excite_restore(params: SimulationParams, k: float) -> ProtocolOutcome:
     """Immediate pi + 3*pi state transfer and restoration, no wait window."""
-    stages = resilient_pair(params.omega, params.omega_dp, k)
+    stages = _restore_train(params.omega, params.omega_dp, k)
     return _outcome(*propagate_atom(stages, params.v_mps, params.z0_um))
 
 
@@ -163,10 +186,8 @@ def run_gap_protocol(
             f"wait time {params.t_wait_us} breaks the full-cycle condition; "
             f"expected {expected} for n={params.n_gap_cycles}"
         )
-    ir = AtomDrive(params.omega_if, wavevectors.k_wait, INFRARED)
-    stages = resilient_pair(
-        params.omega, params.omega_dp, wavevectors.k_excite, (expected, ir)
-    )
+    stages = _gap_train(params.omega, params.omega_dp, params.omega_if, expected,
+                        wavevectors.k_excite, wavevectors.k_wait)
     return _outcome(*propagate_atom(stages, params.v_mps, params.z0_um))
 
 
@@ -177,7 +198,7 @@ def run_traditional_restore(params: SimulationParams, k: float) -> ProtocolOutco
     k*v*t_wait accumulated in the Rydberg state survives into the
     restored ground-state phase.
     """
-    stages = single_rail_restore(params.omega, k, params.t_wait_us)
+    stages = _traditional_train(params.omega, k, params.t_wait_us)
     return _outcome(*propagate_atom(stages, params.v_mps, params.z0_um))
 
 
@@ -260,7 +281,7 @@ def optimize_deexcitation(
     # The lone atom from z0 = 0 at v_ref, as run_excite_restore runs it:
     # the pi excitation once, then each evaluation's 3*pi stage from there.
     excite = resilient_pair(abs(omega), abs(omega), k)[:1]
-    space = TwoAtomSpace(_levels(excite), ("0",))
+    space = _atom_space(_levels(excite))
     excited, _ = propagate_stages(space.first_state, space, excite, v_ref, 0.0, 0.0, 0.0)
 
     def objective(x_mhz: float) -> float:

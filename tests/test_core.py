@@ -1,4 +1,5 @@
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from dualrail.core import (
     RB_D_STATE_C6,
     AtomSpecies,
     ConvergenceError,
+    InteractionTable,
     MissingPairError,
     SimulationParams,
     builtin_configs,
@@ -170,6 +172,36 @@ def test_interaction_table_reference_entries():
         (97, 99): -26.0,
     }
     assert RB_D_STATE_C6.entries == expected
+    assert list(RB_D_STATE_C6.entries) == list(expected)
+    assert dict(RB_D_STATE_C6.entries.items()) == expected
+
+
+def test_interaction_table_is_read_only():
+    # the preset is shared by every caller in the process
+    entries = get_config("rb87_5p12").interactions.entries
+    with pytest.raises(TypeError):
+        entries[(95, 95)] = 0.0
+    with pytest.raises(TypeError):
+        del entries[(95, 95)]
+    assert get_config("rb87_5p12").interactions.entries[(95, 95)] == -14.0
+    # the table keeps no reference to the dict it was built from
+    source = {(95, 95): -14.0}
+    table = InteractionTable(source, separation_um=7.0)
+    source[(95, 95)] = 0.0
+    assert table.c6((95, 95)) == -14.0
+
+
+def test_interaction_table_hashes_and_compares_by_content():
+    items = list(RB_D_STATE_C6.entries.items())
+    reordered = InteractionTable(dict(reversed(items)), separation_um=7.0)
+    assert reordered == RB_D_STATE_C6
+    assert hash(reordered) == hash(RB_D_STATE_C6)
+    assert {RB_D_STATE_C6: "plan"}[reordered] == "plan"
+    assert InteractionTable({(97, 95): -21.0}, 7.0) == InteractionTable({(95, 97): -21.0}, 7.0)
+    changed = InteractionTable({**RB_D_STATE_C6.entries, (95, 95): -14.5}, separation_um=7.0)
+    assert changed != RB_D_STATE_C6
+    assert replace(RB_D_STATE_C6, separation_um=8.0) != RB_D_STATE_C6
+    assert pickle.loads(pickle.dumps(get_config("rb87_5p12"))) == get_config("rb87_5p12")
 
 
 def test_interaction_missing_pair():

@@ -609,12 +609,45 @@ def test_cycle_counts_share_their_prefix_exactly(monkeypatch, method):
 
 
 def test_report_builds_its_pulse_trains_once(monkeypatch):
+    # one plan per parameter set: three reports at different velocities,
+    # with the duration, build the trains once between them
     calls = []
     original = gate_module._trains
     monkeypatch.setattr(gate_module, "_trains",
                         lambda *args: calls.append(args) or original(*args))
-    gate_report(PARAMS, 0.1, 0.2)
+    gate_module._plan.cache_clear()
+    for v_c, v_t in ((0.1, 0.2), (-0.3, 0.05), (0.0, -0.17)):
+        gate_report(PARAMS, v_c, v_t)
+    gate_duration(PARAMS)
     assert calls == [(PARAMS, "dual_rail")]
+
+
+@pytest.mark.parametrize("method", ["dual_rail", "traditional"])
+def test_plan_holds_tuples_and_read_only_arrays(method):
+    plan = gate_module._plan(PARAMS, method)
+    assert gate_module._plan(make_params(), method) is plan  # keyed by content
+    assert [run.label for run in plan.runs] == ["01", "10", "11"]
+    for run in plan.runs:
+        assert isinstance(run.stages, tuple)
+        space = run.space
+        for array in (space.first_state, space.single_rydberg_indices, space.shift_diagonal):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1
+    assert plan.duration == gate_duration(PARAMS, method)
+
+
+@pytest.mark.parametrize("method", ["dual_rail", "traditional"])
+def test_report_equals_the_unplanned_inputs_bit_for_bit(method):
+    rng = np.random.default_rng(22)
+    params = make_params(2, z0_control_um=0.7, z0_target_um=-1.1)
+    trains = _trains(params, method)
+    for v_c, v_t in rng.normal(0.0, 0.15, (5, 2)).tolist():
+        report = gate_report(params, v_c, v_t, method)
+        for label, amp in (("01", report.a), ("10", report.b), ("11", report.c)):
+            expected, t_r = _simulate_input(label, params, trains, v_c, v_t)
+            assert (amp.real, amp.imag) == (expected.real, expected.imag)
+            assert report.rydberg_times_us[label] == t_r
 
 
 def test_piecewise_shelved_evolution_matches_engine():
@@ -782,6 +815,32 @@ def test_grid_skips_the_occupation_integral(monkeypatch, method, n_cycles):
     # the decay error reads the residence times, so the report computes them
     with pytest.raises(AssertionError, match="occupation integral"):
         gate_report(params, 0.0, 0.0, method)
+
+
+@pytest.mark.parametrize("method", ["dual_rail", "traditional"])
+def test_occupation_integral_runs_once_per_engine_call(monkeypatch, method):
+    # every driven stage's integral is one stacked call per engine call
+    # that asks for rows: one per gate input, one per protocol run
+    calls, runs = [], []
+    original = engine._occupation_integral
+    monkeypatch.setattr(engine, "_occupation_integral",
+                        lambda *args: calls.append(args[0].shape[0]) or original(*args))
+    original_run = engine.propagate_stages
+    monkeypatch.setattr(gate_module, "propagate_stages",
+                        lambda *args: runs.append(len(args[2])) or original_run(*args))
+    gate_report(PARAMS, 0.1, -0.2, method)
+    assert len(calls) == 3
+    # each call stacks its driven stages: the lone target's idle stage and
+    # the traditional control's wait drive nothing
+    plan = gate_module._plan(PARAMS, method)
+    driven = [sum(s.control is not None or s.target is not None for s in run.stages)
+              for run in plan.runs]
+    assert calls == driven and runs == [len(run.stages) for run in plan.runs]
+    calls.clear()
+    protocols.run_gap_protocol(SimulationParams(
+        omega=OMEGA, omega_dp=PARAMS.omega_dp, omega_if=OMEGA, v_mps=0.1, z0_um=0.3,
+    ), CFG.wavevectors)
+    assert calls == [3]
 
 
 @pytest.mark.parametrize("method, n_cycles", [("dual_rail", 1), ("traditional", 2)])

@@ -13,11 +13,14 @@ from dualrail.engine import (
     AtomDrive,
     ComplexState,
     GateStage,
+    _atom_space,
     _levels,
     _occupation_integral,
     pi_time,
     propagate_atom,
+    propagate_stages,
     pulse_train,
+    resilient_pair,
 )
 from dualrail.hamiltonians import (
     h_dual_rail,
@@ -239,3 +242,28 @@ def test_occupation_integral_resolves_a_gap_of_one_radian_per_duration():
     amps = (vectors[0] * coeffs) @ np.exp(-1j * np.outer(eigenvalues, t))
     want = np.trapezoid(abs(amps) ** 2, t)
     assert got == pytest.approx(want, rel=1e-11)
+
+
+@pytest.mark.parametrize("v, sampled", [
+    (0.13, False), (np.linspace(-0.3, 0.3, 7), False), (0.13, True),
+])
+def test_one_call_residence_time_is_the_sum_of_a_split_calls(v, sampled):
+    # a gap run whose last stage starts a call of its own: the first call's
+    # time plus the second's is the one call's, bit for bit, as one call
+    # adds its stages' terms in stage order (the 3*pi stage reuses no
+    # eigensystem, so the split changes no arithmetic)
+    wait = (0.7, AtomDrive(OMEGA, 5.53, INFRARED))
+    train = resilient_pair(OMEGA, -1.01 * OMEGA, K_REF, wait, (0.05, None))
+    *head, last = train
+    if sampled:  # the last stage sampled at three end times
+        last = GateStage(last.t0, last.t0 + np.array([0.1, 0.2, last.duration]), last.control)
+        train = [*head, last]
+    space = _atom_space(_levels(train))
+    rows = space.single_rydberg_indices
+    run = (v, 0.0, 0.4, 0.0, rows)
+    psi, t_one = propagate_stages(space.first_state, space, train, *run)
+    mid, t_head = propagate_stages(space.first_state, space, head, *run)
+    psi_split, t_last = propagate_stages(mid, space, [last], *run)
+    assert np.array_equal(psi_split, psi)
+    assert np.array_equal(t_head + t_last, t_one)
+    assert np.shape(t_one) == np.broadcast_shapes(np.shape(v), np.shape(last.t1))
