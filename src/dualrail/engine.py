@@ -4,8 +4,8 @@ A run is a list of stages (:class:`GateStage`) with optional control and
 target drives (:class:`AtomDrive`) over a two-atom basis
 (:class:`TwoAtomSpace`).  :func:`pulse_train` and its wrappers build one
 atom's train, and :func:`propagate_atom` runs it in one call: every
-single-atom protocol, and the gate's inputs "10" and "01", whose other
-atom is an uncoupled spectator in |0>.
+single-atom protocol.  Each gate input is one two-atom run, in which an
+atom in |0> is an uncoupled spectator.
 
 Per-stage rotating frames absorb every drive phase k*(z0 + v*t) into level
 phases that grow linearly in time, leaving a time-independent real
@@ -175,37 +175,27 @@ class TwoAtomSpace:
         diagonal.flags.writeable = False
         return diagonal
 
+    @cached_property
+    def identity(self) -> np.ndarray:
+        """The dim x dim identity, read-only."""
+        identity = np.eye(self.dim)
+        identity.flags.writeable = False
+        return identity
+
     @property
     def first_state(self) -> np.ndarray:
         """Basis state 0, both atoms in their first level, as a read-only
-        unit vector (a row of :func:`_identity`)."""
-        return _identity(self.dim)[0]
+        unit vector (a row of :attr:`identity`)."""
+        return self.identity[0]
 
-    @property
+    @cached_property
     def single_rydberg_indices(self) -> np.ndarray:
         """Basis indices of the states with exactly one atom in a Rydberg
-        level (labels starting with "r"), built once per pair of level
-        tuples and shared read-only."""
-        return _single_rydberg_indices(self.control_levels, self.target_levels)
-
-
-@lru_cache(maxsize=64)
-def _identity(dim: int) -> np.ndarray:
-    """The dim x dim identity, built once per dim and shared read-only."""
-    identity = np.eye(dim)
-    identity.flags.writeable = False
-    return identity
-
-
-@lru_cache(maxsize=64)
-def _single_rydberg_indices(
-    control_levels: tuple[str, ...], target_levels: tuple[str, ...]
-) -> np.ndarray:
-    labels = [(c, t) for c in control_levels for t in target_levels]
-    indices = np.array([i for i, (c, t) in enumerate(labels)
-                        if c.startswith("r") != t.startswith("r")], dtype=int)
-    indices.flags.writeable = False
-    return indices
+        level (labels starting with "r"), read-only."""
+        indices = np.array([i for i, (c, t) in enumerate(self.labels())
+                            if c.startswith("r") != t.startswith("r")], dtype=int)
+        indices.flags.writeable = False
+        return indices
 
 
 @lru_cache(maxsize=256)
@@ -405,7 +395,7 @@ def propagate_stages(
     psi = np.asarray(psi, dtype=complex)
     rows = np.asarray(occupation_rows, dtype=int)
     terms = []  # per stage: an undriven term, or what a driven one integrates
-    identity = _identity(space.dim)
+    identity = space.identity
     eigensystems = {}  # by sign-free key: exact, as the rates are fixed in a call
     for stage in stages:
         t0, t1, duration = stage.t0, stage.t1, stage.duration

@@ -8,16 +8,20 @@ control runs the gap protocol and the target the excite/restore pair of
 per-input diagonal amplitudes (a, b, c) feed a trace-formula rotation
 error; Rydberg residence times feed the decay error.
 
-Every input runs on the exact engine of :mod:`dualrail.engine`.  The
-100 x 100 grid runs input "11" in blocks of grid rows (control velocities
-on one axis against every target velocity on the other), each block no
-larger than one 100-point dual-rail row, and several cycle counts of one
-gate share the stages they have in common (:func:`rotation_error_grids`).
+Every input is one two-atom run on the exact engine of
+:mod:`dualrail.engine`, at both atoms' own velocities and start
+coordinates, with each atom in its own slot.  An atom in |0> is an
+uncoupled spectator: its slot has no drive, so neither its velocity nor
+its coordinate enters the run.  The 100 x 100 grid runs input "11" in
+blocks of grid rows (control velocities on one axis against every target
+velocity on the other), each block no larger than one 100-point
+dual-rail row, and several cycle counts of one gate share the stages they
+have in common (:func:`rotation_error_grids`).
 
 Everything about a gate that no velocity changes is its plan
-(:class:`GatePlan`): the duration, and each input's space, stage tuple and
-start coordinates.  A plan is built once per parameter set and method and
-cached (parameters hash by content); :func:`gate_report`,
+(:class:`GatePlan`): the duration, and each input's space and stage
+tuple.  A plan is built once per parameter set and method and cached
+(parameters hash by content); :func:`gate_report`,
 :func:`gate_duration` and :func:`rotation_error_grids` read it.  Only
 plans are cached, never results: every call propagates its own inputs.
 """
@@ -40,7 +44,7 @@ from dualrail.core import (
     thermal_rms_speed,
 )
 from dualrail.engine import (
-    INFRARED, OPTICAL_SINGLE, AtomDrive, GateStage, TwoAtomSpace, _atom_space, _levels,
+    INFRARED, OPTICAL_SINGLE, AtomDrive, GateStage, TwoAtomSpace, _levels,
     pi_time, propagate_stages, pulse_train, resilient_pair, single_rail_restore,
 )
 
@@ -144,106 +148,62 @@ def _trains(params: GateParams, method: Method) -> tuple[list[GateStage], list[G
     raise ValueError(f"unknown method {method!r}")
 
 
-Trains = tuple[list[GateStage], list[GateStage]]
-
-
-def _lone_train(
-    input_label: str, params: GateParams, trains: Trains
-) -> tuple[list[GateStage], float]:
-    """Pulse train and start coordinate of the one atom in |1> of input
-    "10" (the control's train of ``trains``) or "01" (the target's).  The
-    lone target idles on to the end of the gate: its residual Rydberg
-    population keeps counting as residence time while the control
-    deexcites."""
-    control, target = trains
-    if input_label == "10":
-        return control, params.z0_control_um
-    return target + [GateStage(target[-1].t1, control[-1].t1)], params.z0_target_um
-
-
-def _input_stages(params: GateParams, trains: Trains) -> tuple[TwoAtomSpace, list[GateStage]]:
-    """Space and stage list of input "11": the target's pulses of
-    ``trains`` laid over the control's wait stage from its opening; any
-    rest of the window shelves only."""
-    control, target = trains
-    excite, wait, *restore = control
-    stages = [excite]
-    stages += [GateStage(p.t0, p.t1, control=wait.control, target=p.control) for p in target]
-    if wait.t1 - target[-1].t1 > 1e-12:
-        stages.append(GateStage(target[-1].t1, wait.t1, control=wait.control))
-    levels_c, levels_t = _levels(control), _levels(target)
-    # Every level after the ground "1" is a Rydberg level.
-    shifts = {(a, b): params.pair_shift(a, b) for a in levels_c[1:] for b in levels_t[1:]}
-    return TwoAtomSpace(levels_c, levels_t, shifts), stages + restore
-
-
-@dataclass(frozen=True)
-class InputRun:
-    """One gate input's run on the engine: its space, its stages and the
-    start coordinates of the control and target slots.  A lone atom of
-    input "01" or "10" takes the control slot beside the spectator."""
-
-    label: str
-    space: TwoAtomSpace
-    stages: tuple[GateStage, ...]
-    z0: tuple[float, float]
-
-
 @dataclass(frozen=True)
 class GatePlan:
-    """The velocity-independent part of a gate: its duration and the runs
-    of inputs "01", "10" and "11", in that order."""
+    """The velocity-independent part of a gate: its duration and the
+    (space, stages) runs of inputs "01", "10" and "11", in that order."""
 
     duration: float
-    runs: tuple[InputRun, InputRun, InputRun]
-
-
-def _input_run(input_label: str, params: GateParams, trains: Trains) -> InputRun:
-    """Run of input "01", "10" or "11" (input "00" is the identity) of the
-    gate whose pulse trains are ``trains``.  An atom in |0> is an uncoupled
-    spectator (:func:`_lone_train`)."""
-    if input_label == "11":
-        space, stages = _input_stages(params, trains)
-        return InputRun("11", space, tuple(stages), (params.z0_control_um, params.z0_target_um))
-    train, z0 = _lone_train(input_label, params, trains)
-    return InputRun(input_label, _atom_space(_levels(train)), tuple(train), (z0, 0.0))
+    runs: tuple[tuple[TwoAtomSpace, tuple[GateStage, ...]], ...]
 
 
 @lru_cache(maxsize=64)
 def _plan(params: GateParams, method: Method) -> GatePlan:
     """The plan of the gate of ``params`` and ``method``, built once per
     pair from one set of pulse trains and shared: its stage sequences are
-    tuples and its spaces' arrays read-only."""
-    trains = _trains(params, method)
-    return GatePlan(trains[0][-1].t1,
-                    tuple(_input_run(label, params, trains) for label in ("01", "10", "11")))
+    tuples and its spaces' arrays read-only.
+
+    Input "00" is the identity.  In every other input each atom keeps its
+    own slot, and an atom in |0> is the uncoupled spectator ("0",).  Input
+    "10" runs the control's train.  Input "01" runs the target's pulses and
+    idles on to the end of the gate: its residual Rydberg population keeps
+    counting as residence time while the control deexcites.  Input "11"
+    lays the target's pulses over the control's wait stage from its
+    opening; any rest of the window shelves only.
+    """
+    control, target = _trains(params, method)
+    excite, wait, *restore = control
+    end = control[-1].t1
+    pulses = [GateStage(p.t0, p.t1, target=p.control) for p in target]
+    pair = [excite, *(replace(p, control=wait.control) for p in pulses)]
+    if wait.t1 - pulses[-1].t1 > 1e-12:
+        pair.append(GateStage(pulses[-1].t1, wait.t1, control=wait.control))
+    levels_c, levels_t = _levels(control), _levels(target)
+    # Every level after the ground "1" is a Rydberg level.
+    shifts = {(a, b): params.pair_shift(a, b) for a in levels_c[1:] for b in levels_t[1:]}
+    return GatePlan(end, (
+        (TwoAtomSpace(("0",), levels_t), (*pulses, GateStage(pulses[-1].t1, end))),
+        (TwoAtomSpace(levels_c, ("0",)), tuple(control)),
+        (TwoAtomSpace(levels_c, levels_t, shifts), (*pair, *restore)),
+    ))
 
 
 def _run_input(
-    run: InputRun, v_control: float | np.ndarray, v_target: float | np.ndarray
-) -> tuple[complex, float] | tuple[np.ndarray, np.ndarray]:
-    """Diagonal amplitude <input|U|input> and single-Rydberg residence time
-    of one input's run, with scalar or 1-D array velocities as in
-    :func:`propagate_stages`; a scalar amplitude is a Python complex."""
-    if run.label != "11":  # the lone atom takes the control slot
-        v_control, v_target = (v_control if run.label == "10" else v_target), 0.0
-    space = run.space
-    psi, t_r = propagate_stages(space.first_state, space, run.stages, v_control, v_target,
-                                *run.z0, space.single_rydberg_indices)
-    # The input is basis state 0: both slots in their first level.
-    return scalar_or_array(psi[..., 0]), t_r
-
-
-def _simulate_input(
-    input_label: str,
+    run: tuple[TwoAtomSpace, tuple[GateStage, ...]],
     params: GateParams,
-    trains: Trains,
     v_control: float | np.ndarray,
     v_target: float | np.ndarray,
 ) -> tuple[complex, float] | tuple[np.ndarray, np.ndarray]:
-    """:func:`_run_input` of input ``input_label`` of the gate whose pulse
-    trains are ``trains``, built afresh rather than read from a plan."""
-    return _run_input(_input_run(input_label, params, trains), v_control, v_target)
+    """Diagonal amplitude <input|U|input> and single-Rydberg residence time
+    of one input's (space, stages) run at the atoms' own velocities and
+    start coordinates, with scalar or 1-D array velocities as in
+    :func:`propagate_stages`; a scalar amplitude is a Python complex."""
+    space, stages = run
+    psi, t_r = propagate_stages(space.first_state, space, stages, v_control, v_target,
+                                params.z0_control_um, params.z0_target_um,
+                                space.single_rydberg_indices)
+    # The input is basis state 0: both slots in their first level.
+    return scalar_or_array(psi[..., 0]), t_r
 
 
 def rotation_error(a: complex, b: complex, c: complex) -> float:
@@ -295,7 +255,7 @@ def gate_report(
     gate's plan (:func:`_plan`) serves every input and the duration."""
     plan = _plan(params, method)
     (a, t01), (b, t10), (c, t11) = (
-        _run_input(run, v_control, v_target) for run in plan.runs
+        _run_input(run, params, v_control, v_target) for run in plan.runs
     )
     return GateReport(
         method=method,
@@ -378,27 +338,25 @@ def rotation_error_grids(
     call and diagonalizes that pulse again, one matrix per control velocity
     (100 per traditional count at 100 points, 200 of the 13,100 matrices of
     ``dualrail table --which 2``).  The error reads no residence time, so
-    no run computes one: the lone lines take the engine without occupation
-    rows rather than :func:`propagate_atom`.
+    no run computes one: every line and block takes the call of
+    :func:`_run_input` without occupation rows.
     """
     if n_grid < 2:
         raise ValueError(f"the velocity grid needs at least 2 points, got {n_grid}")
     velocities = velocity_grid(n_grid)
+    z0 = params.z0_control_um, params.z0_target_um
     runs = []
     for n_cycles in cycle_counts:
-        *lone_runs, pair = _plan(replace(params, n_gap_cycles=n_cycles), method).runs
-        lone = {}
-        for run in lone_runs:
-            atom = run.space
-            psi, _ = propagate_stages(atom.first_state, atom, run.stages, velocities, 0.0, *run.z0)
-            lone[run.label] = psi[:, 0]
-        space, stages = pair.space, pair.stages  # the same space for every count
-        runs.append((lone, stages))
-    first = runs[0][1]
+        *lone, (space, stages) = _plan(replace(params, n_gap_cycles=n_cycles), method).runs
+        # The same space for every count; a reads only the target's
+        # velocity and b only the control's, so each is one line.
+        a, b = (propagate_stages(atom.first_state, atom, train, velocities, velocities,
+                                 *z0)[0][:, 0] for atom, train in lone)
+        runs.append((a, b, stages))
+    first = runs[0][2]
     shared = 0
-    while all(shared < len(stages) and stages[shared] == first[shared] for _, stages in runs):
+    while all(shared < len(stages) and stages[shared] == first[shared] for *_, stages in runs):
         shared += 1
-    z0 = pair.z0
     block = max(1, MAX_STACK_ELEMENTS // (n_grid * space.dim ** 2))
     errors = [np.empty((n_grid, n_grid)) for _ in runs]
     v_t = velocities[None, :]
@@ -406,9 +364,9 @@ def rotation_error_grids(
         rows = slice(start, start + block)
         v_c = velocities[rows, None]
         prefix, _ = propagate_stages(space.first_state, space, first[:shared], v_c, v_t, *z0)
-        for (lone, stages), grid in zip(runs, errors):
+        for (a, b, stages), grid in zip(runs, errors):
             psi = prefix
             if len(stages) > shared:
                 psi, _ = propagate_stages(prefix, space, stages[shared:], v_c, v_t, *z0)
-            grid[rows] = rotation_error(lone["01"], lone["10"][rows, None], psi[..., 0])
+            grid[rows] = rotation_error(a, b[rows, None], psi[..., 0])
     return errors

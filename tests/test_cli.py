@@ -469,6 +469,9 @@ def test_flags_a_command_would_drop_are_usage_errors(capsys, tmp_path, argv, mes
     (("gate", "--grid-output", "."), "--grid-output . is a directory"),
     (("gate", "--output", "nope/x.json"), "--output nope/x.json lies in no existing directory"),
     (("gap", "--output", "file.txt/x.csv"), "--output file.txt/x.csv lies in no existing"),
+    (("restore", "--output", "."), "--output . is a directory"),
+    (("sweep", "--axis", "v", "--start", "0", "--stop", "0.1", "--num", "3", "--output", "."),
+     "--output . is a directory"),
 ])
 def test_unwritable_output_is_refused_before_computing(capsys, monkeypatch, tmp_path,
                                                        argv, message):
@@ -828,6 +831,15 @@ FUZZ_RUNS = st.one_of(
         omega_mhz=FUZZ_FLOATS, omega_dp_mhz=FUZZ_FLOATS, omega_t_mhz=FUZZ_FLOATS,
         omega_if_mhz=FUZZ_FLOATS, n_cycles=st.integers(-1, 3),
         temp_uk=FUZZ_FLOATS, l_um=FUZZ_FLOATS,
+    ),
+    _fuzz_argv(
+        # table 2 always takes a small grid: its default 100 x 100 grids
+        # would make the run slow, not different
+        st.tuples(st.sampled_from([1, 2]), st.integers(2, 4), st.booleans()).map(
+            lambda d: ["table", f"--which={d[0]}"]
+            + ([f"--grid-points={d[1]}"] if d[0] == 2 or d[2] else [])),
+        rows=st.lists(st.integers(-1, 9), max_size=3).map(lambda r: ",".join(map(str, r))),
+        output=st.just(os.devnull),
     ),
 )
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 from dualrail import engine
 from dualrail import gate as gate_module
 from dualrail import protocols
-from dualrail.core import SimulationParams, get_config, maxwell_mean, mhz_to_rad_per_us
+from dualrail.core import (
+    InteractionTable, SimulationParams, get_config, maxwell_mean, mhz_to_rad_per_us,
+)
 from dualrail.engine import (
     INFRARED,
     OPTICAL_DUAL,
@@ -22,7 +25,6 @@ from dualrail.engine import (
     _sign_free_key,
     _stage_hamiltonian,
     pi_time,
-    propagate_atom,
     propagate_stages,
 )
 from dualrail.gate import (
@@ -35,12 +37,7 @@ from dualrail.gate import (
     rotation_error,
     velocity_grid,
 )
-from dualrail.gate import (
-    _input_stages,
-    _lone_train,
-    _simulate_input,
-    _trains,
-)
+from dualrail.gate import _plan, _run_input, _trains
 from dualrail.hamiltonians import (
     NINE_BASIS, h_dual_rail, h_gate_nine, lab_hamiltonian, nine_level_shifts,
 )
@@ -64,12 +61,22 @@ def make_params(n_cycles=1, **kwargs):
 
 
 PARAMS = make_params()
+NO_BLOCKADE = replace(CFG, interactions=InteractionTable(
+    entries={k: 0.0 for k in CFG.interactions.entries}, separation_um=7.0))
+
+
+INPUTS = ("01", "10", "11")
+
+
+def input_run(label, params, method="dual_rail"):
+    """The (space, stages) run of one gate input, from the gate's plan."""
+    return _plan(params, method).runs[INPUTS.index(label)]
 
 
 def simulate_input(label, params, v_c=0.0, v_t=0.0, method="dual_rail"):
     """Amplitude and residence time of one gate input, run as gate_report
     runs it."""
-    return _simulate_input(label, params, _trains(params, method), v_c, v_t)
+    return _run_input(input_run(label, params, method), params, v_c, v_t)
 
 
 # --- rotation error ----------------------------------------------------------
@@ -207,7 +214,7 @@ def test_input_10_is_the_control_protocol(monkeypatch, method, n_cycles):
             v_mps=v, z0_um=0.7,
         ), CFG.wavevectors.k_excite)
     (final, t_protocol), = runs
-    amp, t_r = _simulate_input("10", params, _trains(params, method), v, 0.0)
+    amp, t_r = simulate_input("10", params, v, 0.0, method)
     assert np.max(np.abs(amp - final.amplitude("1"))) <= 1e-15
     assert np.array_equal(t_r, t_protocol)
 
@@ -273,7 +280,7 @@ def test_numeric_decay_matches_analytic():
 def _train_intervals(control, target):
     """The intervals between the switching times of the two atoms' own
     trains, each as a stage with the drive each train has there: the
-    oracle's stages, built without the merge of _input_stages."""
+    oracle's stages, built without the merge of the gate's plan."""
     def drive(train, t):
         return next((s.control for s in train if s.t0 <= t < s.t1), None)
 
@@ -284,7 +291,7 @@ def _train_intervals(control, target):
 
 def _check_engine_against_adaptive_integrator(method):
     trains = _trains(PARAMS, method)
-    full, stages = _input_stages(PARAMS, trains)
+    full, stages = input_run("11", PARAMS, method)
     v_c, v_t, z0c, z0t = 0.13, -0.07, 0.8, -1.3
     psi0 = np.zeros(full.dim, dtype=complex)
     psi0[full.index("1", "1")] = 1.0
@@ -319,7 +326,7 @@ def test_control_shelves_alone_after_a_target_train_that_ends_early():
                          z0_control_um=0.8, z0_target_um=-1.3)
     control, target = _trains(params, "dual_rail")
     assert control[1].t1 - target[-1].t1 == pytest.approx(1e-4, rel=1e-9)
-    space, _ = _input_stages(params, (control, target))
+    space, _ = input_run("11", params)
     psi0 = np.zeros(space.dim, dtype=complex)
     psi0[space.index("1", "1")] = 1.0
     state = ComplexState(tuple(f"{c}|{t}" for c, t in space.labels()), psi0)
@@ -343,20 +350,16 @@ speeds = st.floats(-0.6, 0.6)
 )
 def test_batched_stages_match_scalar_calls(pairs, z0, method, which):
     v_c, v_t = (np.array(v) for v in zip(*pairs))
+    # a lone atom runs its own train in its own slot, beside a spectator
+    space, stages = input_run({"full": "11", "control_only": "10",
+                               "target_only": "01"}[which], PARAMS, method)
+    psi0 = space.first_state
     if which == "full":
-        space, stages = _input_stages(PARAMS, _trains(PARAMS, method))
         rng = np.random.default_rng(len(pairs))
         psi0 = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
         psi0 /= np.linalg.norm(psi0)
-        rows = space.single_rydberg_indices
-        run = lambda vc, vt: propagate_stages(psi0, space, stages, vc, vt, *z0, rows)
-    else:  # a lone atom runs its own train at its own velocity and coordinate
-        atom = 0 if which == "control_only" else 1
-        train, _ = _lone_train(("10", "01")[atom], PARAMS, _trains(PARAMS, method))
-
-        def run(vc, vt):
-            final, t_r = propagate_atom(train, (vc, vt)[atom], z0[atom])
-            return final.amplitudes, t_r
+    rows = space.single_rydberg_indices
+    run = lambda vc, vt: propagate_stages(psi0, space, stages, vc, vt, *z0, rows)
     batched = run(v_c, v_t)
     # a scalar velocity pairs with every entry of the other array; a lone
     # control at a scalar velocity gives one state for all of them
@@ -373,7 +376,7 @@ def test_batched_stages_match_scalar_calls(pairs, z0, method, which):
 def test_wait_stage_block_diagonal():
     # with the control drive off, nothing couples the control-ground
     # block to the shelved block: the piecewise bookkeeping is exact
-    full, stages = _input_stages(PARAMS, _trains(PARAMS, "dual_rail"))
+    full, stages = input_run("11", PARAMS)
     stage_b = stages[1]
     h, *_ = _stage_hamiltonian(full, stage_b.control, stage_b.target)
     ground_block = [full.index("1", t) for t in ("1", "r1", "r2")]
@@ -382,7 +385,7 @@ def test_wait_stage_block_diagonal():
 
 
 def test_spaces_differing_in_one_shift_get_their_own_hamiltonian():
-    space, stages = _input_stages(PARAMS, _trains(PARAMS, "dual_rail"))
+    space, stages = input_run("11", PARAMS)
     shifts = dict(space.shifts)
     pair = next(iter(shifts))
     levels = (space.control_levels, space.target_levels)
@@ -398,13 +401,15 @@ def test_spaces_differing_in_one_shift_get_their_own_hamiltonian():
 
 
 def test_cached_hamiltonian_is_read_only():
-    space, stages = _input_stages(PARAMS, _trains(PARAMS, "dual_rail"))
+    space, stages = input_run("11", PARAMS)
     h, frame_c, frame_t, _, signs = _stage_hamiltonian(space, stages[1].control,
                                                        stages[1].target)
-    # the initial state is a row of the identity that is built once per dim
+    # the initial state is a row of the space's identity, built once
     assert space.first_state.tolist() == [1.0] + [0.0] * (space.dim - 1)
-    assert np.shares_memory(space.first_state, engine._identity(space.dim))
-    for array in (h, frame_c, frame_t, signs, space.first_state):
+    assert space.identity is space.identity
+    assert np.shares_memory(space.first_state, space.identity)
+    for array in (h, frame_c, frame_t, signs, space.first_state, space.identity,
+                  space.single_rydberg_indices):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
 
@@ -474,7 +479,7 @@ def test_drive_that_is_not_two_sided_keeps_its_sign():
 
 @pytest.mark.parametrize("v_target", [0.13, velocity_grid(7)])
 def test_sign_flipped_stage_reuses_the_eigensystem_exactly(monkeypatch, v_target):
-    space, stages = _input_stages(PARAMS, _trains(PARAMS, "dual_rail"))
+    space, stages = input_run("11", PARAMS)
     excite, deexcite = stages[1:3]  # the target at +Omega_t, then at -Omega_t
     assert deexcite.target.amp == -excite.target.amp
     matrices = []
@@ -520,7 +525,7 @@ def test_grid_eigendecomposition_budget(monkeypatch, method, n_cycles, budget):
 
 @pytest.mark.parametrize("method", ["dual_rail", "traditional"])
 def test_broadcast_velocity_axes_match_scalar_calls(monkeypatch, method):
-    space, stages = _input_stages(PARAMS, _trains(PARAMS, method))
+    space, stages = input_run("11", PARAMS, method)
     v_c, v_t = np.array([[-0.31], [0.05], [0.44]]), np.array([-0.2, 0.0, 0.17, 0.5])
     z_c, z_t = np.array([[0.8], [-0.3], [1.7]]), np.array([-1.3, 0.0, 0.4, 2.2])
     rows = space.single_rydberg_indices
@@ -548,13 +553,8 @@ def _row_by_row_grid(params, method, n_grid):
     """The grid with one engine call per row: one control velocity against
     every target velocity."""
     v = velocity_grid(n_grid)
-    trains = _trains(params, method)
-    lone = {}
-    for label in ("01", "10"):
-        train, z0 = _lone_train(label, params, trains)
-        atom = TwoAtomSpace(_levels(train), ("0",))
-        lone[label] = propagate_stages(atom.first_state, atom, train, v, 0.0, z0, 0.0)[0][:, 0]
-    space, stages = _input_stages(params, trains)
+    lone = {label: simulate_input(label, params, v, v, method)[0] for label in ("01", "10")}
+    space, stages = input_run("11", params, method)
     errors = np.empty((n_grid, n_grid))
     for i, v_c in enumerate(v):
         psi, _ = propagate_stages(space.first_state, space, stages, v_c, v,
@@ -602,7 +602,7 @@ def test_cycle_counts_share_their_prefix_exactly(monkeypatch, method):
     # after the four lone lines, per block: the stages up to the end of the
     # target's train once, then the rest of each count's stage list
     shared = 3 if method == "dual_rail" else 2
-    rest = [len(_input_stages(p, _trains(p, method))[1]) - shared
+    rest = [len(input_run("11", p, method)[1]) - shared
             for p in (make_params(1), make_params(2))]
     blocks = 2 if method == "dual_rail" else 1
     assert calls[4:] == [shared, *rest] * blocks
@@ -626,10 +626,12 @@ def test_report_builds_its_pulse_trains_once(monkeypatch):
 def test_plan_holds_tuples_and_read_only_arrays(method):
     plan = gate_module._plan(PARAMS, method)
     assert gate_module._plan(make_params(), method) is plan  # keyed by content
-    assert [run.label for run in plan.runs] == ["01", "10", "11"]
-    for run in plan.runs:
-        assert isinstance(run.stages, tuple)
-        space = run.space
+    # inputs "01", "10" and "11": each atom in its own slot, beside a spectator
+    (target, _), (control, _), (pair, _) = plan.runs
+    assert target.control_levels == ("0",) and target.target_levels == pair.target_levels
+    assert control.control_levels == pair.control_levels and control.target_levels == ("0",)
+    for space, stages in plan.runs:
+        assert isinstance(stages, tuple)
         for array in (space.first_state, space.single_rydberg_indices, space.shift_diagonal):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
@@ -641,11 +643,12 @@ def test_plan_holds_tuples_and_read_only_arrays(method):
 def test_report_equals_the_unplanned_inputs_bit_for_bit(method):
     rng = np.random.default_rng(22)
     params = make_params(2, z0_control_um=0.7, z0_target_um=-1.1)
-    trains = _trains(params, method)
+    fresh = _plan.__wrapped__(params, method)
+    assert fresh is not _plan(params, method)
     for v_c, v_t in rng.normal(0.0, 0.15, (5, 2)).tolist():
         report = gate_report(params, v_c, v_t, method)
-        for label, amp in (("01", report.a), ("10", report.b), ("11", report.c)):
-            expected, t_r = _simulate_input(label, params, trains, v_c, v_t)
+        for run, label, amp in zip(fresh.runs, INPUTS, (report.a, report.b, report.c)):
+            expected, t_r = _run_input(run, params, v_c, v_t)
             assert (amp.real, amp.imag) == (expected.real, expected.imag)
             assert report.rydberg_times_us[label] == t_r
 
@@ -690,7 +693,7 @@ def test_piecewise_shelved_evolution_matches_engine():
         state9 = evolve(state9, h9, t0, t1, rtol=1e-12, atol=1e-14)
 
     # reassemble and run the deexcitation on the full space
-    full, stages = _input_stages(params, _trains(params, "dual_rail"))
+    full, stages = input_run("11", params)
     psi = np.zeros(full.dim, dtype=complex)
     cg = ctrl.amplitude("1")
     psi[full.index("1", "1")] = cg * targ.amplitude("1")
@@ -753,24 +756,32 @@ def test_traditional_velocity_reversal_conjugates_amplitudes():
 
 
 def test_traditional_grid_symmetry_without_blockade_shift():
-    from dataclasses import replace as dc_replace
-
-    from dualrail.core import InteractionTable
-
-    no_shift = dc_replace(
-        CFG,
-        interactions=InteractionTable(
-            entries={k: 0.0 for k in CFG.interactions.entries},
-            separation_um=7.0,
-        ),
-    )
-    params = make_params(config=no_shift)
+    params = make_params(config=NO_BLOCKADE)
     for v_c, v_t in [(0.2, -0.1), (0.35, 0.35)]:
         rep_a = gate_report(params, v_c, v_t, "traditional")
         rep_b = gate_report(params, -v_c, -v_t, "traditional")
         assert rep_a.rotation_error == pytest.approx(
             rep_b.rotation_error, abs=1e-9
         )
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    method=st.sampled_from(["dual_rail", "traditional"]),
+    n_cycles=st.sampled_from([1, 2]),
+    v=st.tuples(speeds, speeds),
+    z0=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+)
+def test_gate_without_blockade_is_the_product_of_its_lone_atoms(method, n_cycles, v, z0):
+    # With every C6 entry 0 the atoms never interact: U = U_c x U_t, so
+    # input "11" is the product of inputs "01" and "10".  This checks the
+    # 12 x 12 assembly and each atom's slot without an ODE.
+    coordinates = dict(z0_control_um=z0[0], z0_target_um=z0[1])
+    free = gate_report(make_params(n_cycles, config=NO_BLOCKADE, **coordinates), *v, method)
+    assert abs(free.c - free.a * free.b) < 1e-12
+    # the real table blocks the double excitation: the check is not vacuous
+    real = gate_report(make_params(n_cycles, **coordinates), *v, method)
+    assert abs(real.c - real.a * real.b) > 0.1
 
 
 @pytest.mark.parametrize("method", ["dual_rail", "traditional"])
@@ -795,7 +806,7 @@ def test_batched_grid_matches_pointwise_loop(method, n_cycles):
 def test_control_only_stages_share_one_eigendecomposition(monkeypatch):
     matrices = _count_eigh_matrices(monkeypatch)
     velocities = velocity_grid(100)
-    _simulate_input("11", PARAMS, _trains(PARAMS, "dual_rail"), 0.12, velocities)
+    simulate_input("11", PARAMS, 0.12, velocities)
     # excite and deexcite drive the control only; the target's two pulses
     # (with the control's infrared shelving) drive both atoms, and the
     # second, at -Omega_t, reuses the first's eigensystem
@@ -833,9 +844,9 @@ def test_occupation_integral_runs_once_per_engine_call(monkeypatch, method):
     # each call stacks its driven stages: the lone target's idle stage and
     # the traditional control's wait drive nothing
     plan = gate_module._plan(PARAMS, method)
-    driven = [sum(s.control is not None or s.target is not None for s in run.stages)
-              for run in plan.runs]
-    assert calls == driven and runs == [len(run.stages) for run in plan.runs]
+    driven = [sum(s.control is not None or s.target is not None for s in stages)
+              for _, stages in plan.runs]
+    assert calls == driven and runs == [len(stages) for _, stages in plan.runs]
     calls.clear()
     protocols.run_gap_protocol(SimulationParams(
         omega=OMEGA, omega_dp=PARAMS.omega_dp, omega_if=OMEGA, v_mps=0.1, z0_um=0.3,
@@ -847,7 +858,7 @@ def test_occupation_integral_runs_once_per_engine_call(monkeypatch, method):
 @pytest.mark.parametrize("v_target", [0.13, velocity_grid(7)])
 def test_untimed_run_returns_the_timed_state(method, n_cycles, v_target):
     params = make_params(n_cycles)
-    full, stages = _input_stages(params, _trains(params, method))
+    full, stages = input_run("11", params, method)
     if method == "traditional":
         assert any(s.control is None and s.target is None for s in stages)
     psi0 = np.zeros(full.dim, dtype=complex)
