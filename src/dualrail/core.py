@@ -138,9 +138,10 @@ class InteractionTable:
                 raise ValueError(f"conflicting C6 entries for pair {key}")
             normalized[key] = float(c6)
         object.__setattr__(self, "entries", MappingProxyType(normalized))
+        object.__setattr__(self, "_hash", hash((frozenset(normalized.items()), self.separation_um)))
 
     def __hash__(self) -> int:
-        return hash((frozenset(self.entries.items()), self.separation_um))
+        return self._hash
 
     def __reduce__(self):
         # A mappingproxy does not pickle; its dict does.

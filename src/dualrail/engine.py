@@ -13,24 +13,18 @@ symmetric Hamiltonian: half-amplitudes off the diagonal, the Doppler rates
 -k*v per rail and the interaction shifts on it.  One eigendecomposition per
 stage gives the exact propagator and, for the rows a caller asks for, the
 exact time-integrated Rydberg occupation, which never feeds back into the
-state (a caller that asks for none pays nothing for it).  The occupation
-is reduced once per call: each driven stage keeps its eigensystem, and one
-stacked integral over all of them follows the last stage.  Only the Doppler
-diagonal depends on the velocities, and only on those of the atoms a stage
-drives, so a stage diagonalizes the stack of the velocities it sees in one
-``eigh`` call (control and target velocities may lie on separate broadcast
-axes), and memoizes its in-frame Hamiltonian by content (space and drives,
-never times) as read-only arrays.
+state (a caller that asks for none pays nothing for it).
 
-Flipping the sign of one atom's amplitude is an exact diagonal similarity
-H(-amp) = S H(+amp) S with S = +-1, and the velocities are fixed within a
-call.  So within one :func:`propagate_stages` call, a stage whose drives
-match an earlier stage's up to amplitude signs takes that stage's
-eigensystem instead of its own ``eigh``, and multiplies the state by S on
-the way into and out of the eigenbasis, which is exact: the gate's target
-deexcitation at -Omega_t after its excitation at +Omega_t, or the second of
-two identical pi pulses.  A stage with no such earlier relative
-diagonalizes its own Hamiltonian.
+What no velocity or time changes is compiled once per space and drives
+into a stage program (:func:`_stage_program`): the in-frame Hamiltonians,
+frame rates and, as flipping the sign of one atom's amplitude is the exact
+diagonal similarity H(-amp) = S H(+amp) S with S = +-1, which stages share
+an eigensystem up to such a flip (the gate's target deexcitation at
+-Omega_t after its excitation at +Omega_t).  A call does its velocity
+arithmetic in one stacked pass per group of stages (one ``eigh`` over the
+group's distinct Hamiltonians at the velocities they see), then a stage
+loop that only projects and multiplies, then one stacked occupation
+integral per group.
 """
 
 from __future__ import annotations
@@ -38,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,6 +45,8 @@ DUAL_RAIL_BASIS = ("r2", "r1", "1")
 OPTICAL_DUAL = (("1", "r1", +1), ("1", "r2", -1))
 OPTICAL_SINGLE = (("1", "r1", +1),)
 INFRARED = (("r3", "r1", +1), ("r3", "r2", -1))
+# A stage's frame-phase exponents: +i theta0 on the way in, -i theta1 out.
+_FRAME_SIGNS = np.array([[1j], [-1j]])
 
 
 def pi_time(omega: float) -> float:
@@ -198,23 +194,6 @@ class TwoAtomSpace:
         return indices
 
 
-@lru_cache(maxsize=256)
-def _stage_hamiltonian(
-    space: TwoAtomSpace, control: AtomDrive | None, target: AtomDrive | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple, np.ndarray]:
-    """Velocity-independent in-frame Hamiltonian of a stage with these
-    drives and the frame rates of its basis states
-    (:func:`_build_hamiltonian`), then the stage's sign-free key and sign
-    vector (:func:`_sign_free_key`), memoized by content: the space and the
-    stage's two drives, never its times, which may be arrays.  The arrays
-    are shared between calls and read-only."""
-    h0, frame_c, frame_t = _build_hamiltonian(space, control, target)
-    key, signs = _sign_free_key(space, control, target)
-    for array in (h0, frame_c, frame_t, signs):
-        array.flags.writeable = False
-    return h0, frame_c, frame_t, key, signs
-
-
 def _sign_free_key(
     space: TwoAtomSpace, control: AtomDrive | None, target: AtomDrive | None
 ) -> tuple[tuple[AtomDrive | None, AtomDrive | None], np.ndarray]:
@@ -308,38 +287,67 @@ def _occupation_integral(
     return np.real(weighted.sum(axis=(-2, -1)))
 
 
-def _total_occupation(terms: list, rows: np.ndarray, batch: tuple[int, ...]) -> np.ndarray:
-    """Sum of every stage's occupation term, added in stage order, from
-    ``terms``: an undriven stage's term as it is, and a driven stage's from
-    its (eigenvalues, vectors, coeffs, duration).
+class _Group(NamedTuple):
+    """Driven stages of a run that share a batch shape: their positions, and
+    per distinct in-frame Hamiltonian which atoms' velocities it sees (per
+    atom a bool for all, or a (distinct, 1) mask) and its frame-rate rows;
+    ``slots`` maps each stage to its Hamiltonian, None if each has its own."""
 
-    The driven stages' integrals take one :func:`_occupation_integral`
-    call over their stacked eigensystems.  An entry whose batch shape
-    differs from the others' (a stage that sees only one atom's
-    velocities, or samples several end times) is broadcast to the common
-    shape; the integral is elementwise over the stack, so each stage's term
-    is the one it would get alone, and the sum is a stage-by-stage one.
-    """
-    driven = [term for term in terms if isinstance(term, tuple)]
-    if driven:
-        # A stage's coefficients carry its eigensystem's batch axes, and a
-        # sampled end time the axis of its samples.
-        shapes = {coeffs.shape[:-1] for _, _, coeffs, _ in driven}
-        shapes.update(duration.shape[:-1] for *_, duration in driven
-                      if isinstance(duration, np.ndarray))
-        shape = shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
-        n, dim = len(driven), driven[0][0].shape[-1]
-        eigenvalues = np.empty((n, *shape, dim))
-        vectors = np.empty((n, *shape, dim, dim))
-        coeffs = np.empty((n, *shape, dim), dtype=complex)
-        durations = np.empty((n, *shape, 1))
-        for i, entry in enumerate(driven):
-            eigenvalues[i], vectors[i], coeffs[i], durations[i] = entry
-        integrals = iter(_occupation_integral(vectors, coeffs, eigenvalues, durations, rows))
-    occupation = np.zeros(batch)
-    for term in terms:
-        occupation = occupation + (next(integrals) if isinstance(term, tuple) else term)
-    return occupation
+    sees: tuple[bool | np.ndarray, bool | np.ndarray]
+    stages: tuple[int, ...]
+    frame_c: np.ndarray  # (distinct, dim)
+    frame_t: np.ndarray  # (distinct, dim)
+    hamiltonians: np.ndarray  # (distinct, dim, dim)
+    slots: np.ndarray | None
+
+
+@lru_cache(maxsize=256)
+def _stage_program(
+    space: TwoAtomSpace,
+    drives: tuple[tuple[AtomDrive | None, AtomDrive | None], ...],
+    merged: bool,
+) -> tuple[tuple[_Group, ...], tuple]:
+    """The program of a run with these (control, target) drives per stage,
+    compiled once by content (never by times), its arrays read-only: the
+    groups, and per stage None (undriven) or (group, position in it, slot,
+    flip).  With ``merged`` (both atoms' velocities have one shape) the
+    driven stages are one group, else one per set of driven atoms.  A stage
+    whose drives match an earlier one's up to amplitude signs
+    (:func:`_sign_free_key`) takes its slot, with the +-1 flip that carries
+    the stored eigenvectors to its own; other stages have none."""
+    members, steps, slots = {}, [], {}
+    for i, (control, target) in enumerate(drives):
+        if control is None and target is None:
+            steps.append(None)
+            continue
+        # Equal sign-free keys drive the same atoms: a slot stays in its group.
+        sees = (control is not None, target is not None)
+        stages, distinct = members.setdefault(merged or sees, ([], []))
+        key, signs = _sign_free_key(space, control, target)
+        flip = None
+        if key in slots:
+            slot, first_signs = slots[key]
+            flip = first_signs * signs
+            flip.flags.writeable = False
+        else:
+            slot = len(distinct)
+            slots[key] = slot, signs
+            distinct.append((*_build_hamiltonian(space, control, target), sees))
+        steps.append((list(members).index(merged or sees), len(stages), slot, flip))
+        stages.append((i, slot))
+    groups = []
+    for stages, distinct in members.values():
+        positions, stage_slots = zip(*stages)
+        hamiltonians, frame_c, frame_t, sees = zip(*distinct)
+        arrays = [np.array(frame_c), np.array(frame_t), np.array(hamiltonians)]
+        if len(distinct) < len(stages):
+            arrays.append(np.array(stage_slots))
+        sees = [flags[0] if len(set(flags)) == 1 else np.array(flags)[:, None]
+                for flags in zip(*sees)]
+        for array in arrays + [mask for mask in sees if isinstance(mask, np.ndarray)]:
+            array.flags.writeable = False
+        groups.append(_Group(tuple(sees), positions, *arrays, *[None] * (4 - len(arrays))))
+    return tuple(groups), tuple(steps)
 
 
 def propagate_stages(
@@ -357,89 +365,112 @@ def propagate_stages(
 
     The velocities and initial coordinates are scalars or arrays that
     broadcast against each other to a batch shape B, such as ``v[:, None]``
-    for the control against ``v[None, :]`` for the target (a scalar pairs
-    with every entry of the others).  Every run starts from ``psi``, which
-    may carry the batch axes too (the coordinates enter only the frame
-    phases), and the results are a B + (dim,) state stack and a B-shaped
-    occupation array.  A driven stage takes one stacked eigendecomposition
-    over the velocities its own drives see (or reuses an earlier stage's:
-    see the module docstring): a stage that drives only the target above
-    takes one matrix per target velocity, not one per pair.  Scalars keep
-    every array one axis smaller, which is cheaper for a single pair.  A
-    stage's ``t0`` and ``t1`` may be 1-D arrays of length N too:
+    for the control against ``v[None, :]`` for the target.  Every run
+    starts from ``psi``, which may carry the batch axes too, and the results
+    are a B + (dim,) state stack and a B-shaped occupation array.  A stage's
+    ``t0`` and ``t1`` may be 1-D arrays of length N too:
     ``[GateStage(0.0, ts, drive)]`` gives the state at every end time in
     ``ts`` from one eigendecomposition.
 
-    Splitting a stage list into two calls, the second starting from the
-    first's state, is the same arithmetic as one call, as the state passes
-    between stages in the lab frame; only the eigensystem reuse does not
-    reach across calls.
+    The run's program (:func:`_stage_program`) is compiled once per space
+    and drives.  A call first does its velocity arithmetic in one stacked
+    pass per group of driven stages (rates, frame phases, one ``eigh`` over
+    the group's distinct Hamiltonians, eigenphases): one group when both
+    atoms' velocities have one shape, scalars included, else one per set of
+    driven atoms, so that a stage diagonalizes one matrix per velocity it
+    sees (one per target velocity, not per pair, for a target-only stage).
+    The stage loop then only projects and multiplies, and the state takes
+    the batch axes only as stages reach them.
 
-    The occupation is computed only for the rows asked for.  With none
-    (the default) it is 0 and costs nothing, and the state is the same,
-    bit for bit, as with rows: the integral never feeds back into it.
-    With rows, each driven stage keeps its eigensystem, coefficients and
-    duration, and after the last stage one :func:`_occupation_integral`
-    call integrates them all (:func:`_total_occupation`); the stages'
-    terms are then added in stage order, undriven ones included, so the
-    sum is the one a stage-by-stage integral gives.
+    Splitting a stage list into two calls, the second starting from the
+    first's state, is the same arithmetic as one call; only the eigensystem
+    reuse does not reach across calls.  The occupation is computed only for
+    the rows asked for; with none it is 0 and costs nothing, and the state
+    is the same, bit for bit.  With rows, each group takes one
+    :func:`_occupation_integral` call, and the stages' terms, undriven ones
+    included, are added in stage order, as a stage-by-stage integral adds
+    them.
     """
     v_c, v_t, z_c, z_t = (np.asarray(x, dtype=float)
                           for x in (v_control, v_target, z0_control, z0_target))
     shapes = (v_c.shape, v_t.shape, z_c.shape, z_t.shape)
     # Scalar calls skip broadcast_shapes, whose microseconds they would feel.
     batch = np.broadcast_shapes(*shapes) if any(shapes) else ()
-    v_c, v_t, z_c, z_t = v_c[..., None], v_t[..., None], z_c[..., None], z_t[..., None]
-    # The state takes the batch axes only as stages reach them: a first
-    # stage that drives only the control runs once per control velocity.
+    # Stacked arrays are (batch..., stage, level).
+    v_c, v_t, z_c, z_t = (x[..., None, None] for x in (v_c, v_t, z_c, z_t))
+    groups, steps = _stage_program(space, tuple((s.control, s.target) for s in stages),
+                                   v_c.shape == v_t.shape)
+    passes = []
+    for group in groups:
+        times = [(stages[i].t0, stages[i].t1) for i in group.stages]
+        try:  # (stage, t0 and t1), or (N, stage, t0 and t1) if N end times are sampled
+            times = np.array(times, dtype=float)
+        except ValueError:
+            flat = np.broadcast_arrays(*(t for pair in times for t in pair))
+            times = np.moveaxis(np.reshape(flat, (len(times), 2, -1)), -1, 0)
+        # A stage's rates are the Doppler terms of the atoms it drives: an
+        # undriven atom has no frame, so its velocities add nothing.
+        sees_c, sees_t = group.sees
+        rates = (0.0 if sees_c is False else group.frame_c * v_c if sees_c is True
+                 else np.where(sees_c, group.frame_c * v_c, 0.0))
+        if sees_t is not False:  # x + -0.0 is x, whatever the sign of a zero x
+            term = group.frame_t * v_t
+            rates = rates + (term if sees_t is True else np.where(sees_t, term, -0.0))
+        offset = group.frame_c * z_c + group.frame_t * z_t
+        eigenvalues, vectors = np.linalg.eigh(
+            group.hamiltonians - rates[..., None] * space.identity)
+        if group.slots is not None:  # from each Hamiltonian to each of its stages
+            rates, offset, eigenvalues = (x[..., group.slots, :]
+                                          for x in (rates, offset, eigenvalues))
+        duration = times[..., 1:] - times[..., :1]
+        theta = offset[..., None, :] + rates[..., None, :] * times[..., None]
+        passes.append((np.exp(_FRAME_SIGNS * theta), np.exp(-1j * duration * eigenvalues),
+                       eigenvalues, vectors, duration, []))
     psi = np.asarray(psi, dtype=complex)
     rows = np.asarray(occupation_rows, dtype=int)
-    terms = []  # per stage: an undriven term, or what a driven one integrates
-    identity = space.identity
-    eigensystems = {}  # by sign-free key: exact, as the rates are fixed in a call
-    for stage in stages:
-        t0, t1, duration = stage.t0, stage.t1, stage.duration
-        if isinstance(duration, np.ndarray):  # one drive sampled at several end times
-            t0, t1, duration = (np.asarray(t, dtype=float)[..., None]
-                                for t in (t0, t1, duration))
-        if stage.control is None and stage.target is None:
+    terms = []  # per stage: an undriven term, or the (group, position) of a driven one
+    for stage, step in zip(stages, steps):
+        if step is None:
             # Undriven: no frame, and H is the diagonal of interaction shifts.
+            duration = np.asarray(stage.duration, dtype=float)[..., None]
             if rows.size:
                 populations = np.abs(psi[..., rows]) ** 2
                 terms.append((duration * populations.sum(axis=-1, keepdims=True))[..., 0])
             psi = np.exp(-1j * duration * space.shift_diagonal) * psi
             continue
-        h0, frame_c, frame_t, key, signs = _stage_hamiltonian(
-            space, stage.control, stage.target)
-        # An undriven atom has no frame, so its velocities add nothing.
-        rates = frame_c * v_c if stage.control is not None else 0.0
-        if stage.target is not None:
-            rates = rates + frame_t * v_t
-        offset = frame_c * z_c + frame_t * z_t
-        theta0 = offset + rates * t0
-        theta1 = offset + rates * t1
-
-        psi = np.exp(1j * theta0) * psi
-        flip = None
-        if key in eigensystems:
-            # This stage's eigenvectors are the stored ones with rows times
-            # flip; the +-1 goes on the state, not on the (..., d, d) stack.
-            eigenvalues, vectors, first_signs = eigensystems[key]
-            flip = first_signs * signs
+        g, j, slot, flip = step
+        frame, phases, _, vectors, _, coefficients = passes[g]
+        vectors = vectors[..., slot, :, :]
+        psi = frame[..., j, 0, :] * psi
+        if flip is not None:
+            # The stored eigenvectors with rows times flip are this stage's;
+            # the +-1 goes on the state, not on the (..., d, d) stack.
             psi = flip * psi
-        else:
-            eigenvalues, vectors = np.linalg.eigh(h0 - rates[..., None] * identity)
-            eigensystems[key] = eigenvalues, vectors, signs
         coeffs = (psi[..., None, :] @ vectors)[..., 0, :]
         if rows.size:
             # A row's sign cancels in its population: the stored vectors do.
-            terms.append((eigenvalues, vectors, coeffs, duration))
-        phases = np.exp(-1j * duration * eigenvalues) * coeffs
-        phi = (vectors @ phases[..., None])[..., 0]
+            terms.append((g, j))
+            coefficients.append(coeffs)
+        phi = (vectors @ (phases[..., j, :] * coeffs)[..., None])[..., 0]
         if flip is not None:
             phi = flip * phi
-        psi = np.exp(-1j * theta1) * phi
-    occupation = _total_occupation(terms, rows, batch)
+        psi = frame[..., j, 1, :] * phi
+    occupation = np.zeros(batch)
+    if rows.size:
+        integrals = []
+        for group, (*_, eigenvalues, vectors, duration, coefficients) in zip(groups, passes):
+            if group.slots is not None:
+                vectors = vectors[..., group.slots, :, :]
+            if len({coeffs.shape for coeffs in coefficients}) > 1:
+                coefficients = np.broadcast_arrays(*coefficients)
+            coefficients = np.array(coefficients)  # the cheap stack, stage axis first
+            if coefficients.ndim > 2:
+                coefficients = np.moveaxis(coefficients, 0, -2)
+            integrals.append(
+                _occupation_integral(vectors, coefficients, eigenvalues, duration, rows))
+        for term in terms:
+            occupation = occupation + (integrals[term[0]][..., term[1]]
+                                       if isinstance(term, tuple) else term)
     return np.zeros(batch + (space.dim,), dtype=complex) + psi, scalar_or_array(occupation)
 
 

@@ -336,23 +336,24 @@ def rotation_error_grids(
     the traditional control's second pi pulse reuses the first's
     eigensystem, but with several counts each count's remainder is its own
     call and diagonalizes that pulse again, one matrix per control velocity
-    (100 per traditional count at 100 points, 200 of the 13,100 matrices of
-    ``dualrail table --which 2``).  The error reads no residence time, so
-    no run computes one: every line and block takes the call of
-    :func:`_run_input` without occupation rows.
+    (100 per traditional count at 100 points, 200 of the 12,900 matrices of
+    ``dualrail table --which 2``).  Input "01"'s line runs once for all
+    counts.  The error reads no residence time, so no run computes one:
+    every line and block takes the call of :func:`_run_input` without
+    occupation rows.
     """
     if n_grid < 2:
         raise ValueError(f"the velocity grid needs at least 2 points, got {n_grid}")
     velocities = velocity_grid(n_grid)
     z0 = params.z0_control_um, params.z0_target_um
-    runs = []
-    for n_cycles in cycle_counts:
-        *lone, (space, stages) = _plan(replace(params, n_gap_cycles=n_cycles), method).runs
-        # The same space for every count; a reads only the target's
-        # velocity and b only the control's, so each is one line.
-        a, b = (propagate_stages(atom.first_state, atom, train, velocities, velocities,
-                                 *z0)[0][:, 0] for atom, train in lone)
-        runs.append((a, b, stages))
+    plans = [_plan(replace(params, n_gap_cycles=n), method).runs for n in cycle_counts]
+    # a reads only the target's velocity and b only the control's: one line
+    # each.  Input "01"'s differs between counts only in its undriven tail,
+    # which the spectator space shifts by nothing: one run serves all.
+    a, *b = (propagate_stages(atom.first_state, atom, train, velocities, velocities, *z0)[0][:, 0]
+             for atom, train in (plans[0][0], *(p[1] for p in plans)))
+    runs = [(a, b_n, stages) for b_n, (*_, (_, stages)) in zip(b, plans)]
+    space = plans[0][2][0]  # the same space for every count
     first = runs[0][2]
     shared = 0
     while all(shared < len(stages) and stages[shared] == first[shared] for *_, stages in runs):

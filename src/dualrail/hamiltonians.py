@@ -23,9 +23,11 @@ is fixed to +i here.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from dualrail.engine import GateStage, TwoAtomSpace
+from dualrail.engine import AtomDrive, GateStage, TwoAtomSpace
 
 GAP_BASIS = ("1", "r1", "r2", "r3")
 NINE_BASIS = (
@@ -143,6 +145,22 @@ def h_gate_nine(
     return h
 
 
+@lru_cache(maxsize=256)
+def _lab_couplings(space: TwoAtomSpace, control: AtomDrive | None, target: AtomDrive | None):
+    """A stage's complex shift diagonal, then per coupled element (driven <-
+    anchor; each appears once) its row, column, half amplitude, signed
+    wavevector and driving atom (0 control, 1 target)."""
+    elements = []
+    for atom, drive in enumerate((control, target)):
+        for anchor, driven, sign in drive.couplings if drive is not None else ():
+            for other in (space.target_levels, space.control_levels)[atom]:
+                row, col = (space.index(*(lvl, other)[::1 - 2 * atom]) for lvl in (driven, anchor))
+                elements.append((row, col, 0.5 * drive.amp, sign * drive.k, atom))
+    table = np.array(elements, dtype=float).reshape(-1, 5)
+    rows, cols, atoms = (table[:, i].astype(int) for i in (0, 1, 4))
+    return np.diag(space.shift_diagonal).astype(complex), rows, cols, *table[:, 2:4].T, atoms
+
+
 def lab_hamiltonian(
     space: TwoAtomSpace,
     stage: GateStage,
@@ -153,21 +171,9 @@ def lab_hamiltonian(
     z0_target: float,
 ) -> np.ndarray:
     """Lab-frame Hamiltonian of a stage at time t (for cross-checks)."""
-    h = np.diag(space.shift_diagonal).astype(complex)
-    z_c = z0_control + v_control * t
-    z_t = z0_target + v_target * t
-    if stage.control is not None:
-        for anchor, driven, sign in stage.control.couplings:
-            amp = 0.5 * stage.control.amp * np.exp(1j * sign * stage.control.k * z_c)
-            for tl in space.target_levels:
-                i, j = space.index(driven, tl), space.index(anchor, tl)
-                h[i, j] += amp
-                h[j, i] += np.conj(amp)
-    if stage.target is not None:
-        for anchor, driven, sign in stage.target.couplings:
-            amp = 0.5 * stage.target.amp * np.exp(1j * sign * stage.target.k * z_t)
-            for cl in space.control_levels:
-                i, j = space.index(cl, driven), space.index(cl, anchor)
-                h[i, j] += amp
-                h[j, i] += np.conj(amp)
+    diagonal, rows, cols, halves, waves, atoms = _lab_couplings(space, stage.control, stage.target)
+    h = diagonal.copy()
+    z = np.array([z0_control + v_control * t, z0_target + v_target * t])
+    h[rows, cols] = halves * np.exp(1j * waves * z[atoms])
+    h[cols, rows] = np.conj(h[rows, cols])
     return h

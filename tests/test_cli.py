@@ -336,7 +336,8 @@ def test_excite_trajectory_takes_one_eigendecomposition(capsys, tmp_path, monkey
         "--output", str(tmp_path / "traj.csv"),
     )
     assert code == 0
-    assert calls == [(3, 3)]
+    # one matrix, on the stage axis of the engine's stacked pass
+    assert calls == [(1, 3, 3)]
 
 
 @pytest.mark.parametrize("drive", ["four-field", "dual-rail", "single-rail"])
@@ -415,10 +416,11 @@ def test_table2_builds_one_grid_per_method_and_cycle_count(capsys, monkeypatch):
 
 
 def test_table2_eigendecomposition_budget(capsys, monkeypatch):
-    # 9 x 9 grids, one block of rows each.  Per method, the lone lines of
-    # both cycle counts (72 dual-rail, 36 traditional), the shared prefix
-    # once (90, 18) and each count's remainder (9 + 18, 9 + 9); running the
-    # two counts separately would take 279 + 72 = 351
+    # 9 x 9 grids, one block of rows each.  Per method, input "01"'s line
+    # once (9 dual-rail, 9 traditional), input "10"'s for both cycle counts
+    # (54, 18), the shared prefix once (90, 18) and each count's remainder
+    # (9 + 18, 9 + 9); running the two counts separately would take
+    # 279 + 72 = 351
     matrices = []
     original = np.linalg.eigh
 
@@ -429,7 +431,7 @@ def test_table2_eigendecomposition_budget(capsys, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting)
     code, _, _ = run_cli(capsys, "table", "--which", "2", "--grid-points", "9")
     assert code == 0
-    assert sum(matrices) == 261
+    assert sum(matrices) == 243
 
 
 @pytest.mark.parametrize("argv", [

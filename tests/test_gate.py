@@ -23,7 +23,7 @@ from dualrail.engine import (
     _build_hamiltonian,
     _levels,
     _sign_free_key,
-    _stage_hamiltonian,
+    _stage_program,
     pi_time,
     propagate_stages,
 )
@@ -378,7 +378,7 @@ def test_wait_stage_block_diagonal():
     # block to the shelved block: the piecewise bookkeeping is exact
     full, stages = input_run("11", PARAMS)
     stage_b = stages[1]
-    h, *_ = _stage_hamiltonian(full, stage_b.control, stage_b.target)
+    h, *_ = _build_hamiltonian(full, stage_b.control, stage_b.target)
     ground_block = [full.index("1", t) for t in ("1", "r1", "r2")]
     others = [i for i in range(full.dim) if i not in ground_block]
     assert np.max(np.abs(h[np.ix_(ground_block, others)])) == 0.0
@@ -392,9 +392,10 @@ def test_spaces_differing_in_one_shift_get_their_own_hamiltonian():
     # the shifts are content: insertion order does not matter
     assert TwoAtomSpace(*levels, dict(reversed(shifts.items()))) == space
     other = TwoAtomSpace(*levels, {**shifts, pair: shifts[pair] + 1.0})
-    drives = (stages[1].control, stages[1].target)
-    h, *_ = _stage_hamiltonian(space, *drives)
-    h_other, *_ = _stage_hamiltonian(other, *drives)
+    drives = ((stages[1].control, stages[1].target),)
+    (group,), _ = _stage_program(space, drives, True)
+    (group_other,), _ = _stage_program(other, drives, True)
+    h, h_other = group.hamiltonians[0], group_other.hamiltonians[0]
     i = space.index(*pair)
     assert h_other[i, i] == h[i, i] + 1.0
     assert np.count_nonzero(h_other != h) == 1
@@ -402,16 +403,33 @@ def test_spaces_differing_in_one_shift_get_their_own_hamiltonian():
 
 def test_cached_hamiltonian_is_read_only():
     space, stages = input_run("11", PARAMS)
-    h, frame_c, frame_t, _, signs = _stage_hamiltonian(space, stages[1].control,
-                                                       stages[1].target)
+    drives = tuple((s.control, s.target) for s in stages)
+    (group,), steps = _stage_program(space, drives, True)
+    assert _stage_program(space, drives, True)[0][0] is group  # compiled once
+    # the target's deexcitation reuses its excitation's eigensystem
+    flip = steps[2][3]
+    masks = [mask for mask in group.sees if isinstance(mask, np.ndarray)]
+    assert group.slots.tolist() == [0, 1, 1, 2] and len(masks) == 1
     # the initial state is a row of the space's identity, built once
     assert space.first_state.tolist() == [1.0] + [0.0] * (space.dim - 1)
     assert space.identity is space.identity
     assert np.shares_memory(space.first_state, space.identity)
-    for array in (h, frame_c, frame_t, signs, space.first_state, space.identity,
+    for array in (group.hamiltonians, group.frame_c, group.frame_t,
+                  group.slots, flip, *masks, space.first_state, space.identity,
                   space.single_rydberg_indices):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
+
+
+def test_params_rebuilt_from_an_equal_preset_hit_the_plan_cache():
+    # the table hashes by content, whatever the order its entries came in
+    table = CFG.interactions
+    reordered = InteractionTable(dict(reversed(list(table.entries.items()))), table.separation_um)
+    assert reordered == table and hash(reordered) == hash(table)
+    plan = _plan(PARAMS, "dual_rail")
+    hits = _plan.cache_info().hits
+    assert _plan(make_params(config=replace(CFG, interactions=reordered)), "dual_rail") is plan
+    assert _plan.cache_info().hits == hits + 1
 
 
 def test_report_at_new_velocities_builds_no_hamiltonian(monkeypatch):
@@ -533,11 +551,12 @@ def test_broadcast_velocity_axes_match_scalar_calls(monkeypatch, method):
     psi, occupation = propagate_stages(
         space.first_state, space, stages, v_c, v_t, z_c, z_t, rows)
     assert psi.shape == (3, 4, space.dim) and occupation.shape == (3, 4)
-    # each stage diagonalizes over the velocities its own drives see
+    # each stage diagonalizes over the velocities its own drives see, in
+    # one call per group of stages that see the same atoms
     driven = [(s.control is not None, s.target is not None) for s in stages]
     if method == "dual_rail":  # the target's deexcitation reuses its excitation
         assert driven == [(True, False), (True, True), (True, True), (True, False)]
-        assert matrices == [3, 12, 3]
+        assert matrices == [3 + 3, 12]
     else:  # the control's second pi pulse reuses its first
         assert driven == [(True, False), (False, True), (False, False), (True, False)]
         assert matrices == [3, 4]
@@ -599,13 +618,14 @@ def test_cycle_counts_share_their_prefix_exactly(monkeypatch, method):
                         lambda *args: calls.append(len(args[2])) or original(*args))
     both = gate_module.rotation_error_grids(params, method, (1, 2), n_grid=12)
     assert all(np.array_equal(a, b) for a, b in zip(both, single))
-    # after the four lone lines, per block: the stages up to the end of the
-    # target's train once, then the rest of each count's stage list
+    # after the three lone lines (input "01"'s once, input "10"'s per
+    # count), per block: the stages up to the end of the target's train
+    # once, then the rest of each count's stage list
     shared = 3 if method == "dual_rail" else 2
     rest = [len(input_run("11", p, method)[1]) - shared
             for p in (make_params(1), make_params(2))]
     blocks = 2 if method == "dual_rail" else 1
-    assert calls[4:] == [shared, *rest] * blocks
+    assert calls[3:] == [shared, *rest] * blocks
 
 
 def test_report_builds_its_pulse_trains_once(monkeypatch):
@@ -807,10 +827,11 @@ def test_control_only_stages_share_one_eigendecomposition(monkeypatch):
     matrices = _count_eigh_matrices(monkeypatch)
     velocities = velocity_grid(100)
     simulate_input("11", PARAMS, 0.12, velocities)
-    # excite and deexcite drive the control only; the target's two pulses
-    # (with the control's infrared shelving) drive both atoms, and the
-    # second, at -Omega_t, reuses the first's eigensystem
-    assert sorted(matrices) == [1, 1, 100]
+    # excite and deexcite drive the control only, one matrix each in one
+    # call; the target's two pulses (with the control's infrared shelving)
+    # drive both atoms, and the second, at -Omega_t, reuses the first's
+    # eigensystem
+    assert matrices == [1 + 1, 100]
 
 
 @pytest.mark.parametrize("method", ["dual_rail", "traditional"])
