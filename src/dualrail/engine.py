@@ -22,9 +22,10 @@ diagonal similarity H(-amp) = S H(+amp) S with S = +-1, which stages share
 an eigensystem up to such a flip (the gate's target deexcitation at
 -Omega_t after its excitation at +Omega_t).  A call does its velocity
 arithmetic in one stacked pass per group of stages (one ``eigh`` over the
-group's distinct Hamiltonians at the velocities they see), then a stage
-loop that only projects and multiplies, then one stacked occupation
-integral per group.
+group's distinct Hamiltonians at the velocities they see, and the frame
+phases with each stage's flip S folded in), then a stage loop that only
+projects and multiplies, one step per driven stage, then one stacked
+occupation integral per group.
 """
 
 from __future__ import annotations
@@ -288,17 +289,19 @@ def _occupation_integral(
 
 
 class _Group(NamedTuple):
-    """Driven stages of a run that share a batch shape: their positions, and
-    per distinct in-frame Hamiltonian which atoms' velocities it sees (per
-    atom a bool for all, or a (distinct, 1) mask) and its frame-rate rows;
-    ``slots`` maps each stage to its Hamiltonian, None if each has its own."""
+    """Driven stages of a run that share a batch shape: whether any of them
+    drives the control and the target, their positions, the frame-rate rows
+    and in-frame Hamiltonians of their distinct drives, ``slots`` mapping
+    each stage to its Hamiltonian (None if each has its own), and ``signs``,
+    each stage's +-1 flip (None if no stage flips)."""
 
-    sees: tuple[bool | np.ndarray, bool | np.ndarray]
+    sees: tuple[bool, bool]
     stages: tuple[int, ...]
     frame_c: np.ndarray  # (distinct, dim)
     frame_t: np.ndarray  # (distinct, dim)
     hamiltonians: np.ndarray  # (distinct, dim, dim)
-    slots: np.ndarray | None
+    slots: np.ndarray | None  # (stage,)
+    signs: np.ndarray | None  # (stage, 1, dim)
 
 
 @lru_cache(maxsize=256)
@@ -309,12 +312,13 @@ def _stage_program(
 ) -> tuple[tuple[_Group, ...], tuple]:
     """The program of a run with these (control, target) drives per stage,
     compiled once by content (never by times), its arrays read-only: the
-    groups, and per stage None (undriven) or (group, position in it, slot,
-    flip).  With ``merged`` (both atoms' velocities have one shape) the
-    driven stages are one group, else one per set of driven atoms.  A stage
-    whose drives match an earlier one's up to amplitude signs
-    (:func:`_sign_free_key`) takes its slot, with the +-1 flip that carries
-    the stored eigenvectors to its own; other stages have none."""
+    groups, and per stage None (undriven) or (group, position in it, slot).
+    With ``merged`` (both atoms' velocities have one shape) the driven
+    stages are one group, else one per set of driven atoms.  A stage whose
+    drives match an earlier one's up to amplitude signs
+    (:func:`_sign_free_key`) takes its slot, and its sign vector times the
+    earlier one's is the +-1 flip that carries the stored eigenvectors to
+    its own (all ones for the stage that fills a slot)."""
     members, steps, slots = {}, [], {}
     for i, (control, target) in enumerate(drives):
         if control is None and target is None:
@@ -322,31 +326,27 @@ def _stage_program(
             continue
         # Equal sign-free keys drive the same atoms: a slot stays in its group.
         sees = (control is not None, target is not None)
-        stages, distinct = members.setdefault(merged or sees, ([], []))
+        stages, distinct, flips = members.setdefault(merged or sees, ([], [], []))
         key, signs = _sign_free_key(space, control, target)
-        flip = None
-        if key in slots:
-            slot, first_signs = slots[key]
-            flip = first_signs * signs
-            flip.flags.writeable = False
-        else:
-            slot = len(distinct)
-            slots[key] = slot, signs
+        if key not in slots:
+            slots[key] = len(distinct), signs
             distinct.append((*_build_hamiltonian(space, control, target), sees))
-        steps.append((list(members).index(merged or sees), len(stages), slot, flip))
+        slot, first_signs = slots[key]
+        steps.append((list(members).index(merged or sees), len(stages), slot))
         stages.append((i, slot))
+        flips.append(first_signs * signs)
     groups = []
-    for stages, distinct in members.values():
+    for stages, distinct, flips in members.values():
         positions, stage_slots = zip(*stages)
         hamiltonians, frame_c, frame_t, sees = zip(*distinct)
-        arrays = [np.array(frame_c), np.array(frame_t), np.array(hamiltonians)]
-        if len(distinct) < len(stages):
-            arrays.append(np.array(stage_slots))
-        sees = [flags[0] if len(set(flags)) == 1 else np.array(flags)[:, None]
-                for flags in zip(*sees)]
-        for array in arrays + [mask for mask in sees if isinstance(mask, np.ndarray)]:
-            array.flags.writeable = False
-        groups.append(_Group(tuple(sees), positions, *arrays, *[None] * (4 - len(arrays))))
+        signs = np.array(flips)[:, None, :]
+        arrays = [np.array(frame_c), np.array(frame_t), np.array(hamiltonians),
+                  np.array(stage_slots) if len(distinct) < len(stages) else None,
+                  signs if (signs < 0).any() else None]
+        for array in arrays:
+            if array is not None:
+                array.flags.writeable = False
+        groups.append(_Group(tuple(map(any, zip(*sees))), positions, *arrays))
     return tuple(groups), tuple(steps)
 
 
@@ -374,13 +374,14 @@ def propagate_stages(
 
     The run's program (:func:`_stage_program`) is compiled once per space
     and drives.  A call first does its velocity arithmetic in one stacked
-    pass per group of driven stages (rates, frame phases, one ``eigh`` over
-    the group's distinct Hamiltonians, eigenphases): one group when both
-    atoms' velocities have one shape, scalars included, else one per set of
-    driven atoms, so that a stage diagonalizes one matrix per velocity it
-    sees (one per target velocity, not per pair, for a target-only stage).
-    The stage loop then only projects and multiplies, and the state takes
-    the batch axes only as stages reach them.
+    pass per group of driven stages (rates, frame phases times each stage's
+    +-1 flip, one ``eigh`` over the group's distinct Hamiltonians,
+    eigenphases): one group when both atoms' velocities have one shape,
+    scalars included, else one per set of driven atoms, so that a stage
+    diagonalizes one matrix per velocity it sees (one per target velocity,
+    not per pair, for a target-only stage).  The stage loop then only
+    projects and multiplies, and the state takes the batch axes only as
+    stages reach them.
 
     Splitting a stage list into two calls, the second starting from the
     first's state, is the same arithmetic as one call; only the eigensystem
@@ -409,13 +410,11 @@ def propagate_stages(
             flat = np.broadcast_arrays(*(t for pair in times for t in pair))
             times = np.moveaxis(np.reshape(flat, (len(times), 2, -1)), -1, 0)
         # A stage's rates are the Doppler terms of the atoms it drives: an
-        # undriven atom has no frame, so its velocities add nothing.
+        # atom it does not drive has an all-zero frame row.
         sees_c, sees_t = group.sees
-        rates = (0.0 if sees_c is False else group.frame_c * v_c if sees_c is True
-                 else np.where(sees_c, group.frame_c * v_c, 0.0))
-        if sees_t is not False:  # x + -0.0 is x, whatever the sign of a zero x
-            term = group.frame_t * v_t
-            rates = rates + (term if sees_t is True else np.where(sees_t, term, -0.0))
+        rates = group.frame_c * v_c if sees_c else 0.0
+        if sees_t:
+            rates = rates + group.frame_t * v_t
         offset = group.frame_c * z_c + group.frame_t * z_t
         eigenvalues, vectors = np.linalg.eigh(
             group.hamiltonians - rates[..., None] * space.identity)
@@ -424,7 +423,12 @@ def propagate_stages(
                                           for x in (rates, offset, eigenvalues))
         duration = times[..., 1:] - times[..., :1]
         theta = offset[..., None, :] + rates[..., None, :] * times[..., None]
-        passes.append((np.exp(_FRAME_SIGNS * theta), np.exp(-1j * duration * eigenvalues),
+        frame = np.exp(_FRAME_SIGNS * theta)
+        if group.signs is not None:
+            # The stored eigenvectors with rows times a stage's flip are its
+            # own: the +-1 goes on both of its frame phases, exactly.
+            frame *= group.signs
+        passes.append((frame, np.exp(-1j * duration * eigenvalues),
                        eigenvalues, vectors, duration, []))
     psi = np.asarray(psi, dtype=complex)
     rows = np.asarray(occupation_rows, dtype=int)
@@ -438,23 +442,16 @@ def propagate_stages(
                 terms.append((duration * populations.sum(axis=-1, keepdims=True))[..., 0])
             psi = np.exp(-1j * duration * space.shift_diagonal) * psi
             continue
-        g, j, slot, flip = step
+        g, j, slot = step
         frame, phases, _, vectors, _, coefficients = passes[g]
         vectors = vectors[..., slot, :, :]
         psi = frame[..., j, 0, :] * psi
-        if flip is not None:
-            # The stored eigenvectors with rows times flip are this stage's;
-            # the +-1 goes on the state, not on the (..., d, d) stack.
-            psi = flip * psi
         coeffs = (psi[..., None, :] @ vectors)[..., 0, :]
         if rows.size:
             # A row's sign cancels in its population: the stored vectors do.
             terms.append((g, j))
             coefficients.append(coeffs)
-        phi = (vectors @ (phases[..., j, :] * coeffs)[..., None])[..., 0]
-        if flip is not None:
-            phi = flip * phi
-        psi = frame[..., j, 1, :] * phi
+        psi = frame[..., j, 1, :] * (vectors @ (phases[..., j, :] * coeffs)[..., None])[..., 0]
     occupation = np.zeros(batch)
     if rows.size:
         integrals = []

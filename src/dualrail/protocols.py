@@ -280,14 +280,16 @@ def optimize_deexcitation(
 
     # The lone atom from z0 = 0 at v_ref, as run_excite_restore runs it:
     # the pi excitation once, then each evaluation's 3*pi stage from there.
-    excite = resilient_pair(abs(omega), abs(omega), k)[:1]
+    t_pi = pi_time(omega)
+    excite = pulse_train(0.0, (t_pi, AtomDrive(abs(omega), k, OPTICAL_DUAL)))
     space = _atom_space(_levels(excite))
     excited, _ = propagate_stages(space.first_state, space, excite, v_ref, 0.0, 0.0, 0.0)
 
     def objective(x_mhz: float) -> float:
-        pair = resilient_pair(abs(omega), sign * mhz_to_rad_per_us(x_mhz), k)
-        final, _ = propagate_stages(excited, space, pair[1:], v_ref, 0.0, 0.0, 0.0)
-        return 1.0 - ComplexState(space.control_levels, final).population("1")
+        amp = sign * mhz_to_rad_per_us(x_mhz)
+        restore = pulse_train(t_pi, (3.0 * pi_time(amp), AtomDrive(amp, k, OPTICAL_DUAL)))
+        final, _ = propagate_stages(excited, space, restore, v_ref, 0.0, 0.0, 0.0)
+        return 1.0 - abs(final[0]) ** 2  # the ground "1" is the first level
 
     x = _minimize_bounded(objective, lo, hi, xatol_mhz)
     if min(x - lo, hi - x) < 10.0 * xatol_mhz:

@@ -876,3 +876,50 @@ FUZZ_SWEEPS_AND_OPTIMIZE = st.one_of(
 @given(argv=FUZZ_SWEEPS_AND_OPTIMIZE)
 def test_fuzzed_sweeps_and_optimizations_end_with_a_known_exit_code(argv):
     assert main(argv) in (0, 2, 3)
+
+
+# Every subcommand with each flag that names a file, at the fuzz sizes above.
+FUZZ_WRITERS = {
+    "excite": st.builds(lambda n: ["excite", f"--samples={n}", "--output"], FUZZ_COUNTS),
+    "gap": st.builds(lambda v: ["gap", f"--v={v}", "--output"], FUZZ_FLOATS),
+    "restore": st.builds(lambda v: ["restore", f"--v={v}", "--output"], FUZZ_FLOATS),
+    "gate": st.builds(lambda n: ["gate", f"--grid-points={n}", "--output"], st.integers(-1, 4)),
+    "gate grid": st.builds(lambda n: ["gate", f"--grid-points={n}", "--grid-output"],
+                           st.integers(-1, 4)),
+    "table": st.builds(lambda which, n: ["table", f"--which={which}", f"--grid-points={n}",
+                                         "--output"],
+                       st.sampled_from([1, 2]), st.integers(2, 4)),
+    "sweep": st.builds(lambda axis, protocol, n: ["sweep", f"--axis={axis}",
+                                                  f"--protocol={protocol}", "--start=0.01",
+                                                  "--stop=0.1", f"--num={n}", "--output"],
+                       st.sampled_from(["v", "z0", "omega", "temp"]),
+                       st.sampled_from(["restore", "gap", "traditional", "phase"]), FUZZ_COUNTS),
+    "optimize": st.builds(lambda v_ref, sign: ["optimize", "--omega-mhz=2", f"--v-ref={v_ref}",
+                                               f"--sign={sign}", "--output"],
+                          FUZZ_FLOATS, st.sampled_from([1, -1])),
+}
+# A read-only directory is left out: run as root, it refuses nothing.
+OUTPUT_TARGETS = {
+    "directory": "directory",
+    "missing parent": os.path.join("missing", "out"),
+    "plain file": "out",
+}
+
+
+@pytest.mark.parametrize("target", sorted(OUTPUT_TARGETS))
+@pytest.mark.parametrize("command", sorted(FUZZ_WRITERS))
+def test_fuzzed_output_targets_end_with_a_known_exit_code(capsys, tmp_path, command, target):
+    (tmp_path / "directory").mkdir()
+    (tmp_path / "out").touch()
+    path = str(tmp_path / OUTPUT_TARGETS[target])
+
+    @settings(max_examples=4, deadline=None, derandomize=True)
+    @given(argv=FUZZ_WRITERS[command])
+    def run(argv):
+        code = main([*argv, path])
+        # a target no run could write is refused before any computing
+        assert code == 2 if target != "plain file" else code in (0, 2, 3)
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "missing").exists()
+
+    run()

@@ -3,11 +3,12 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from closed_form import closed_form_final, stage_propagator
-from dualrail import protocols
-from dualrail.core import SimulationParams, gap_wait_time, mhz_to_rad_per_us
+from dualrail import gate, protocols
+from dualrail.core import SimulationParams, gap_wait_time, get_config, mhz_to_rad_per_us
 from dualrail.engine import (
     OPTICAL_DUAL, AtomDrive, GateStage, _levels, pi_time, propagate_atom,
 )
@@ -94,3 +95,20 @@ def test_atoms_at_rest_return_to_ground_with_no_doppler_phase(omega, ratio, k, z
             omega=omega, omega_dp=omega_dp, z0_um=z0), k)
         assert abs(outcome.ground_population - 1.0) < 1e-12
         assert abs(abs(outcome.ground_phase) - (0.0 if sign == 1 else math.pi)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("method", ["dual_rail", "traditional"])
+@EXACT
+@given(amplitudes, ratios, st.sampled_from([1, -1]), speeds, speeds, coordinates, coordinates)
+def test_gate_lone_inputs_match_the_closed_form(method, n, omega, ratio, target_sign,
+                                               v_c, v_t, z_c, z_t):
+    # input "01" is the target's train alone, run in the target's slot, and
+    # "10" the control's: each is its atom's ground amplitude
+    params = gate.GateParams(omega, -ratio * omega, target_sign * omega, abs(omega), n,
+                             get_config("rb87_5p12"), z_c, z_t)
+    report = gate.gate_report(params, v_c, v_t, method)
+    control, target = gate._trains(params, method)
+    for amplitude, train, v, z0 in ((report.a, target, v_t, z_t), (report.b, control, v_c, z_c)):
+        levels = _levels(train)
+        assert abs(amplitude - closed_form_final(train, levels, v, z0)[levels.index("1")]) < 1e-12

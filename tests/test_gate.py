@@ -406,16 +406,17 @@ def test_cached_hamiltonian_is_read_only():
     drives = tuple((s.control, s.target) for s in stages)
     (group,), steps = _stage_program(space, drives, True)
     assert _stage_program(space, drives, True)[0][0] is group  # compiled once
-    # the target's deexcitation reuses its excitation's eigensystem
-    flip = steps[2][3]
-    masks = [mask for mask in group.sees if isinstance(mask, np.ndarray)]
-    assert group.slots.tolist() == [0, 1, 1, 2] and len(masks) == 1
+    # the target's deexcitation reuses its excitation's eigensystem, flipped
+    assert group.slots.tolist() == [0, 1, 1, 2] and group.sees == (True, True)
+    assert steps == ((0, 0, 0), (0, 1, 1), (0, 2, 1), (0, 3, 2))  # (group, position, slot)
+    assert group.signs.shape == (4, 1, space.dim)
+    assert (group.signs[2] < 0).any() and (group.signs[[0, 1, 3]] == 1.0).all()
     # the initial state is a row of the space's identity, built once
     assert space.first_state.tolist() == [1.0] + [0.0] * (space.dim - 1)
     assert space.identity is space.identity
     assert np.shares_memory(space.first_state, space.identity)
     for array in (group.hamiltonians, group.frame_c, group.frame_t,
-                  group.slots, flip, *masks, space.first_state, space.identity,
+                  group.slots, group.signs, space.first_state, space.identity,
                   space.single_rydberg_indices):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
