@@ -276,12 +276,19 @@ def _gate_params(args, cfg) -> gate.GateParams:
     )
 
 
+def _report_grid_mass(velocities: np.ndarray, temp_uk: float, species) -> None:
+    """Name on stderr a gate grid whose Maxwell mass misses 1; its average stands."""
+    mass = core.continuum_weight_mass(velocities, temp_uk, species)
+    if abs(mass - 1.0) > core.WEIGHT_MASS_TOL:
+        print(f"warning: the {velocities.size}-point velocity grid carries {mass:.3g} of the "
+              f"Maxwell weight at {temp_uk:g} uK, not 1", file=sys.stderr)
+
+
 def cmd_gate(args, cfg) -> int:
     params = _gate_params(args, cfg)
     started = time.perf_counter()
-    grid = gate.averaged_rotation_error(
-        params, args.temp_uk, args.method, n_grid=args.grid_points
-    )
+    grid = gate.averaged_rotation_error(params, args.temp_uk, args.method, n_grid=args.grid_points)
+    _report_grid_mass(grid.velocities, args.temp_uk, cfg.species)
     report = gate.gate_report(params, 0.0, 0.0, args.method)
     fidelity = 1.0 - grid.averaged - report.decay_error
     wall = time.perf_counter() - started
@@ -441,6 +448,8 @@ def _run_table2(cfg, rows, n_grid) -> None:
             f"{i:<4d} {method:<13s} {temp:<6g} {n_cycles}  {duration:.4f}    "
             f"{ref_dur:.3f}    {ero:.4e}  {ref_ero:.2e}  {ero / ref_ero - 1:+.2e}"
         )
+    for temp in dict.fromkeys(row[1] for _, row in rows):  # each temperature once
+        _report_grid_mass(velocities, temp, cfg.species)
 
 
 class UsageError(Exception):

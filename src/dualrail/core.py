@@ -27,6 +27,8 @@ if TYPE_CHECKING:
     import configparser
 
 TWO_PI = 2.0 * math.pi
+# How far from 1 a converged grid's Maxwell mass (continuum_weight_mass) may be.
+WEIGHT_MASS_TOL = 1e-3
 
 # CODATA values truncated to 6 significant digits; the tabulated reference
 # data this package reproduces never exceeds 3 digits.
@@ -335,11 +337,11 @@ def continuum_weight_mass(
 
     Values close to 1 certify that the grid covers and resolves the
     distribution; protocol averaging rejects grids whose mass is not 1
-    within 1e-3.
+    within :data:`WEIGHT_MASS_TOL`.
     """
     sigma = thermal_rms_speed(temperature_uk, species)
     v = np.asarray(velocities, dtype=float)
-    pdf = np.exp(-0.5 * (v / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
+    pdf = maxwell_weight(v, temperature_uk, species) / (sigma * math.sqrt(2.0 * math.pi))
     return float(np.trapezoid(pdf, v))
 
 

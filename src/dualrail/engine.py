@@ -2,10 +2,10 @@
 
 A run is a list of stages (:class:`GateStage`) with optional control and
 target drives (:class:`AtomDrive`) over a two-atom basis
-(:class:`TwoAtomSpace`).  :func:`pulse_train` and its wrappers build one
-atom's train, and :func:`propagate_atom` runs it in one call: every
-single-atom protocol.  Each gate input is one two-atom run, in which an
-atom in |0> is an uncoupled spectator.
+(:class:`TwoAtomSpace`).  :func:`pulse_train` and its cached wrappers build
+one atom's train, a tuple, and :func:`propagate_atom` runs it in one call:
+every single-atom protocol.  Each gate input is one two-atom run, in which
+an atom in |0> is an uncoupled spectator.
 
 Per-stage rotating frames absorb every drive phase k*(z0 + v*t) into level
 phases that grow linearly in time, leaving a time-independent real
@@ -471,7 +471,7 @@ def propagate_stages(
     return np.zeros(batch + (space.dim,), dtype=complex) + psi, scalar_or_array(occupation)
 
 
-def pulse_train(t0: float, *pulses: tuple[float, AtomDrive | None]) -> list[GateStage]:
+def pulse_train(t0: float, *pulses: tuple[float, AtomDrive | None]) -> tuple[GateStage, ...]:
     """Contiguous one-atom stages from ``t0``, one per (duration, drive)
     pair; the atom's drives ride in the ``control`` slot, as
     :func:`propagate_atom` expects."""
@@ -479,18 +479,20 @@ def pulse_train(t0: float, *pulses: tuple[float, AtomDrive | None]) -> list[Gate
     for duration, drive in pulses:
         stages.append(GateStage(t0, t0 + duration, control=drive))
         t0 += duration
-    return stages
+    return tuple(stages)
 
 
+@lru_cache(maxsize=256)
 def resilient_pair(
     omega: float,
     omega_dp: float,
     k: float,
     *wait: tuple[float, AtomDrive | None],
     t0: float = 0.0,
-) -> list[GateStage]:
+) -> tuple[GateStage, ...]:
     """Dual-rail excite/restore from ``t0``: pi at ``omega``, an optional
-    (duration, drive) wait, 3*pi at ``omega_dp``."""
+    (duration, drive) wait, 3*pi at ``omega_dp``.  One shared tuple per
+    argument set."""
     return pulse_train(
         t0,
         (pi_time(omega), AtomDrive(omega, k, OPTICAL_DUAL)),
@@ -499,9 +501,10 @@ def resilient_pair(
     )
 
 
-def single_rail_restore(omega: float, k: float, t_wait: float) -> list[GateStage]:
+@lru_cache(maxsize=256)
+def single_rail_restore(omega: float, k: float, t_wait: float) -> tuple[GateStage, ...]:
     """Single-rail pi / idle wait / pi from t = 0, each pi pulse pi/|omega|
-    long; a wait of zero adds no stage."""
+    long; a wait of zero adds no stage.  One shared tuple per argument set."""
     t_pi = math.pi / abs(omega)
     drive = AtomDrive(omega, k, OPTICAL_SINGLE)
     wait = ((t_wait, None),) if t_wait > 0 else ()

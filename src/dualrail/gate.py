@@ -111,7 +111,7 @@ def gate_duration(params: GateParams, method: Method = "dual_rail") -> float:
     return _plan(params, method).duration
 
 
-def _trains(params: GateParams, method: Method) -> tuple[list[GateStage], list[GateStage]]:
+def _trains(params: GateParams, method: Method) -> tuple[tuple[GateStage, ...], ...]:
     """The control's and the target's pulse trains of ``method``: the one
     description of each gate sequence.  The target's train starts where the
     control's wait stage (its second) opens.
@@ -183,7 +183,7 @@ def _plan(params: GateParams, method: Method) -> GatePlan:
     shifts = {(a, b): params.pair_shift(a, b) for a in levels_c[1:] for b in levels_t[1:]}
     return GatePlan(end, (
         (TwoAtomSpace(("0",), levels_t), (*pulses, GateStage(pulses[-1].t1, end))),
-        (TwoAtomSpace(levels_c, ("0",)), tuple(control)),
+        (TwoAtomSpace(levels_c, ("0",)), control),
         (TwoAtomSpace(levels_c, levels_t, shifts), (*pair, *restore)),
     ))
 

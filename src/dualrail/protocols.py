@@ -12,13 +12,13 @@ Doppler term.
 Every protocol is one atom's pulse train, built by the builders that also
 build the gate's two atoms and run in one call by
 :func:`dualrail.engine.propagate_atom`, batched over velocity and
-coordinate arrays.  A protocol's train depends on its scalar drive fields
-alone (the amplitudes, the wait and the wavevectors), so each train is
-built once per set of them and cached as a tuple of stages; the velocity
-and the start coordinate, which may be arrays, never key it, and every
-call still propagates.  Because the restored ground phase comes out of an
-exact computation, a phase of pi can come back as +pi or -pi by roundoff;
-compare phases modulo 2*pi.
+coordinate arrays.  A train depends on its scalar drive fields alone (the
+amplitudes, the wait and the wavevectors), and the builders cache it by
+them, so the gap protocol and the gate's control hold one train; the
+velocity and the start coordinate, which may be arrays, never key it, and
+every call still propagates.  Because the restored ground phase comes out
+of an exact computation, a phase of pi can come back as +pi or -pi by
+roundoff; compare phases modulo 2*pi.
 """
 
 from __future__ import annotations
@@ -26,12 +26,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from dualrail.core import (
+    WEIGHT_MASS_TOL,
     AtomSpecies,
     ConvergenceError,
     SimulationParams,
@@ -45,7 +45,7 @@ from dualrail.core import (
     scalar_or_array,
 )
 from dualrail.engine import (
-    INFRARED, OPTICAL_DUAL, AtomDrive, ComplexState, GateStage, _atom_space, _levels,
+    INFRARED, OPTICAL_DUAL, AtomDrive, ComplexState, _atom_space, _levels,
     pi_time, propagate_atom, propagate_stages, pulse_train, resilient_pair,
     single_rail_restore,
 )
@@ -144,33 +144,13 @@ def _outcome(final: ComplexState, rydberg_time) -> ProtocolOutcome:
     return ProtocolOutcome(population, final.phase("1"), r3_leak, rydberg_time)
 
 
-@lru_cache(maxsize=256)
-def _restore_train(omega: float, omega_dp: float, k: float) -> tuple[GateStage, ...]:
-    return tuple(resilient_pair(omega, omega_dp, k))
-
-
-@lru_cache(maxsize=256)
-def _gap_train(
-    omega: float, omega_dp: float, omega_if: float, t_wait: float, k_excite: float, k_wait: float
-) -> tuple[GateStage, ...]:
-    ir = AtomDrive(omega_if, k_wait, INFRARED)
-    return tuple(resilient_pair(omega, omega_dp, k_excite, (t_wait, ir)))
-
-
-@lru_cache(maxsize=256)
-def _traditional_train(omega: float, k: float, t_wait: float) -> tuple[GateStage, ...]:
-    return tuple(single_rail_restore(omega, k, t_wait))
-
-
 def run_excite_restore(params: SimulationParams, k: float) -> ProtocolOutcome:
     """Immediate pi + 3*pi state transfer and restoration, no wait window."""
-    stages = _restore_train(params.omega, params.omega_dp, k)
+    stages = resilient_pair(params.omega, params.omega_dp, k)
     return _outcome(*propagate_atom(stages, params.v_mps, params.z0_um))
 
 
-def run_gap_protocol(
-    params: SimulationParams, wavevectors: WavevectorSet
-) -> ProtocolOutcome:
+def run_gap_protocol(params: SimulationParams, wavevectors: WavevectorSet) -> ProtocolOutcome:
     """Restoration with an infrared-shelved wait window between the pulses.
 
     The wait duration must equal 4*n*pi/(sqrt(2)*Omega_IF) so the
@@ -179,15 +159,13 @@ def run_gap_protocol(
     deexcitation does not touch, is reported as ``r3_leak``.
     """
     expected = gap_wait_time(params.n_gap_cycles, params.omega_if)
-    if params.t_wait_us and not math.isclose(
-        params.t_wait_us, expected, rel_tol=1e-12
-    ):
+    if params.t_wait_us and not math.isclose(params.t_wait_us, expected, rel_tol=1e-12):
         raise ValueError(
             f"wait time {params.t_wait_us} breaks the full-cycle condition; "
             f"expected {expected} for n={params.n_gap_cycles}"
         )
-    stages = _gap_train(params.omega, params.omega_dp, params.omega_if, expected,
-                        wavevectors.k_excite, wavevectors.k_wait)
+    ir = AtomDrive(params.omega_if, wavevectors.k_wait, INFRARED)
+    stages = resilient_pair(params.omega, params.omega_dp, wavevectors.k_excite, (expected, ir))
     return _outcome(*propagate_atom(stages, params.v_mps, params.z0_um))
 
 
@@ -198,7 +176,7 @@ def run_traditional_restore(params: SimulationParams, k: float) -> ProtocolOutco
     k*v*t_wait accumulated in the Rydberg state survives into the
     restored ground-state phase.
     """
-    stages = _traditional_train(params.omega, k, params.t_wait_us)
+    stages = single_rail_restore(params.omega, k, params.t_wait_us)
     return _outcome(*propagate_atom(stages, params.v_mps, params.z0_um))
 
 
@@ -266,7 +244,7 @@ def optimize_deexcitation(
     objective is degenerate; the convention is to return sign*|Omega|.  A
     zero Omega, or a NaN or infinite v_ref, raises ValueError.
     """
-    pi_time(omega)  # rejects a zero amplitude, as every pulse does
+    t_pi = pi_time(omega)  # rejects a zero amplitude, as every pulse does
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     if not math.isfinite(v_ref):
@@ -280,7 +258,6 @@ def optimize_deexcitation(
 
     # The lone atom from z0 = 0 at v_ref, as run_excite_restore runs it:
     # the pi excitation once, then each evaluation's 3*pi stage from there.
-    t_pi = pi_time(omega)
     excite = pulse_train(0.0, (t_pi, AtomDrive(abs(omega), k, OPTICAL_DUAL)))
     space = _atom_space(_levels(excite))
     excited, _ = propagate_stages(space.first_state, space, excite, v_ref, 0.0, 0.0, 0.0)
@@ -402,16 +379,16 @@ def maxwell_average(
     ``runner`` maps velocities to an outcome; it is called once, with the
     whole grid.  The default grid spans +-5 thermal rms speeds with 201
     points.  The grid's share of the continuum probability mass must be 1
-    within 1e-3: too narrow a grid misses weight, too coarse a one
-    miscounts it, and a single point carries none.
+    within ``WEIGHT_MASS_TOL`` (1e-3): too narrow a grid misses weight, too
+    coarse a one miscounts it, and a single point carries none.
     """
     if velocities is None:
         velocities = maxwell_grid(temperature_uk, species)
     velocities = np.asarray(velocities, dtype=float).reshape(-1)
     mass = continuum_weight_mass(velocities, temperature_uk, species)
-    if abs(mass - 1.0) > 1e-3:
+    if abs(mass - 1.0) > WEIGHT_MASS_TOL:
         raise ConvergenceError(f"velocity grid carries {mass:.6f} of the "
-                               "Maxwell weight, not 1 within 1e-3")
+                               f"Maxwell weight, not 1 within {WEIGHT_MASS_TOL:g}")
     out = runner(velocities)
     fields = (out.ground_population, np.abs(out.ground_phase), out.r3_leak,
               out.rydberg_time_us)

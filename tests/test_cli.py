@@ -274,6 +274,30 @@ def test_weightless_gate_grid_is_numerical_failure(capsys):
     assert "nan" not in out
 
 
+def test_unconverged_gate_grid_is_reported_not_refused(capsys):
+    # 4 points at 10 uK carry 4.26e-6 of the Maxwell weight: the average
+    # stands, and stderr says so once, after it
+    code, out, err = run_cli(capsys, "gate", "--grid-points", "4", "--temp-uk", "10")
+    assert code == 0 and "rotation_error_avg" in out
+    assert err.count("\n") == 1 and "4-point" in err and "10 uK" in err and "4.26e-06" in err
+    # rows 1 and 2 share 10 uK, and row 3 is at 200 uK: one line each
+    code, _, err = run_cli(capsys, "table", "--which", "2", "--rows", "1,2,3",
+                           "--grid-points", "4")
+    assert code == 0
+    grid = "warning: the 4-point velocity grid carries"
+    assert err.splitlines() == [f"{grid} 4.26e-06 of the Maxwell weight at 10 uK, not 1",
+                                f"{grid} 0.932 of the Maxwell weight at 200 uK, not 1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("gate", "--temp-uk", "10"),
+    ("table", "--which", "2", "--rows", "3"),
+])
+def test_converged_gate_grid_leaves_stderr_empty(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+
+
 @pytest.mark.parametrize("argv", [
     ("gap", "--v", "1e308"),
     ("gap", "--z0", "1e308"),

@@ -10,7 +10,8 @@ from closed_form import closed_form_final, stage_propagator
 from dualrail import gate, protocols
 from dualrail.core import SimulationParams, gap_wait_time, get_config, mhz_to_rad_per_us
 from dualrail.engine import (
-    OPTICAL_DUAL, AtomDrive, GateStage, _levels, pi_time, propagate_atom,
+    INFRARED, OPTICAL_DUAL, AtomDrive, GateStage, _levels, pi_time, propagate_atom,
+    resilient_pair, single_rail_restore,
 )
 
 EXACT = settings(max_examples=25, deadline=None, derandomize=True)
@@ -31,7 +32,7 @@ def _assert_matches_oracle(train, v, z0):
 @EXACT
 @given(amplitudes, ratios, wavevectors, speeds, coordinates)
 def test_restore_matches_the_closed_form(omega, ratio, k, v, z0):
-    _assert_matches_oracle(protocols._restore_train(omega, -ratio * omega, k), v, z0)
+    _assert_matches_oracle(resilient_pair(omega, -ratio * omega, k), v, z0)
 
 
 @EXACT
@@ -39,15 +40,15 @@ def test_restore_matches_the_closed_form(omega, ratio, k, v, z0):
        speeds, coordinates, st.integers(1, 3))
 def test_gap_matches_the_closed_form(omega, ratio, ir_ratio, k, k_ratio, v, z0, n):
     omega_if = ir_ratio * abs(omega)
-    train = protocols._gap_train(omega, -ratio * omega, omega_if, gap_wait_time(n, omega_if),
-                                 k, k_ratio * k)
+    wait = gap_wait_time(n, omega_if), AtomDrive(omega_if, k_ratio * k, INFRARED)
+    train = resilient_pair(omega, -ratio * omega, k, wait)
     _assert_matches_oracle(train, v, z0)
 
 
 @EXACT
 @given(amplitudes, wavevectors, speeds, coordinates, st.floats(0.0, 2.0))
 def test_traditional_matches_the_closed_form(omega, k, v, z0, t_wait):
-    _assert_matches_oracle(protocols._traditional_train(omega, k, t_wait), v, z0)
+    _assert_matches_oracle(single_rail_restore(omega, k, t_wait), v, z0)
 
 
 @EXACT
@@ -83,9 +84,9 @@ def test_atoms_at_rest_return_to_ground_with_no_doppler_phase(omega, ratio, k, z
     # +1, or -1 when the deexcitation flips the sign, at every z0
     for sign in (1, -1):
         omega_dp = sign * ratio * omega
-        restore = protocols._restore_train(omega, omega_dp, k)
-        gap = protocols._gap_train(omega, omega_dp, abs(omega), gap_wait_time(n, abs(omega)), k,
-                                   1.1 * k)
+        restore = resilient_pair(omega, omega_dp, k)
+        gap = resilient_pair(omega, omega_dp, k, (gap_wait_time(n, abs(omega)),
+                                                  AtomDrive(abs(omega), 1.1 * k, INFRARED)))
         for train in (restore, gap):
             final, _ = propagate_atom(train, 0.0, z0)
             expected = closed_form_final(train, final.basis, 0.0, z0)

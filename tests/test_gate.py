@@ -608,6 +608,17 @@ def test_row_blocks_that_do_not_divide_the_grid(monkeypatch, method, n_grid, blo
         assert np.max(np.abs(errors - expected) / expected) < 1e-12
 
 
+def test_a_dual_rail_grid_of_51_points_runs_one_row_per_block(monkeypatch):
+    # 14,400 // (51 * 144) = 1: from 51 points on, a dual-rail block is a
+    # single row, or its stacks outgrow one 100-point row
+    rows = []
+    original = gate_module.propagate_stages
+    monkeypatch.setattr(gate_module, "propagate_stages", lambda psi, space, stages, v_c, *args:
+                        rows.append(np.shape(v_c)[:1]) or original(psi, space, stages, v_c, *args))
+    gate_module.rotation_error_grids(PARAMS, "dual_rail", (1,), n_grid=51)
+    assert rows == [(51,)] * 2 + [(1,)] * 51  # the lone lines, then one call per block
+
+
 @pytest.mark.parametrize("method", ["dual_rail", "traditional"])
 def test_cycle_counts_share_their_prefix_exactly(monkeypatch, method):
     params = make_params(1, z0_control_um=0.7, z0_target_um=-1.1)
@@ -641,6 +652,26 @@ def test_report_builds_its_pulse_trains_once(monkeypatch):
         gate_report(PARAMS, v_c, v_t)
     gate_duration(PARAMS)
     assert calls == [(PARAMS, "dual_rail")]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_the_gate_control_runs_the_protocols_own_train(monkeypatch, n):
+    # the gate is its atoms' protocols by identity: at matching fields the
+    # gap protocol and the traditional restore run the very train that the
+    # gate's control holds, and input "10" of its plan runs it as it is
+    trains = []
+    monkeypatch.setattr(protocols, "propagate_atom", lambda train, *args:
+                        trains.append(train) or engine.propagate_atom(train, *args))
+    params = make_params(n)
+    protocols.run_gap_protocol(SimulationParams(
+        omega=params.omega, omega_dp=params.omega_dp, omega_if=params.omega_if,
+        n_gap_cycles=n, v_mps=0.1), CFG.wavevectors)
+    protocols.run_traditional_restore(SimulationParams(
+        omega=math.sqrt(2.0) * params.omega, t_wait_us=params.t_wait), CFG.wavevectors.k_excite)
+    for train, method in zip(trains, ("dual_rail", "traditional")):
+        control, _ = _trains(params, method)
+        assert train is control
+        assert _plan(params, method).runs[1][1] is control
 
 
 @pytest.mark.parametrize("method", ["dual_rail", "traditional"])

@@ -21,6 +21,7 @@ from dualrail.engine import (
     propagate_stages,
     pulse_train,
     resilient_pair,
+    single_rail_restore,
 )
 from dualrail.hamiltonians import (
     h_dual_rail,
@@ -227,6 +228,30 @@ def test_atom_levels_are_read_from_its_drives(topologies, levels):
     assert final.basis == _levels(train) == levels
     if topologies == (INFRARED,):  # a drive that misses the ground leaves the atom there
         assert final.population("1") == 1.0
+
+
+def test_train_builders_return_one_shared_tuple():
+    # a train is an immutable value; the two cached builders hand every
+    # caller with equal arguments the same object, a wait drive keying by
+    # content, and unequal arguments a train of their own
+    builds = [
+        lambda: resilient_pair(OMEGA, -1.01 * OMEGA, K_REF),
+        lambda: resilient_pair(OMEGA, -1.01 * OMEGA, K_REF,
+                               (0.7, AtomDrive(OMEGA, 5.53, INFRARED)), t0=0.2),
+        lambda: single_rail_restore(OMEGA, K_REF, 0.3),
+        lambda: single_rail_restore(OMEGA, K_REF, 0.0),
+        lambda: pulse_train(0.1, (0.2, AtomDrive(OMEGA, K_REF, OPTICAL_DUAL)), (0.05, None)),
+    ]
+    trains = [build() for build in builds]
+    for build, train in zip(builds, trains):
+        assert isinstance(train, tuple) and all(isinstance(s, GateStage) for s in train)
+        assert build() == train
+    assert all(build() is train for build, train in zip(builds[:4], trains))
+    assert len({id(train) for train in trains}) == len(trains)
+    assert resilient_pair(OMEGA, OMEGA, K_REF) is not resilient_pair(OMEGA, -OMEGA, K_REF)
+    # a positive wait is an undriven stage between the pi pulses; a zero one adds none
+    assert [s.control is None for s in trains[2]] == [False, True, False]
+    assert len(trains[3]) == 2
 
 
 def test_occupation_integral_resolves_a_gap_of_one_radian_per_duration():

@@ -683,3 +683,10 @@ def test_protocols_broadcast_velocities_against_coordinates():
     _assert_batch_matches_points(lambda p: run_traditional_restore(p, K_MINUS), trad, v, z0)
     final, t_r = propagate_atom(resilient_pair(OMEGA2, -OMEGA2, K_MINUS), v, z0)
     assert final.amplitudes.shape == (2, 3, 3) and np.shape(t_r) == (2, 3)
+
+
+def test_an_array_drive_field_is_a_type_error():
+    # only velocities and coordinates batch: a train is cached by its scalar
+    # drive fields, so an array amplitude cannot key it
+    with pytest.raises(TypeError, match="unhashable"):
+        run_excite_restore(SimulationParams(omega=np.array([OMEGA2]), omega_dp=-OMEGA2), K_MINUS)
