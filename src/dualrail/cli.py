@@ -276,11 +276,10 @@ def _gate_params(args, cfg) -> gate.GateParams:
     )
 
 
-def _report_grid_mass(velocities: np.ndarray, temp_uk: float, species) -> None:
+def _report_grid_mass(n_points: int, temp_uk: float, mass: float) -> None:
     """Name on stderr a gate grid whose Maxwell mass misses 1; its average stands."""
-    mass = core.continuum_weight_mass(velocities, temp_uk, species)
     if abs(mass - 1.0) > core.WEIGHT_MASS_TOL:
-        print(f"warning: the {velocities.size}-point velocity grid carries {mass:.3g} of the "
+        print(f"warning: the {n_points}-point velocity grid carries {mass:.3g} of the "
               f"Maxwell weight at {temp_uk:g} uK, not 1", file=sys.stderr)
 
 
@@ -288,7 +287,7 @@ def cmd_gate(args, cfg) -> int:
     params = _gate_params(args, cfg)
     started = time.perf_counter()
     grid = gate.averaged_rotation_error(params, args.temp_uk, args.method, n_grid=args.grid_points)
-    _report_grid_mass(grid.velocities, args.temp_uk, cfg.species)
+    _report_grid_mass(grid.velocities.size, args.temp_uk, grid.weight_mass)
     report = gate.gate_report(params, 0.0, 0.0, args.method)
     fidelity = 1.0 - grid.averaged - report.decay_error
     wall = time.perf_counter() - started
@@ -428,9 +427,12 @@ def _run_table2(cfg, rows, n_grid) -> None:
     of ``dualrail gate`` at its defaults with the row's cycle count."""
     print("row  method        T_uK   n  duration  ref_dur  e_ro_avg    "
           "ref_e_ro    rel_dev")
-    # Rows that differ only in temperature reweight one grid, and one call
-    # computes every cycle count of a method, sharing the stages they share.
+    # Rows that differ only in temperature reweight one grid by one rule per
+    # temperature; one call computes every cycle count of a method.
     params = _gate_params(build_parser().parse_args(["gate"]), cfg)
+    velocities = gate.velocity_grid(n_grid)
+    rules = {temp: core.maxwell_rule(velocities, temp, cfg.species)
+             for temp in dict.fromkeys(row[1] for _, row in rows)}
     cycle_counts = {}
     for _, (method, _, n_cycles, _, _) in rows:
         cycle_counts.setdefault(method, {})[n_cycles] = None  # an ordered set
@@ -440,16 +442,15 @@ def _run_table2(cfg, rows, n_grid) -> None:
         for n_cycles, grid in zip(counts, errors):
             duration = gate.gate_duration(replace(params, n_gap_cycles=n_cycles), method)
             grids[method, n_cycles] = duration, grid
-    velocities = gate.velocity_grid(n_grid)
     for i, (method, temp, n_cycles, ref_dur, ref_ero) in rows:
         duration, errors = grids[method, n_cycles]
-        ero = core.maxwell_mean(errors, velocities, temp, cfg.species)
+        ero = rules[temp].mean(errors)
         print(
             f"{i:<4d} {method:<13s} {temp:<6g} {n_cycles}  {duration:.4f}    "
             f"{ref_dur:.3f}    {ero:.4e}  {ref_ero:.2e}  {ero / ref_ero - 1:+.2e}"
         )
-    for temp in dict.fromkeys(row[1] for _, row in rows):  # each temperature once
-        _report_grid_mass(velocities, temp, cfg.species)
+    for temp, rule in rules.items():
+        _report_grid_mass(n_grid, temp, rule.mass)
 
 
 class UsageError(Exception):

@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass, fields
 from functools import cached_property
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 import numpy as np
 
@@ -287,7 +287,7 @@ def thermal_rms_speed(temperature_uk: float, species: AtomSpecies) -> float:
 def maxwell_weight(v_mps, temperature_uk: float, species: AtomSpecies):
     """Unnormalized 1D Maxwell weight exp(-m v^2 / (2 kB T)).
 
-    :func:`maxwell_mean` normalizes it on a discrete grid.  Accepts scalar
+    :func:`maxwell_rule` normalizes it on a discrete grid.  Accepts scalar
     or array velocities.
     """
     sigma = thermal_rms_speed(temperature_uk, species)
@@ -296,28 +296,31 @@ def maxwell_weight(v_mps, temperature_uk: float, species: AtomSpecies):
     return scalar_or_array(w)
 
 
-def maxwell_mean(
-    values, velocities: np.ndarray, temperature_uk: float, species: AtomSpecies
-) -> float:
-    """Maxwell-weighted mean of ``values``, every axis of which runs over
-    ``velocities``: one axis per atom, as values[i, j] at (velocities[i],
-    velocities[j]) for two.
+class MaxwellRule(NamedTuple):
+    """A velocity grid's Maxwell weights at one temperature, normalized by
+    their sum, and its mass (:func:`continuum_weight_mass`)."""
 
-    The 1D weights are normalized once by their sum and applied along each
-    axis.  Only the weights depend on the temperature, so one grid of values
-    serves every temperature.  Weights that all underflow on the grid raise
-    :class:`ConvergenceError`.
-    """
+    weights: np.ndarray
+    mass: float
+
+    def mean(self, values) -> float:
+        """Weighted mean of ``values``, every axis of which runs over the
+        grid: one axis per atom, as values[i, j] at (v[i], v[j]) for two."""
+        mean = np.asarray(values, dtype=float)
+        for _ in range(mean.ndim):
+            mean = self.weights @ mean
+        return float(mean)
+
+
+def maxwell_rule(velocities: np.ndarray, temperature_uk: float, species: AtomSpecies) -> MaxwellRule:
+    """The one place a thermal average gets its weights and mass; each caller
+    judges the mass.  Weights that all underflow raise ConvergenceError."""
     weights = maxwell_weight(velocities, temperature_uk, species)
     total = np.sum(weights)
     if not 0.0 < total < math.inf:
         raise ConvergenceError(f"the Maxwell weights at {temperature_uk:g} uK "
                                f"sum to {total:g} on the {np.size(velocities)}-point grid")
-    weights = weights / total
-    mean = np.asarray(values, dtype=float)
-    for _ in range(mean.ndim):
-        mean = weights @ mean
-    return float(mean)
+    return MaxwellRule(weights / total, continuum_weight_mass(velocities, temperature_uk, species))
 
 
 def maxwell_grid(
@@ -337,10 +340,10 @@ def continuum_weight_mass(
 
     Values close to 1 certify that the grid covers and resolves the
     distribution; protocol averaging rejects grids whose mass is not 1
-    within :data:`WEIGHT_MASS_TOL`.
+    within :data:`WEIGHT_MASS_TOL`.  The order of the points does not count.
     """
     sigma = thermal_rms_speed(temperature_uk, species)
-    v = np.asarray(velocities, dtype=float)
+    v = np.sort(np.asarray(velocities, dtype=float))
     pdf = maxwell_weight(v, temperature_uk, species) / (sigma * math.sqrt(2.0 * math.pi))
     return float(np.trapezoid(pdf, v))
 

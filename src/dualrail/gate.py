@@ -38,10 +38,9 @@ import numpy as np
 from dualrail.core import (
     AtomLaserConfig,
     gap_wait_time,
-    maxwell_mean,
+    maxwell_rule,
     require_finite_fields,
     scalar_or_array,
-    thermal_rms_speed,
 )
 from dualrail.engine import (
     INFRARED, OPTICAL_SINGLE, AtomDrive, GateStage, TwoAtomSpace, _levels,
@@ -272,17 +271,21 @@ def gate_report(
 
 
 def velocity_grid(n_points: int = 100) -> np.ndarray:
-    """Velocities equally distributed over [-0.5, 0.5] m/s, inclusive."""
+    """At least 2 velocities equally spaced over [-0.5, 0.5] m/s, inclusive."""
+    if n_points < 2:
+        raise ValueError(f"the velocity grid needs at least 2 points, got {n_points}")
     return np.linspace(-0.5, 0.5, n_points)
 
 
 @dataclass(frozen=True)
 class RotationErrorGrid:
-    """Rotation errors over the (v_control, v_target) grid plus average."""
+    """Rotation errors over the (v_control, v_target) grid, their average
+    and the Maxwell mass of the grid's velocities that certifies it."""
 
     velocities: np.ndarray
     errors: np.ndarray
     averaged: float
+    weight_mass: float
 
 
 def averaged_rotation_error(
@@ -294,15 +297,14 @@ def averaged_rotation_error(
     """Maxwell-weighted double-grid average of the rotation error.
 
     The two atomic velocities run over the same uniform grid; weights are
-    the product of one-dimensional Maxwell factors, normalized by their
-    sum (:func:`~dualrail.core.maxwell_mean`).  The grid is
-    :func:`rotation_error_grids` at the gate's own cycle count.
+    the product of one-dimensional Maxwell factors from the grid's
+    :func:`~dualrail.core.maxwell_rule`, which refuses a bad temperature
+    before the errors (:func:`rotation_error_grids`) are computed.
     """
-    thermal_rms_speed(temperature_uk, params.config.species)  # rejects a bad T early
-    errors, = rotation_error_grids(params, method, (params.n_gap_cycles,), n_grid)
     velocities = velocity_grid(n_grid)
-    averaged = maxwell_mean(errors, velocities, temperature_uk, params.config.species)
-    return RotationErrorGrid(velocities, errors, averaged)
+    rule = maxwell_rule(velocities, temperature_uk, params.config.species)
+    errors, = rotation_error_grids(params, method, (params.n_gap_cycles,), n_grid)
+    return RotationErrorGrid(velocities, errors, rule.mean(errors), rule.mass)
 
 
 def rotation_error_grids(
@@ -342,8 +344,6 @@ def rotation_error_grids(
     every line and block takes the call of :func:`_run_input` without
     occupation rows.
     """
-    if n_grid < 2:
-        raise ValueError(f"the velocity grid needs at least 2 points, got {n_grid}")
     velocities = velocity_grid(n_grid)
     z0 = params.z0_control_um, params.z0_target_um
     plans = [_plan(replace(params, n_gap_cycles=n), method).runs for n in cycle_counts]

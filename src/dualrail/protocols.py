@@ -36,10 +36,9 @@ from dualrail.core import (
     ConvergenceError,
     SimulationParams,
     WavevectorSet,
-    continuum_weight_mass,
     gap_wait_time,
     maxwell_grid,
-    maxwell_mean,
+    maxwell_rule,
     rad_per_us_to_mhz,
     mhz_to_rad_per_us,
     scalar_or_array,
@@ -378,22 +377,23 @@ def maxwell_average(
 
     ``runner`` maps velocities to an outcome; it is called once, with the
     whole grid.  The default grid spans +-5 thermal rms speeds with 201
-    points.  The grid's share of the continuum probability mass must be 1
-    within ``WEIGHT_MASS_TOL`` (1e-3): too narrow a grid misses weight, too
-    coarse a one miscounts it, and a single point carries none.
+    points.  The grid's rule (:func:`~dualrail.core.maxwell_rule`) comes
+    first, and its mass must be 1 within ``WEIGHT_MASS_TOL`` (1e-3): too
+    narrow a grid misses weight, too coarse a one miscounts it, and a single
+    point carries none.
     """
     if velocities is None:
         velocities = maxwell_grid(temperature_uk, species)
     velocities = np.asarray(velocities, dtype=float).reshape(-1)
-    mass = continuum_weight_mass(velocities, temperature_uk, species)
-    if abs(mass - 1.0) > WEIGHT_MASS_TOL:
-        raise ConvergenceError(f"velocity grid carries {mass:.6f} of the "
+    rule = maxwell_rule(velocities, temperature_uk, species)
+    if abs(rule.mass - 1.0) > WEIGHT_MASS_TOL:
+        raise ConvergenceError(f"velocity grid carries {rule.mass:.6f} of the "
                                f"Maxwell weight, not 1 within {WEIGHT_MASS_TOL:g}")
     out = runner(velocities)
     fields = (out.ground_population, np.abs(out.ground_phase), out.r3_leak,
               out.rydberg_time_us)
-    means = [maxwell_mean(f, velocities, temperature_uk, species) for f in fields]
-    return AveragedOutcome(*means, weight_mass=mass, n_points=velocities.size)
+    return AveragedOutcome(*map(rule.mean, fields), weight_mass=rule.mass,
+                           n_points=velocities.size)
 
 
 def restore_runner(params: SimulationParams, k: float,

@@ -20,7 +20,7 @@ from dualrail.core import (
     SimulationParams,
     get_config,
     maxwell_grid,
-    maxwell_mean,
+    maxwell_rule,
     maxwell_weight,
     mhz_to_rad_per_us,
     rad_per_us_to_mhz,
@@ -382,9 +382,9 @@ def gate_table():
                 make_gate_params(n_cycles), temp, method
             )
         grid = grids[(method, n_cycles)]
-        values[(method, temp, n_cycles)] = maxwell_mean(
-            grid.errors, grid.velocities, temp, CFG.species
-        )
+        values[(method, temp, n_cycles)] = maxwell_rule(
+            grid.velocities, temp, CFG.species
+        ).mean(grid.errors)
     return values
 
 

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dualrail
-from dualrail import cli, gate, protocols
+from dualrail import cli, core, gate, protocols
 from dualrail.cli import main
 from dualrail.engine import DUAL_RAIL_BASIS, dual_rail_rotation
 
@@ -247,6 +248,13 @@ def test_table1_traditional_row(capsys):
     assert float(m.group(1)) == pytest.approx(0.9999955, abs=1e-5)
 
 
+def test_table_accepts_its_last_row_and_no_further(capsys):
+    code, out, _ = run_cli(capsys, "table", "--which", "1", "--rows", "6")
+    assert code == 0 and re.search(r"^6\s+traditional\s+200\s", out, re.M), out
+    code, out, err = run_cli(capsys, "table", "--which", "1", "--rows", "7")
+    assert code == 2 and out == "" and "rows 1 to 6" in err
+
+
 def test_table2_traditional_row_small_grid(capsys):
     code, out, _ = run_cli(
         capsys, "table", "--which", "2", "--rows", "2", "--grid-points", "12",
@@ -287,6 +295,35 @@ def test_unconverged_gate_grid_is_reported_not_refused(capsys):
     grid = "warning: the 4-point velocity grid carries"
     assert err.splitlines() == [f"{grid} 4.26e-06 of the Maxwell weight at 10 uK, not 1",
                                 f"{grid} 0.932 of the Maxwell weight at 200 uK, not 1"]
+
+
+def _count_weight_masses(monkeypatch):
+    """The temperature of each continuum_weight_mass call and whether a
+    dualrail.gate frame called it."""
+    calls = []
+    original = core.continuum_weight_mass
+
+    def counted(velocities, temperature_uk, species):
+        frames = traceback.extract_stack()
+        calls.append((temperature_uk, any(f.filename == gate.__file__ for f in frames)))
+        return original(velocities, temperature_uk, species)
+
+    monkeypatch.setattr(core, "continuum_weight_mass", counted)
+    return calls
+
+
+def test_gate_weighs_its_grid_once_inside_gate(capsys, monkeypatch):
+    calls = _count_weight_masses(monkeypatch)
+    code, _, err = run_cli(capsys, "gate", "--grid-points", "9")
+    assert code == 0 and "9-point" in err
+    assert calls == [(10.0, True)]
+
+
+def test_table2_weighs_each_temperature_once(capsys, monkeypatch):
+    calls = _count_weight_masses(monkeypatch)
+    code, _, _ = run_cli(capsys, "table", "--which", "2", "--grid-points", "4")
+    assert code == 0
+    assert calls == [(10.0, False), (200.0, False)]
 
 
 @pytest.mark.parametrize("argv", [

@@ -22,7 +22,7 @@ from dualrail.core import (
     infrared_wavevector,
     load_configs,
     maxwell_grid,
-    maxwell_mean,
+    maxwell_rule,
     maxwell_weight,
     mhz_to_rad_per_us,
     rad_per_us_to_mhz,
@@ -80,6 +80,26 @@ def test_default_grid_covers_distribution(temp):
     assert abs(mass - 1.0) < 1e-6
 
 
+def test_grid_mass_does_not_depend_on_point_order():
+    # the trapezoid runs over the sorted points: a reversed grid read -1
+    grid = maxwell_grid(10.0, RB87)
+    ascending = continuum_weight_mass(grid, 10.0, RB87)
+    permuted = np.random.default_rng(3).permutation(grid)
+    for reordered in (grid[::-1], permuted):
+        assert continuum_weight_mass(reordered, 10.0, RB87) == ascending
+
+
+def test_rule_weights_are_normalized_and_carry_the_grid_mass():
+    grid = maxwell_grid(10.0, RB87, 9)
+    rule = maxwell_rule(grid, 10.0, RB87)
+    weights = maxwell_weight(grid, 10.0, RB87)
+    assert np.array_equal(rule.weights, weights / np.sum(weights))
+    assert rule.mass == continuum_weight_mass(grid, 10.0, RB87)
+    # every axis is contracted: a constant of any rank averages to itself
+    for shape in ((9,), (9, 9), (9, 9, 9)):
+        assert rule.mean(np.full(shape, 2.5)) == pytest.approx(2.5, rel=1e-14)
+
+
 def test_normalized_weights_sum_to_one():
     grid = maxwell_grid(25.0, CS133)
     w = maxwell_weight(grid, 25.0, CS133)
@@ -92,8 +112,8 @@ def test_two_atom_mean_of_a_separable_sum_is_the_sum_of_one_atom_means():
     rng = np.random.default_rng(7)
     f, g = rng.normal(size=v.size), rng.normal(size=v.size)
     for temp in (10.0, 200.0):
-        two = maxwell_mean(f[:, None] + g[None, :], v, temp, RB87)
-        one = maxwell_mean(f, v, temp, RB87) + maxwell_mean(g, v, temp, RB87)
+        two = maxwell_rule(v, temp, RB87).mean(f[:, None] + g[None, :])
+        one = maxwell_rule(v, temp, RB87).mean(f) + maxwell_rule(v, temp, RB87).mean(g)
         assert abs(two - one) <= 1e-15
 
 
@@ -101,7 +121,7 @@ def test_weights_that_all_underflow_raise():
     # every weight of the 4-point grid underflows to 0 at 1e-30 uK
     with pytest.raises(ConvergenceError,
                        match="the Maxwell weights at 1e-30 uK sum to 0 on the 4-point grid"):
-        maxwell_mean(np.ones((4, 4)), np.linspace(-0.5, 0.5, 4), 1e-30, RB87)
+        maxwell_rule(np.linspace(-0.5, 0.5, 4), 1e-30, RB87).mean(np.ones((4, 4)))
 
 
 def test_builtin_mismatches_match_reference_percentages():

@@ -10,7 +10,8 @@ from dualrail import engine
 from dualrail import gate as gate_module
 from dualrail import protocols
 from dualrail.core import (
-    InteractionTable, SimulationParams, get_config, maxwell_mean, mhz_to_rad_per_us,
+    ConvergenceError, InteractionTable, SimulationParams, continuum_weight_mass, get_config,
+    maxwell_rule, mhz_to_rad_per_us,
 )
 from dualrail.engine import (
     INFRARED,
@@ -851,7 +852,7 @@ def test_batched_grid_matches_pointwise_loop(method, n_cycles):
             expected[i, j] = rotation_error(a[j], b, c)
     assert np.max(np.abs(grid.errors - expected)) < 1e-12
     assert abs(
-        grid.averaged - maxwell_mean(expected, v, 10.0, CFG.species)
+        grid.averaged - maxwell_rule(v, 10.0, CFG.species).mean(expected)
     ) < 1e-12
 
 
@@ -967,9 +968,25 @@ def test_one_grid_serves_every_temperature():
     cold = averaged_rotation_error(PARAMS, 10.0, n_grid=6)
     hot = averaged_rotation_error(PARAMS, 200.0, n_grid=6)
     assert np.array_equal(cold.errors, hot.errors)
-    assert maxwell_mean(
-        cold.errors, cold.velocities, 200.0, CFG.species
-    ) == hot.averaged
+    assert maxwell_rule(
+        cold.velocities, 200.0, CFG.species
+    ).mean(cold.errors) == hot.averaged
+
+
+@pytest.mark.parametrize("n_grid, temp, mass", [(4, 10.0, 4.26e-6), (100, 200.0, 0.9997)])
+def test_grid_average_carries_its_weight_mass(n_grid, temp, mass):
+    grid = averaged_rotation_error(PARAMS, temp, n_grid=n_grid)
+    assert grid.weight_mass == continuum_weight_mass(velocity_grid(n_grid), temp, CFG.species)
+    assert grid.weight_mass == pytest.approx(mass, rel=1e-3)
+
+
+def test_weightless_temperature_raises_before_the_grid(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("computed the grid before weighing it")
+
+    monkeypatch.setattr(gate_module, "rotation_error_grids", fail)
+    with pytest.raises(ConvergenceError, match="sum to 0 on the 4-point grid"):
+        averaged_rotation_error(PARAMS, 1e-30, n_grid=4)
 
 
 def test_rotation_grid_nonnegative():

@@ -11,11 +11,11 @@ from dualrail.core import (
     gap_wait_time,
     get_config,
     maxwell_grid,
-    maxwell_mean,
+    maxwell_rule,
     mhz_to_rad_per_us,
     rad_per_us_to_mhz,
 )
-from dualrail import engine
+from dualrail import core, engine
 from dualrail.engine import (
     DUAL_RAIL_BASIS,
     INFRARED,
@@ -410,6 +410,14 @@ def test_gap_wait_time_must_close_cycles():
     run_gap_protocol(good, CFG.wavevectors)
 
 
+def test_gap_wait_time_is_held_to_the_cycle_condition_at_1e_12():
+    expected = gap_wait_time(1, GAP_PARAMS.omega_if)
+    for off in (1e-9, -1e-6):
+        with pytest.raises(ValueError, match="breaks the full-cycle condition"):
+            run_gap_protocol(replace(GAP_PARAMS, t_wait_us=expected * (1 + off)), CFG.wavevectors)
+    run_gap_protocol(replace(GAP_PARAMS, t_wait_us=expected * (1 + 1e-14)), CFG.wavevectors)
+
+
 def test_dual_rail_protocols_are_mirror_symmetric():
     """(v, z0) -> (-v, -z0) swaps the rails r1 <-> r2, whose wavevectors
     are opposite in the V configuration, and leaves the ground state
@@ -507,7 +515,47 @@ def test_average_fields_are_bit_equal_to_the_one_atom_maxwell_mean():
         ("r3_leak", out.r3_leak),
         ("rydberg_time_us", out.rydberg_time_us),
     ):
-        assert getattr(avg, field) == maxwell_mean(values, vels, 10.0, CFG.species)
+        assert getattr(avg, field) == maxwell_rule(vels, 10.0, CFG.species).mean(values)
+
+
+def test_average_over_a_reordered_grid_equals_the_ascending_one():
+    # the mass of a reversed grid read -0.999999 and of a shuffled one
+    # 0.8705, and both were refused; the mean never depended on the order
+    runner = partial(gap_runner, GAP_PARAMS, CFG.wavevectors)
+    grid = maxwell_grid(10.0, CFG.species)
+    ascending = maxwell_average(runner, 10.0, CFG.species, velocities=grid)
+    permuted = np.random.default_rng(5).permutation(grid)
+    for reordered in (grid[::-1], permuted):
+        avg = maxwell_average(runner, 10.0, CFG.species, velocities=reordered)
+        assert avg.weight_mass == ascending.weight_mass
+        for field in ("ground_population", "mean_abs_phase", "r3_leak", "rydberg_time_us"):
+            assert getattr(avg, field) == pytest.approx(getattr(ascending, field), rel=1e-14)
+
+
+def test_average_weighs_its_grid_once(monkeypatch):
+    calls = []
+
+    def counting(name, original):
+        def counted(*args):
+            calls.append(name)
+            return original(*args)
+        return counted
+
+    for name in ("maxwell_weight", "continuum_weight_mass"):
+        monkeypatch.setattr(core, name, counting(name, getattr(core, name)))
+    maxwell_average(partial(gap_runner, GAP_PARAMS, CFG.wavevectors), 10.0, CFG.species)
+    # one evaluation for the weights and one inside the mass
+    assert sorted(calls) == ["continuum_weight_mass", "maxwell_weight", "maxwell_weight"]
+
+
+def test_weightless_grid_is_refused_before_the_runner_runs():
+    def runner(v):
+        raise AssertionError("ran the protocol before weighing the grid")
+
+    with pytest.raises(ConvergenceError, match="sum to 0 on the 4-point grid"):
+        maxwell_average(runner, 1e-30, CFG.species, velocities=np.linspace(-0.5, 0.5, 4))
+    with pytest.raises(ConvergenceError, match="carries 1.994719"):
+        maxwell_average(runner, 10.0, CFG.species, velocities=maxwell_grid(10.0, CFG.species, 3))
 
 
 def test_average_rejects_undersized_grid():
