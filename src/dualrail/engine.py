@@ -50,14 +50,15 @@ INFRARED = (("r3", "r1", +1), ("r3", "r2", -1))
 _FRAME_SIGNS = np.array([[1j], [-1j]])
 
 
-def pi_time(omega: float) -> float:
-    """Duration pi/(sqrt(2)|Omega|) of a dual-rail pi pulse; a zero or
-    non-finite amplitude raises ValueError."""
+def pi_time(omega: float, rails: int = 2) -> float:
+    """Duration pi/(sqrt(rails)|Omega|) of a pi pulse on one or two rails:
+    the dual rail is a ground-Rydberg transition at sqrt(2)*Omega.  A zero
+    or non-finite amplitude raises ValueError."""
     if omega == 0:
         raise ValueError("a zero Rabi amplitude has no pulse length")
     if not math.isfinite(omega):
         raise ValueError(f"a Rabi amplitude must be finite, got {omega}")
-    return math.pi / (math.sqrt(2.0) * abs(omega))
+    return math.pi / (math.sqrt(rails) * abs(omega))
 
 
 def dual_rail_rotation() -> np.ndarray:
@@ -487,25 +488,27 @@ def resilient_pair(
     omega: float,
     omega_dp: float,
     k: float,
-    *wait: tuple[float, AtomDrive | None],
+    wait: tuple[float, float, float] | None = None,
     t0: float = 0.0,
 ) -> tuple[GateStage, ...]:
     """Dual-rail excite/restore from ``t0``: pi at ``omega``, an optional
-    (duration, drive) wait, 3*pi at ``omega_dp``.  One shared tuple per
-    argument set."""
+    infrared wait given as numbers (duration, Omega_IF, k_wait), 3*pi at
+    ``omega_dp``.  A wait of zero keeps its zero-length stage; no wait adds
+    none.  One shared tuple per argument set."""
+    infrared = () if wait is None else ((wait[0], AtomDrive(wait[1], wait[2], INFRARED)),)
     return pulse_train(
         t0,
         (pi_time(omega), AtomDrive(omega, k, OPTICAL_DUAL)),
-        *wait,
+        *infrared,
         (3.0 * pi_time(omega_dp), AtomDrive(omega_dp, k, OPTICAL_DUAL)),
     )
 
 
 @lru_cache(maxsize=256)
 def single_rail_restore(omega: float, k: float, t_wait: float) -> tuple[GateStage, ...]:
-    """Single-rail pi / idle wait / pi from t = 0, each pi pulse pi/|omega|
-    long; a wait of zero adds no stage.  One shared tuple per argument set."""
-    t_pi = math.pi / abs(omega)
+    """Single-rail pi / idle wait / pi from t = 0, each pi pulse one-rail
+    :func:`pi_time` long; a wait of zero adds no stage.  One shared tuple."""
+    t_pi = pi_time(omega, rails=1)
     drive = AtomDrive(omega, k, OPTICAL_SINGLE)
     wait = ((t_wait, None),) if t_wait > 0 else ()
     return pulse_train(0.0, (t_pi, drive), *wait, (t_pi, drive))

@@ -43,8 +43,8 @@ from dualrail.core import (
     scalar_or_array,
 )
 from dualrail.engine import (
-    INFRARED, OPTICAL_SINGLE, AtomDrive, GateStage, TwoAtomSpace, _levels,
-    pi_time, propagate_stages, pulse_train, resilient_pair, single_rail_restore,
+    OPTICAL_SINGLE, AtomDrive, GateStage, TwoAtomSpace, _levels, propagate_stages,
+    pulse_train, resilient_pair, single_rail_restore,
 )
 
 
@@ -118,30 +118,19 @@ def _trains(params: GateParams, method: Method) -> tuple[tuple[GateStage, ...], 
     Resilient: the control runs the gap protocol, the target the restore
     pair at +-Omega_t.  Traditional (pi - 2pi - pi): the control runs the
     single-rail restore at Omega' = sqrt(2) Omega around its wait, the
-    target one 2*pi pulse at Omega'.  Either target's train must fit inside
-    the wait window, whatever the sign of its amplitude.
+    target one 2*pi pulse at Omega', twice the control's pi stage.
+    :func:`_plan` checks that the target fits the wait window.
     """
     k = params.config.wavevectors.k_excite
     if method == "dual_rail":
-        target_window = 4.0 * pi_time(params.omega_t)
-        if target_window > params.t_wait + 1e-12:
-            raise ValueError(
-                "target pulse train must fit inside the wait window: "
-                f"{target_window} > {params.t_wait}"
-            )
-        ir = AtomDrive(params.omega_if, params.config.wavevectors.k_wait, INFRARED)
-        control = resilient_pair(params.omega, params.omega_dp, k, (params.t_wait, ir))
+        wait = params.t_wait, params.omega_if, params.config.wavevectors.k_wait
+        control = resilient_pair(params.omega, params.omega_dp, k, wait)
         target = resilient_pair(params.omega_t, -params.omega_t, k, t0=control[1].t0)
         return control, target
     if method == "traditional":
         omega_prime = math.sqrt(2.0) * params.omega
         control = single_rail_restore(omega_prime, k, params.t_wait)
         t_pi = control[0].t1
-        if params.t_wait < 2.0 * t_pi - 1e-12:
-            raise ValueError(
-                f"wait window ({params.t_wait:.6f} us) shorter than the "
-                f"target 2*pi pulse ({2.0 * t_pi:.6f} us)"
-            )
         target = pulse_train(t_pi, (2.0 * t_pi, AtomDrive(omega_prime, k, OPTICAL_SINGLE)))
         return control, target
     raise ValueError(f"unknown method {method!r}")
@@ -168,15 +157,20 @@ def _plan(params: GateParams, method: Method) -> GatePlan:
     idles on to the end of the gate: its residual Rydberg population keeps
     counting as residence time while the control deexcites.  Input "11"
     lays the target's pulses over the control's wait stage from its
-    opening; any rest of the window shelves only.
+    opening; any rest of the window shelves only.  The target's train must
+    end within 1e-12 us of the window's close, the start of the control's
+    last pulse (a traditional wait of zero has no stage), for either method.
     """
     control, target = _trains(params, method)
     excite, wait, *restore = control
-    end = control[-1].t1
+    closes, end = control[-1].t0, control[-1].t1
     pulses = [GateStage(p.t0, p.t1, target=p.control) for p in target]
+    if pulses[-1].t1 > closes + 1e-12:
+        raise ValueError("target pulse train must fit inside the wait window: "
+                         f"it ends at {pulses[-1].t1} us, the window at {closes} us")
     pair = [excite, *(replace(p, control=wait.control) for p in pulses)]
-    if wait.t1 - pulses[-1].t1 > 1e-12:
-        pair.append(GateStage(pulses[-1].t1, wait.t1, control=wait.control))
+    if closes - pulses[-1].t1 > 1e-12:
+        pair.append(GateStage(pulses[-1].t1, closes, control=wait.control))
     levels_c, levels_t = _levels(control), _levels(target)
     # Every level after the ground "1" is a Rydberg level.
     shifts = {(a, b): params.pair_shift(a, b) for a in levels_c[1:] for b in levels_t[1:]}

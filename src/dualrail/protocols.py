@@ -44,7 +44,7 @@ from dualrail.core import (
     scalar_or_array,
 )
 from dualrail.engine import (
-    INFRARED, OPTICAL_DUAL, AtomDrive, ComplexState, _atom_space, _levels,
+    OPTICAL_DUAL, AtomDrive, ComplexState, _atom_space, _levels,
     pi_time, propagate_atom, propagate_stages, pulse_train, resilient_pair,
     single_rail_restore,
 )
@@ -163,8 +163,8 @@ def run_gap_protocol(params: SimulationParams, wavevectors: WavevectorSet) -> Pr
             f"wait time {params.t_wait_us} breaks the full-cycle condition; "
             f"expected {expected} for n={params.n_gap_cycles}"
         )
-    ir = AtomDrive(params.omega_if, wavevectors.k_wait, INFRARED)
-    stages = resilient_pair(params.omega, params.omega_dp, wavevectors.k_excite, (expected, ir))
+    stages = resilient_pair(params.omega, params.omega_dp, wavevectors.k_excite,
+                            (expected, params.omega_if, wavevectors.k_wait))
     return _outcome(*propagate_atom(stages, params.v_mps, params.z0_um))
 
 
@@ -229,15 +229,14 @@ def optimize_deexcitation(
     minimization without derivatives (:func:`_minimize_bounded`, which
     matches SciPy's bounded ``minimize_scalar`` exactly) at 1e-6 MHz
     resolution, minimizing the restore error of the pi + 3*pi sequence
-    (:func:`run_excite_restore`) at the reference velocity.  The pi
-    excitation does not depend on Omega_dp, so it runs once per search;
-    each evaluation runs only the 3*pi stage from the stored state, which
-    is the same arithmetic as the whole pair in one call (see
-    :func:`dualrail.engine.propagate_stages`).  The optimum belongs to
-    ``v_ref``: for
-    |Omega|/2pi = 2 MHz on the positive branch it is 2.0013 MHz at
-    v_ref = 0.01 m/s, 2.0317 MHz at 0.05 m/s and 2.1179 MHz at 0.1 m/s.
-    Returns the signed amplitude in rad/us.
+    (:func:`run_excite_restore`, at the signed Omega) at the reference
+    velocity.  The pi excitation does not depend on Omega_dp, so it runs
+    once per search; each evaluation runs only the 3*pi stage from the
+    stored state, which is the same arithmetic as the whole pair in one
+    call (see :func:`dualrail.engine.propagate_stages`).  The optimum
+    belongs to ``v_ref``: for |Omega|/2pi = 2 MHz on the positive branch it
+    is 2.0013 MHz at v_ref = 0.01 m/s, 2.0317 MHz at 0.05 m/s and 2.1179
+    MHz at 0.1 m/s.  Returns the signed amplitude in rad/us.
 
     At v_ref = 0 every 3*pi-area pulse restores the state exactly and the
     objective is degenerate; the convention is to return sign*|Omega|.  A
@@ -257,7 +256,7 @@ def optimize_deexcitation(
 
     # The lone atom from z0 = 0 at v_ref, as run_excite_restore runs it:
     # the pi excitation once, then each evaluation's 3*pi stage from there.
-    excite = pulse_train(0.0, (t_pi, AtomDrive(abs(omega), k, OPTICAL_DUAL)))
+    excite = pulse_train(0.0, (t_pi, AtomDrive(omega, k, OPTICAL_DUAL)))
     space = _atom_space(_levels(excite))
     excited, _ = propagate_stages(space.first_state, space, excite, v_ref, 0.0, 0.0, 0.0)
 

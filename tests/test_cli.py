@@ -430,6 +430,18 @@ def test_excite_phase_of_a_roundoff_amplitude_reads_zero(capsys, tmp_path, monke
     assert float(last[header.index("phase_1")]) == float(f"{phase:.11e}")
 
 
+def test_excite_duration_runs_from_zero_and_is_finite(capsys):
+    # --t 0 is the ground state itself; an endless duration is refused
+    # before anything is computed
+    code, out, _ = run_cli(capsys, "excite", "--t", "0")
+    assert code == 0
+    assert parse_kv(out)["population_1"] == 1.0
+    for t in ("inf", "nan"):
+        code, out, err = run_cli(capsys, "excite", "--t", t)
+        assert (code, out) == (2, "")
+        assert err == "usage error: --t must be a nonnegative duration\n"
+
+
 def test_gate_grid_output_computes_grid_and_report_once(capsys, tmp_path, monkeypatch):
     calls = {"averaged_rotation_error": 0, "gate_report": 0}
     for name in calls:
@@ -621,6 +633,11 @@ def test_coarse_maxwell_grid_is_a_numerical_failure(capsys, command, n_points):
     *((command, "--omega-dp-mhz", "-2.0399", "--temp-uk", "10", "--grid-points", n)
       for command in ("gap", "restore") for n in ("1", "0")),  # Maxwell average of < 2 points
     ("optimize", "--omega-mhz", "0", "--v-ref", "0"),
+    *(("sweep", "--protocol", "traditional", "--num", "2", *axis) for axis in (
+        ("--axis", "v", "--start", "0", "--stop", "1", "--omega-mhz", "0"),
+        ("--axis", "omega", "--start", "0", "--stop", "1"),
+        ("--axis", "temp", "--start", "1", "--stop", "10", "--omega-mhz", "0"),
+    )),  # a zero single-rail amplitude has no pi length
 ])
 def test_bad_numbers_are_usage_errors(capsys, argv):
     code, _, err = run_cli(capsys, *argv)

@@ -10,7 +10,7 @@ from closed_form import closed_form_final, stage_propagator
 from dualrail import gate, protocols
 from dualrail.core import SimulationParams, gap_wait_time, get_config, mhz_to_rad_per_us
 from dualrail.engine import (
-    INFRARED, OPTICAL_DUAL, AtomDrive, GateStage, _levels, pi_time, propagate_atom,
+    OPTICAL_DUAL, AtomDrive, GateStage, _levels, pi_time, propagate_atom,
     resilient_pair, single_rail_restore,
 )
 
@@ -40,7 +40,7 @@ def test_restore_matches_the_closed_form(omega, ratio, k, v, z0):
        speeds, coordinates, st.integers(1, 3))
 def test_gap_matches_the_closed_form(omega, ratio, ir_ratio, k, k_ratio, v, z0, n):
     omega_if = ir_ratio * abs(omega)
-    wait = gap_wait_time(n, omega_if), AtomDrive(omega_if, k_ratio * k, INFRARED)
+    wait = gap_wait_time(n, omega_if), omega_if, k_ratio * k
     train = resilient_pair(omega, -ratio * omega, k, wait)
     _assert_matches_oracle(train, v, z0)
 
@@ -86,7 +86,7 @@ def test_atoms_at_rest_return_to_ground_with_no_doppler_phase(omega, ratio, k, z
         omega_dp = sign * ratio * omega
         restore = resilient_pair(omega, omega_dp, k)
         gap = resilient_pair(omega, omega_dp, k, (gap_wait_time(n, abs(omega)),
-                                                  AtomDrive(abs(omega), 1.1 * k, INFRARED)))
+                                                  abs(omega), 1.1 * k))
         for train in (restore, gap):
             final, _ = propagate_atom(train, 0.0, z0)
             expected = closed_form_final(train, final.basis, 0.0, z0)

@@ -229,6 +229,14 @@ def test_interaction_missing_pair():
         RB_D_STATE_C6.shift((95, 101))
 
 
+def test_interaction_table_refuses_conflicting_entries_for_one_pair():
+    # (95, 97) and (97, 95) name one unordered pair: equal values merge,
+    # unequal ones are refused rather than one silently winning
+    assert InteractionTable({(95, 97): -21.0, (97, 95): -21.0}, 7.0).entries == {(95, 97): -21.0}
+    with pytest.raises(ValueError, match=r"conflicting C6 entries for pair \(95, 97\)"):
+        InteractionTable({(95, 97): -21.0, (97, 95): -20.0}, 7.0)
+
+
 def test_blockade_floor_is_about_1e_minus_4():
     # consistency oracle: (sqrt(2)*Omega/V11)^2 / 8 for Omega/2pi = 2 MHz
     omega = mhz_to_rad_per_us(2.0)

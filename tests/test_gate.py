@@ -1,4 +1,6 @@
+import ast
 import cmath
+import inspect
 import math
 from dataclasses import replace
 
@@ -151,6 +153,48 @@ def test_target_train_must_fit_wait_window():
         with pytest.raises(ValueError, match="wait window"):
             gate_duration(params, "dual_rail")
         assert gate_duration(params, "traditional") == gate_duration(PARAMS, "traditional")
+
+
+@pytest.mark.parametrize("method, amplitude", [("dual_rail", "omega_t"), ("traditional", "omega")])
+def test_wait_window_edge_is_read_off_the_built_trains(method, amplitude):
+    # the target's train may end up to 1e-12 us past the control's wait
+    # stage, for either method: the dual-rail pi + 3*pi lasts
+    # 4*pi/(sqrt(2)|Omega_t|) and the traditional 2*pi pulse, at
+    # sqrt(2)*Omega, 2*pi/(sqrt(2)*Omega)
+    area = 4.0 * math.pi if method == "dual_rail" else 2.0 * math.pi
+    for past in (1e-13, 1e-11):
+        params = make_params(**{amplitude: area / (math.sqrt(2.0) * (PARAMS.t_wait + past))})
+        control, target = _trains(params, method)
+        assert target[-1].t1 - control[1].t1 == pytest.approx(past, rel=1e-2)
+        if past < 1e-12:
+            assert gate_duration(params, method) == control[-1].t1
+            continue
+        with pytest.raises(ValueError, match="^target pulse train must fit inside the wait window"):
+            gate_duration(params, method)
+
+
+@pytest.mark.parametrize("method", ["dual_rail", "traditional"])
+def test_a_zero_wait_fits_no_target(method):
+    # n = 0: the dual-rail control keeps a zero-length infrared stage and
+    # the traditional one has no wait stage; either window closes as it opens
+    with pytest.raises(ValueError, match="^target pulse train must fit inside the wait window"):
+        gate_duration(make_params(0), method)
+
+
+def test_builders_and_the_plan_derive_no_pulse_length():
+    # one rule per pulse: every length in the train builders and the gate's
+    # trains and plan is pi_time's or a built stage's, so their bodies hold
+    # no pi and no division
+    found = [
+        (function.__name__, ast.unparse(node))
+        for function in (engine.pulse_train, engine.resilient_pair, engine.single_rail_restore,
+                         gate_module._trains, gate_module._plan)
+        for node in ast.walk(ast.parse(inspect.getsource(function)))
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+        or isinstance(node, ast.Attribute) and node.attr == "pi"
+        or isinstance(node, ast.Name) and node.id == "pi"
+    ]
+    assert found == []
 
 
 @pytest.mark.parametrize("bad", [

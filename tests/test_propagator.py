@@ -236,8 +236,7 @@ def test_train_builders_return_one_shared_tuple():
     # content, and unequal arguments a train of their own
     builds = [
         lambda: resilient_pair(OMEGA, -1.01 * OMEGA, K_REF),
-        lambda: resilient_pair(OMEGA, -1.01 * OMEGA, K_REF,
-                               (0.7, AtomDrive(OMEGA, 5.53, INFRARED)), t0=0.2),
+        lambda: resilient_pair(OMEGA, -1.01 * OMEGA, K_REF, (0.7, OMEGA, 5.53), t0=0.2),
         lambda: single_rail_restore(OMEGA, K_REF, 0.3),
         lambda: single_rail_restore(OMEGA, K_REF, 0.0),
         lambda: pulse_train(0.1, (0.2, AtomDrive(OMEGA, K_REF, OPTICAL_DUAL)), (0.05, None)),
@@ -252,6 +251,30 @@ def test_train_builders_return_one_shared_tuple():
     # a positive wait is an undriven stage between the pi pulses; a zero one adds none
     assert [s.control is None for s in trains[2]] == [False, True, False]
     assert len(trains[3]) == 2
+
+
+def test_resilient_pair_keys_its_wait_by_numbers():
+    # equal floats give the one cached tuple; a positive wait is one
+    # infrared middle stage, a zero wait a zero-length one, and no wait none
+    wait = (0.7, OMEGA, 5.53)
+    train = resilient_pair(OMEGA, -OMEGA, K_REF, wait)
+    assert resilient_pair(OMEGA, -OMEGA, K_REF, (0.7, OMEGA, 5.53)) is train
+    assert train[1] == GateStage(train[0].t1, train[0].t1 + 0.7, AtomDrive(OMEGA, 5.53, INFRARED))
+    zero = resilient_pair(OMEGA, -OMEGA, K_REF, (0.0, OMEGA, 5.53))
+    assert zero[1] == GateStage(zero[0].t1, zero[0].t1, AtomDrive(OMEGA, 5.53, INFRARED))
+    assert [s.control.couplings for s in train] == [OPTICAL_DUAL, INFRARED, OPTICAL_DUAL]
+    assert len(resilient_pair(OMEGA, -OMEGA, K_REF)) == 2
+
+
+def test_single_rail_pi_length_is_pi_time_on_one_rail():
+    # the single-rail pi pulse lasts pi/|Omega|, pi_time's on one rail, bit
+    # for bit, and a zero or non-finite amplitude has none
+    for amp in (OMEGA, -OMEGA):
+        assert single_rail_restore(amp, K_REF, 0.3)[0].t1 == pi_time(amp, rails=1) == math.pi / OMEGA
+    for amp, message in ((0.0, "zero Rabi amplitude has no pulse length"),
+                         (math.nan, "must be finite")):
+        with pytest.raises(ValueError, match=message):
+            single_rail_restore(amp, K_REF, 0.3)
 
 
 def test_occupation_integral_resolves_a_gap_of_one_radian_per_duration():
@@ -277,8 +300,9 @@ def test_one_call_residence_time_is_the_sum_of_a_split_calls(v, sampled):
     # time plus the second's is the one call's, bit for bit, as one call
     # adds its stages' terms in stage order (the 3*pi stage reuses no
     # eigensystem, so the split changes no arithmetic)
-    wait = (0.7, AtomDrive(OMEGA, 5.53, INFRARED))
-    train = resilient_pair(OMEGA, -1.01 * OMEGA, K_REF, wait, (0.05, None))
+    train = pulse_train(0.0, (pi_time(OMEGA), AtomDrive(OMEGA, K_REF, OPTICAL_DUAL)),
+                        (0.7, AtomDrive(OMEGA, 5.53, INFRARED)), (0.05, None),
+                        (3.0 * pi_time(-1.01 * OMEGA), AtomDrive(-1.01 * OMEGA, K_REF, OPTICAL_DUAL)))
     *head, last = train
     if sampled:  # the last stage sampled at three end times
         last = GateStage(last.t0, last.t0 + np.array([0.1, 0.2, last.duration]), last.control)

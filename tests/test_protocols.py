@@ -43,6 +43,7 @@ from dualrail.propagator import evolve
 from dualrail.protocols import (
     ConvergenceError,
     OptimizationError,
+    PhaseExtractionError,
     analytic_w,
     extract_phase_phi,
     gap_runner,
@@ -128,6 +129,14 @@ def test_phase_linearity_rejects_zero_velocity():
     om = mhz_to_rad_per_us(math.sqrt(2.0))
     with pytest.raises(ValueError, match="v = 0"):
         phase_linearity(om, K_MINUS, np.linspace(-0.1, 0.1, 5))
+
+
+def test_phase_of_rails_the_drive_barely_reaches_is_refused():
+    # far off resonance both rails hold about 6e-8 after the pi pulse: too
+    # little for a phase, even beside a velocity that has one
+    om = mhz_to_rad_per_us(2.0)
+    with pytest.raises(PhaseExtractionError, match="too small"):
+        extract_phase_phi(om, K_MINUS, np.array([0.01, 1e6]))
 
 
 def test_phase_linearity_is_one_propagation(monkeypatch):
@@ -227,7 +236,7 @@ def _full_pair_error(omega, sign, v_ref):
     return error
 
 
-@pytest.mark.parametrize("omega_mhz", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("omega_mhz", [1.0, 1.5, 2.0, 3.0, -1.0, -1.5, -2.0, -3.0])
 @pytest.mark.parametrize("sign", [+1, -1])
 @pytest.mark.parametrize("v_ref", [0.01, 0.05, 0.1])
 def test_optimizer_objective_is_the_full_pair_bit_for_bit(monkeypatch, omega_mhz, sign, v_ref):
@@ -238,6 +247,26 @@ def test_optimizer_objective_is_the_full_pair_bit_for_bit(monkeypatch, omega_mhz
     full = _full_pair_error(omega, sign, v_ref)
     for x in np.linspace(lo, hi, 25):
         assert f(x) == full(x), x
+
+
+@pytest.mark.parametrize("omega_mhz", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("sign", [+1, -1])
+@pytest.mark.parametrize("v_ref", [0.01, 0.05, 0.1])
+def test_negative_omega_search_mirrors_the_opposite_branch(omega_mhz, sign, v_ref):
+    # (-Omega, x) is the exact +-1 similarity of (Omega, -x), so the search
+    # at -Omega finds the opposite branch's optimum at +Omega, negated, with
+    # the same residual, bit for bit
+    omega = mhz_to_rad_per_us(omega_mhz)
+    try:
+        mirrored = -optimize_deexcitation(omega, K_MINUS, v_ref, -sign)
+    except OptimizationError:  # that branch's optimum sits on the bracket edge
+        with pytest.raises(OptimizationError):
+            optimize_deexcitation(-omega, K_MINUS, v_ref, sign)
+        return
+    assert optimize_deexcitation(-omega, K_MINUS, v_ref, sign) == mirrored
+    residual = [run_excite_restore(SimulationParams(omega=s * omega, omega_dp=s * mirrored,
+                                                    v_mps=v_ref), K_MINUS).error for s in (-1, 1)]
+    assert residual[0] == residual[1]
 
 
 @pytest.mark.parametrize("omega_mhz, sign", [(2.0, +1), (1.0, -1), (1.5, -1)])
@@ -389,8 +418,8 @@ def test_gap_r3_leak_is_what_the_wait_left(n_cycles, z0):
     v = np.linspace(-0.4, 0.4, 201)
     params = replace(GAP_PARAMS, n_gap_cycles=n_cycles, v_mps=v, z0_um=z0)
     out = run_gap_protocol(params, CFG.wavevectors)
-    ir = AtomDrive(OMEGA2, CFG.wavevectors.k_wait, INFRARED)
-    stages = resilient_pair(OMEGA2, params.omega_dp, K_MINUS, (gap_wait_time(n_cycles, OMEGA2), ir))
+    wait = gap_wait_time(n_cycles, OMEGA2), OMEGA2, CFG.wavevectors.k_wait
+    stages = resilient_pair(OMEGA2, params.omega_dp, K_MINUS, wait)
     space = TwoAtomSpace(GAP_BASIS, ("0",))
     shelved, _ = propagate_stages(np.eye(space.dim)[0], space, stages[:2], v, 0.0, z0, 0.0)
     assert np.array_equal(out.r3_leak, np.abs(shelved[:, GAP_BASIS.index("r3")]) ** 2)
