@@ -16,7 +16,11 @@ its coordinate enters the run.  The 100 x 100 grid runs input "11" in
 blocks of grid rows (control velocities on one axis against every target
 velocity on the other), each block no larger than one 100-point
 dual-rail row, and several cycle counts of one gate share the stages they
-have in common (:func:`rotation_error_grids`).
+have in common (:func:`rotation_error_grids`).  The blocks are split into
+contiguous shares, one per usable CPU: the calling thread runs the first
+and a helper thread each of the others, as NumPy's ``eigh`` releases the
+GIL.  Each block writes only its own rows, so the grids are the same bits
+for any number of shares; nothing else in the package runs threads.
 
 Everything about a gate that no velocity changes is its plan
 (:class:`GatePlan`): the duration, and each input's space and stage
@@ -28,10 +32,13 @@ plans are cached, never results: every call propagates its own inputs.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Literal, Sequence
+from typing import Callable, Literal, Sequence
 
 import numpy as np
 
@@ -62,8 +69,9 @@ Method = Literal["dual_rail", "traditional"]
 # Principal quantum numbers keying the interaction table per rail level.
 DEFAULT_PRINCIPAL = {"r1": 95, "r2": 97, "r3": 99}
 
-# No matrix stack of a grid run holds more elements than one 100-point
-# dual-rail row (100 x 12 x 12): the bound on a grid's peak memory.
+# No matrix stack of a grid block holds more elements than one 100-point
+# dual-rail row (100 x 12 x 12).  A grid runs one block per thread at once,
+# so its peak memory is that bound times the number of threads.
 MAX_STACK_ELEMENTS = 100 * 12 * 12
 
 
@@ -158,18 +166,21 @@ def _plan(params: GateParams, method: Method) -> GatePlan:
     counting as residence time while the control deexcites.  Input "11"
     lays the target's pulses over the control's wait stage from its
     opening; any rest of the window shelves only.  The target's train must
-    end within 1e-12 us of the window's close, the start of the control's
-    last pulse (a traditional wait of zero has no stage), for either method.
+    end by the window's close, the start of the control's last pulse, for
+    either method, give or take 1e-12 of that time: the roundoff of the
+    stage sums, at any pulse length.  A traditional wait of zero has no
+    stage, and its window closes as it opens.
     """
     control, target = _trains(params, method)
     excite, wait, *restore = control
     closes, end = control[-1].t0, control[-1].t1
+    slack = 1e-12 * closes
     pulses = [GateStage(p.t0, p.t1, target=p.control) for p in target]
-    if pulses[-1].t1 > closes + 1e-12:
+    if pulses[-1].t1 > closes + slack:
         raise ValueError("target pulse train must fit inside the wait window: "
                          f"it ends at {pulses[-1].t1} us, the window at {closes} us")
     pair = [excite, *(replace(p, control=wait.control) for p in pulses)]
-    if closes - pulses[-1].t1 > 1e-12:
+    if closes - pulses[-1].t1 > slack:
         pair.append(GateStage(pulses[-1].t1, closes, control=wait.control))
     levels_c, levels_t = _levels(control), _levels(target)
     # Every level after the ground "1" is a Rydberg level.
@@ -337,6 +348,13 @@ def rotation_error_grids(
     counts.  The error reads no residence time, so no run computes one:
     every line and block takes the call of :func:`_run_input` without
     occupation rows.
+
+    The blocks run in contiguous shares (:func:`_run_shares`), one per
+    usable CPU: the calling thread runs the first, and a helper thread
+    started for this call each other.  Each block writes only its own
+    rows, so the grids are the same bits for any split, and as many
+    blocks, each within ``MAX_STACK_ELEMENTS``, are in flight at once as
+    there are shares.
     """
     velocities = velocity_grid(n_grid)
     z0 = params.z0_control_um, params.z0_target_um
@@ -355,13 +373,66 @@ def rotation_error_grids(
     block = max(1, MAX_STACK_ELEMENTS // (n_grid * space.dim ** 2))
     errors = [np.empty((n_grid, n_grid)) for _ in runs]
     v_t = velocities[None, :]
-    for start in range(0, n_grid, block):
-        rows = slice(start, start + block)
-        v_c = velocities[rows, None]
-        prefix, _ = propagate_stages(space.first_state, space, first[:shared], v_c, v_t, *z0)
-        for (a, b, stages), grid in zip(runs, errors):
-            psi = prefix
-            if len(stages) > shared:
-                psi, _ = propagate_stages(prefix, space, stages[shared:], v_c, v_t, *z0)
-            grid[rows] = rotation_error(a, b[rows, None], psi[..., 0])
+
+    def run_blocks(starts: range) -> None:
+        for start in starts:
+            rows = slice(start, start + block)
+            v_c = velocities[rows, None]
+            prefix, _ = propagate_stages(space.first_state, space, first[:shared],
+                                         v_c, v_t, *z0)
+            for (a, b, stages), grid in zip(runs, errors):
+                psi = prefix
+                if len(stages) > shared:
+                    psi, _ = propagate_stages(prefix, space, stages[shared:], v_c, v_t, *z0)
+                grid[rows] = rotation_error(a, b[rows, None], psi[..., 0])
+
+    _run_shares(run_blocks, range(0, n_grid, block))
     return errors
+
+
+def _workers(n_items: int) -> int:
+    """How many threads share ``n_items`` blocks: the CPUs this process may
+    run on, and no more than one per block."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, n_items))
+
+
+def _run_shares(work: Callable[[range], None], items: range) -> None:
+    """Run ``work`` over ``items`` split into :func:`_workers` contiguous
+    shares: the calling thread runs the first, one helper thread each of
+    the others.
+
+    The helpers start per call and are joined before this returns or
+    raises, so no thread outlives the call.  Each runs in a copy of the
+    caller's context, so NumPy's error state (a context variable) is the
+    caller's.  After the join, the first failed helper's exception is
+    raised in the caller, unless the caller's own share raised first.
+    """
+    workers = _workers(len(items))
+    cuts = [len(items) * i // workers for i in range(workers + 1)]
+    shares = [items[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    failures: list[BaseException | None] = [None] * len(shares)
+
+    def helper(index: int) -> None:
+        try:
+            work(shares[index])
+        except BaseException as exc:
+            failures[index] = exc
+
+    threads = []
+    try:
+        for index in range(1, len(shares)):
+            thread = threading.Thread(target=contextvars.copy_context().run,
+                                      args=(helper, index))
+            thread.start()
+            threads.append(thread)
+        work(shares[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    for failure in failures:
+        if failure is not None:
+            raise failure

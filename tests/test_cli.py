@@ -591,6 +591,15 @@ def test_traditional_gate_ignores_the_target_amplitude(capsys):
     assert err.startswith("usage error: target pulse train must fit inside the wait window")
 
 
+def test_traditional_gate_without_a_wait_is_refused_at_any_pulse_length(capsys):
+    # at 1e12 MHz the pi pulse lasts 3.5e-13 us, and an absolute 1e-12 us
+    # window slack let a target 2*pi pulse through a window of zero length
+    code, out, err = run_cli(capsys, "gate", "--method", "traditional", "--n-cycles", "0",
+                             "--omega-mhz", "1e12", "--grid-points", "4")
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: target pulse train must fit inside the wait window")
+
+
 def _write_ini(tmp_path, body):
     ini = tmp_path / "cfg.ini"
     ini.write_text(body)

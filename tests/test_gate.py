@@ -2,6 +2,9 @@ import ast
 import cmath
 import inspect
 import math
+import os
+import threading
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -157,8 +160,9 @@ def test_target_train_must_fit_wait_window():
 
 @pytest.mark.parametrize("method, amplitude", [("dual_rail", "omega_t"), ("traditional", "omega")])
 def test_wait_window_edge_is_read_off_the_built_trains(method, amplitude):
-    # the target's train may end up to 1e-12 us past the control's wait
-    # stage, for either method: the dual-rail pi + 3*pi lasts
+    # the target's train may end up to 1e-12 of the window's close time
+    # (here 0.88 us) past the control's wait stage, for either method:
+    # the dual-rail pi + 3*pi lasts
     # 4*pi/(sqrt(2)|Omega_t|) and the traditional 2*pi pulse, at
     # sqrt(2)*Omega, 2*pi/(sqrt(2)*Omega)
     area = 4.0 * math.pi if method == "dual_rail" else 2.0 * math.pi
@@ -176,9 +180,15 @@ def test_wait_window_edge_is_read_off_the_built_trains(method, amplitude):
 @pytest.mark.parametrize("method", ["dual_rail", "traditional"])
 def test_a_zero_wait_fits_no_target(method):
     # n = 0: the dual-rail control keeps a zero-length infrared stage and
-    # the traditional one has no wait stage; either window closes as it opens
+    # the traditional one has no wait stage; either window closes as it
+    # opens, also when the pi pulses are far shorter than 1e-12 us, since
+    # the slack scales with the window's close
     with pytest.raises(ValueError, match="^target pulse train must fit inside the wait window"):
         gate_duration(make_params(0), method)
+    for omega in map(mhz_to_rad_per_us, (1e9, 1e12, 1e15)):
+        params = make_params(0, omega=omega, omega_dp=-omega, omega_t=omega, omega_if=omega)
+        with pytest.raises(ValueError, match="^target pulse train must fit inside the wait window"):
+            gate_duration(params, method)
 
 
 def test_builders_and_the_plan_derive_no_pulse_length():
@@ -205,6 +215,14 @@ def test_builders_and_the_plan_derive_no_pulse_length():
 def test_params_reject_non_finite_and_zero_amplitudes(bad):
     with pytest.raises(ValueError):
         make_params(**bad)
+
+
+@pytest.mark.parametrize("name", ["omega", "omega_dp", "omega_t", "omega_if"])
+@pytest.mark.parametrize("zero", [0.0, -0.0, 0])
+def test_params_name_each_zero_amplitude(name, zero):
+    with pytest.raises(ValueError, match=f"^{name} must be nonzero$"):
+        make_params(**{name: zero})
+    assert getattr(make_params(**{name: 1e-300}), name) == 1e-300
 
 
 def test_missing_interaction_table():
@@ -306,8 +324,10 @@ def test_rydberg_times_10_and_11_agree():
 
 def test_decay_error_zero_without_residence():
     assert decay_error(0.0, 0.0, 0.0, 787.0) == 0.0
-    with pytest.raises(ValueError):
-        decay_error(1.0, 1.0, 1.0, 0.0)
+    assert decay_error(1.0, 2.0, 1.0, 2.0 ** -1000) == 2.0 ** 1000
+    for tau_us in (0.0, -0.0, -1e-300, -787.0):
+        with pytest.raises(ValueError, match="^lifetime must be positive$"):
+            decay_error(1.0, 1.0, 1.0, tau_us)
 
 
 def test_decay_error_analytic_value():
@@ -646,7 +666,10 @@ def test_row_blocks_that_do_not_divide_the_grid(monkeypatch, method, n_grid, blo
 
     monkeypatch.setattr(gate_module, "propagate_stages", recording)
     errors = averaged_rotation_error(params, 10.0, method, n_grid=n_grid).errors
-    assert rows == [(n_grid,)] * 2 + [(b,) for b in blocks]  # the lone lines first
+    # the lone lines first; the blocks run in shares on several threads,
+    # so their calls interleave and compare as a multiset
+    assert rows[:2] == [(n_grid,)] * 2
+    assert Counter(rows[2:]) == Counter((b,) for b in blocks)
     if method == "dual_rail":  # blocks of rows are the row loop's arithmetic
         assert np.array_equal(errors, expected)
     else:
@@ -671,18 +694,104 @@ def test_cycle_counts_share_their_prefix_exactly(monkeypatch, method):
                                       10.0, method, n_grid=12).errors for n in (1, 2)]
     calls = []
     original = gate_module.propagate_stages
-    monkeypatch.setattr(gate_module, "propagate_stages",
-                        lambda *args: calls.append(len(args[2])) or original(*args))
+    monkeypatch.setattr(gate_module, "propagate_stages", lambda *args: calls.append(
+        (len(args[2]), np.ndim(args[3]))) or original(*args))
     both = gate_module.rotation_error_grids(params, method, (1, 2), n_grid=12)
     assert all(np.array_equal(a, b) for a, b in zip(both, single))
-    # after the three lone lines (input "01"'s once, input "10"'s per
-    # count), per block: the stages up to the end of the target's train
-    # once, then the rest of each count's stage list
+    # first the three lone lines (input "01"'s once, input "10"'s per
+    # count) on the 1-D velocity line, then per block of rows: the stages
+    # up to the end of the target's train once, then the rest of each
+    # count's stage list; blocks interleave across threads, so they
+    # compare as a multiset
     shared = 3 if method == "dual_rail" else 2
     rest = [len(input_run("11", p, method)[1]) - shared
             for p in (make_params(1), make_params(2))]
     blocks = 2 if method == "dual_rail" else 1
-    assert calls[3:] == [shared, *rest] * blocks
+    assert [ndim for _, ndim in calls[:3]] == [1] * 3
+    assert Counter(calls[3:]) == Counter([(n, 2) for n in (shared, *rest)] * blocks)
+
+
+@pytest.mark.parametrize("method", ["dual_rail", "traditional"])
+@pytest.mark.parametrize("n_grid", [12, 40, 51])
+@pytest.mark.parametrize("workers", [None, 3])
+def test_threaded_grid_equals_the_one_worker_grid(monkeypatch, method, n_grid, workers):
+    # None: as many workers as the host's usable CPUs (two split 51 blocks
+    # 25 + 26); 3: on any host, up to three shares of the 2, 20 or 51
+    # blocks of a dual-rail grid and the 1, 2 or 3 of a traditional one
+    # (20 split 6 + 7 + 7)
+    params = make_params(1, z0_control_um=0.7, z0_target_um=-1.1)
+    with monkeypatch.context() as one:
+        one.setattr(gate_module, "_workers", lambda n_items: 1)
+        serial = gate_module.rotation_error_grids(params, method, (1, 2), n_grid)
+    if workers is not None:
+        monkeypatch.setattr(gate_module, "_workers", lambda n_items: min(workers, n_items))
+    rows = []  # the control velocities of every block call
+    original = gate_module.propagate_stages
+    monkeypatch.setattr(gate_module, "propagate_stages", lambda psi, space, stages, v_c, *args:
+                        np.ndim(v_c) == 2 and rows.append(np.ravel(v_c))
+                        or original(psi, space, stages, v_c, *args))
+    threaded = gate_module.rotation_error_grids(params, method, (1, 2), n_grid)
+    assert all(np.array_equal(a, b) for a, b in zip(threaded, serial))
+    # every grid row runs in some block: no share drops one
+    assert np.array_equal(np.unique(np.concatenate(rows)), velocity_grid(n_grid))
+
+
+@pytest.mark.parametrize("n_items", [1, 2, 5, 7, 51])
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_shares_cover_every_block_once_in_contiguous_runs(monkeypatch, n_items, workers):
+    monkeypatch.setattr(gate_module, "_workers", lambda n: min(workers, n))
+    shares, lock = [], threading.Lock()
+
+    def work(share):
+        with lock:
+            shares.append(share)
+
+    gate_module._run_shares(work, range(0, 3 * n_items, 3))
+    assert len(shares) == min(workers, n_items)
+    assert all(len(share) > 0 and share.step == 3 for share in shares)
+    assert sorted(i for share in shares for i in share) == list(range(0, 3 * n_items, 3))
+
+
+def test_worker_count_is_the_usable_cpus_and_at_most_one_per_block():
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert gate_module._workers(1) == 1
+    assert gate_module._workers(10 ** 6) == cpus
+    assert gate_module._workers(2) == min(2, cpus)
+
+
+def test_helper_blocks_see_the_callers_error_state(monkeypatch):
+    # NumPy keeps its error state in a context variable, which a plain
+    # thread starts without: it would see the default "warn"
+    monkeypatch.setattr(gate_module, "_workers", lambda n_items: min(2, n_items))
+    seen = []
+    original = gate_module.propagate_stages
+
+    def recording(*args):
+        seen.append((threading.get_ident(), np.geterr()["invalid"]))
+        return original(*args)
+
+    monkeypatch.setattr(gate_module, "propagate_stages", recording)
+    with np.errstate(invalid="raise"):
+        gate_module.rotation_error_grids(PARAMS, "dual_rail", (1,), n_grid=12)
+    assert {ident for ident, _ in seen} - {threading.get_ident()}  # a helper ran
+    assert {mode for _, mode in seen} == {"raise"}
+
+
+def test_a_helper_failure_reaches_the_caller_and_no_thread_outlives_it(monkeypatch):
+    monkeypatch.setattr(gate_module, "_workers", lambda n_items: min(3, n_items))
+    caller = threading.get_ident()
+    original = gate_module.propagate_stages
+
+    def failing(*args):
+        if threading.get_ident() != caller:
+            raise FloatingPointError("a helper's block failed")
+        return original(*args)
+
+    monkeypatch.setattr(gate_module, "propagate_stages", failing)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="a helper's block failed"):
+        gate_module.rotation_error_grids(PARAMS, "dual_rail", (1,), n_grid=40)
+    assert threading.active_count() == before
 
 
 def test_report_builds_its_pulse_trains_once(monkeypatch):
@@ -838,6 +947,14 @@ def test_velocity_grid_shape():
     assert v[0] == -0.5 and v[-1] == 0.5
     assert np.allclose(v, -v[::-1])
     assert 0.0 not in v
+
+
+def test_velocity_grid_takes_two_points_and_refuses_fewer():
+    assert velocity_grid(2).tolist() == [-0.5, 0.5]
+    assert velocity_grid(3).tolist() == [-0.5, 0.0, 0.5]
+    for n_points in (1, 0, -3):
+        with pytest.raises(ValueError, match=f"at least 2 points, got {n_points}$"):
+            velocity_grid(n_points)
 
 
 def test_traditional_velocity_reversal_conjugates_amplitudes():
