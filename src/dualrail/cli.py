@@ -189,8 +189,6 @@ def _run_or_average(args, cfg, runner) -> int:
         if args.output:
             _write_csv(args.output, OUTCOME_HEADER, [[args.v, args.z0, *_outcome_fields(out)]])
         return 0
-    if args.grid_points < 2:
-        raise UsageError(f"the velocity grid needs at least 2 points, got {args.grid_points}")
     avg = protocols.maxwell_average(
         runner, args.temp_uk, cfg.species,
         velocities=core.maxwell_grid(args.temp_uk, cfg.species, args.grid_points),

@@ -238,8 +238,7 @@ class SimulationParams:
         require_finite_fields(self)
         if self.t_wait_us < 0:
             raise ValueError("wait time must be nonnegative")
-        if self.n_gap_cycles < 0:
-            raise ValueError("gap cycle count must be nonnegative")
+        _require_whole_cycles(self.n_gap_cycles)
 
     @classmethod
     def from_mhz(
@@ -257,12 +256,21 @@ class SimulationParams:
         )
 
 
+def _require_whole_cycles(n_cycles: int) -> None:
+    """The one rule for a gap cycle count: whole, 0 or more, within the float
+    range (tested first: ``float()`` of a larger int raises OverflowError).  A
+    half cycle through r3 flips the rails' sign, and so the ground phase."""
+    if n_cycles > sys.float_info.max:
+        raise ValueError("gap cycle count exceeds the float range")
+    if not (n_cycles >= 0 and float(n_cycles).is_integer()):
+        raise ValueError(f"gap cycle count must be a whole number, 0 or more, got {n_cycles!r}")
+
+
 def gap_wait_time(n_cycles: int, omega_if: float) -> float:
     """Wait duration 4*n*pi/(sqrt(2)*Omega_IF) for n infrared cycles."""
     if omega_if <= 0:
         raise ValueError("infrared Rabi amplitude must be positive")
-    if n_cycles > sys.float_info.max:
-        raise ValueError("gap cycle count exceeds the float range")
+    _require_whole_cycles(n_cycles)
     return 4.0 * n_cycles * math.pi / (math.sqrt(2.0) * omega_if)
 
 
@@ -328,7 +336,9 @@ def maxwell_grid(
     species: AtomSpecies,
     n_points: int = 201,
 ) -> np.ndarray:
-    """Uniform symmetric velocity grid spanning +-5 rms speeds."""
+    """Uniform symmetric velocity grid of at least 2 points over +-5 rms speeds."""
+    if n_points < 2:
+        raise ValueError(f"the velocity grid needs at least 2 points, got {n_points}")
     sigma = thermal_rms_speed(temperature_uk, species)
     return np.linspace(-5.0 * sigma, 5.0 * sigma, n_points)
 
@@ -472,7 +482,8 @@ def load_configs(path: str) -> list[AtomLaserConfig]:
     lambda_ir_nm.  Optional: species (display name), counterpropagating
     (default true), L_um plus any number of c6_<na>_<nb> entries in
     THz*um^6 forming the interaction table; L_um is required once a c6
-    entry is present.  A missing key, a malformed file, a malformed c6 key
+    entry is present.  A missing key, a key that sets nothing (a misspelled
+    one, or L_um without a c6 entry), a malformed file, a malformed c6 key
     or a number that is not finite, or not positive where the quantity
     must be, raises ValueError.
     """
@@ -496,6 +507,11 @@ def load_configs(path: str) -> list[AtomLaserConfig]:
             raise ValueError(
                 f"preset {section!r} in {path} lacks {', '.join(missing)}"
             )
+        known = (*required, "species", "counterpropagating")
+        for key in sec:  # a key that sets no field is a typo, or a table's lone L
+            if key not in known and not key.startswith("c6_"):
+                raise _ini_error(sec, key, path, "read without a c6_<na>_<nb> entry"
+                                 if key == "l_um" else "a preset key")
         species = AtomSpecies(
             name=sec.get("species", section),
             mass_kg=_ini_float(sec, "mass_kg", path),

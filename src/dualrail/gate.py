@@ -93,6 +93,9 @@ class GateParams:
         for name in ("omega", "omega_dp", "omega_t", "omega_if"):
             if getattr(self, name) == 0:
                 raise ValueError(f"{name} must be nonzero")
+        gap_wait_time(self.n_gap_cycles, self.omega_if)  # every gate reads its wait
+        if self.config.interactions is None:
+            raise ValueError(f"config {self.config.name!r} carries no C6 table")
 
     @property
     def t_wait(self) -> float:
@@ -103,10 +106,8 @@ class GateParams:
         return self.config.species.rydberg_lifetime_us
 
     def pair_shift(self, level_a: str, level_b: str) -> float:
-        table = self.config.interactions
-        if table is None:
-            raise ValueError(f"config {self.config.name!r} carries no C6 table")
-        return table.shift((DEFAULT_PRINCIPAL[level_a], DEFAULT_PRINCIPAL[level_b]))
+        pair = DEFAULT_PRINCIPAL[level_a], DEFAULT_PRINCIPAL[level_b]
+        return self.config.interactions.shift(pair)
 
 
 def gate_duration(params: GateParams, method: Method = "dual_rail") -> float:
@@ -356,6 +357,8 @@ def rotation_error_grids(
     blocks, each within ``MAX_STACK_ELEMENTS``, are in flight at once as
     there are shares.
     """
+    if not cycle_counts:
+        raise ValueError("rotation_error_grids needs at least one cycle count")
     velocities = velocity_grid(n_grid)
     z0 = params.z0_control_um, params.z0_target_um
     plans = [_plan(replace(params, n_gap_cycles=n), method).runs for n in cycle_counts]

@@ -591,6 +591,29 @@ def test_traditional_gate_ignores_the_target_amplitude(capsys):
     assert err.startswith("usage error: target pulse train must fit inside the wait window")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("gate", "--n-cycles", "-1", "--grid-points", "4"),
+     "gap cycle count must be a whole number, 0 or more, got -1"),
+    (("gap", "--v", "0", "--n-cycles", "-1"),
+     "gap cycle count must be a whole number, 0 or more, got -1"),
+    # the traditional sweep reads no count, and still refuses a bad one
+    (("sweep", "--protocol", "traditional", "--n-cycles", "-1", "--axis", "v",
+      "--start", "0", "--stop", "1", "--num", "2"),
+     "gap cycle count must be a whole number, 0 or more, got -1"),
+    # the C6 table is judged with the parameters, before any window
+    (("gate", "--n-cycles", "0", "--preset", "rb87_5p32", "--grid-points", "4"),
+     "config 'rb87_5p32' carries no C6 table"),
+    (("gap", "--temp-uk", "10", "--grid-points", "1"),
+     "the velocity grid needs at least 2 points, got 1"),
+    (("restore", "--omega-dp-mhz", "-2.0399", "--temp-uk", "-5", "--grid-points", "0"),
+     "the velocity grid needs at least 2 points, got 0"),
+])
+def test_each_input_is_refused_where_it_enters(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"usage error: {message}\n"
+
+
 def test_traditional_gate_without_a_wait_is_refused_at_any_pulse_length(capsys):
     # at 1e12 MHz the pi pulse lasts 3.5e-13 us, and an absolute 1e-12 us
     # window slack let a target 2*pi pulse through a window of zero length
@@ -714,6 +737,16 @@ def test_malformed_config_is_usage_error(capsys, tmp_path, body):
     code, _, err = run_cli(capsys, "gap", "--v", "0", "--config", path, "--preset", "p")
     assert code == 2
     assert err.startswith("usage error:")
+
+
+def test_config_key_that_sets_nothing_is_a_usage_error(capsys, tmp_path):
+    # the misspelled key used to load, leaving the excitation counterpropagating
+    path = _write_ini(tmp_path, "[p]\ntau_us = 787.0\n" + PRESET_KEYS
+                      + "counterpropogating = false\n")
+    code, out, err = run_cli(capsys, "gap", "--v", "0.05", "--config", path, "--preset", "p")
+    assert code == 2 and out == ""
+    assert err == (f"usage error: counterpropogating = false in preset [p] of {path} "
+                   "is not a preset key\n")
 
 
 GATE_PRESET = {

@@ -1,6 +1,7 @@
 import math
 import pickle
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,6 +116,22 @@ def test_two_atom_mean_of_a_separable_sum_is_the_sum_of_one_atom_means():
         two = maxwell_rule(v, temp, RB87).mean(f[:, None] + g[None, :])
         one = maxwell_rule(v, temp, RB87).mean(f) + maxwell_rule(v, temp, RB87).mean(g)
         assert abs(two - one) <= 1e-15
+
+
+@pytest.mark.parametrize("n_points", [1, 0, -3])
+def test_maxwell_grid_refuses_fewer_than_two_points(n_points):
+    # the message is the CLI's; the size is judged before the temperature
+    message = f"^the velocity grid needs at least 2 points, got {n_points}$"
+    for temp in (10.0, -5.0):
+        with pytest.raises(ValueError, match=message):
+            maxwell_grid(temp, RB87, n_points)
+
+
+def test_maxwell_grid_spans_five_rms_speeds_from_two_points():
+    sigma = thermal_rms_speed(10.0, RB87)
+    assert maxwell_grid(10.0, RB87, 2).tolist() == [-5.0 * sigma, 5.0 * sigma]
+    grid = maxwell_grid(200.0, CS133, 3)
+    assert grid[0] == -grid[2] == -5.0 * thermal_rms_speed(200.0, CS133)
 
 
 def test_weights_that_all_underflow_raise():
@@ -263,6 +280,37 @@ def test_params_validation_and_gap_wait():
     assert p.t_wait_us == pytest.approx(math.sqrt(2.0))
 
 
+@pytest.mark.parametrize("n", [1.5, 0.5, -1, -0.5, -1e-300, 2.000001, -math.inf, math.nan])
+def test_gap_cycle_count_must_be_whole_and_not_negative(n):
+    # a half cycle through r3 restores the ground state at phase 0, not pi
+    with pytest.raises(ValueError, match="^gap cycle count must be a whole number, 0 or more"):
+        gap_wait_time(n, 1.0)
+    with pytest.raises(ValueError, match="^gap cycle count|^n_gap_cycles must be finite"):
+        SimulationParams(n_gap_cycles=n)
+
+
+def test_whole_cycle_counts_of_any_number_type_are_taken():
+    for n in (0, 2, 2.0, np.int64(3), np.float64(1.0)):
+        assert SimulationParams(n_gap_cycles=n).n_gap_cycles == n
+    assert gap_wait_time(2.0, 1.0) == gap_wait_time(2, 1.0)
+    assert gap_wait_time(0, 1.0) == 0.0
+
+
+@pytest.mark.parametrize("n", [10**400, 2**1024, math.inf])
+def test_cycle_count_beyond_the_float_range_is_a_value_error(n):
+    # range first: float() of a larger int raises OverflowError, which is no ValueError
+    with pytest.raises(ValueError, match="^gap cycle count exceeds the float range$"):
+        gap_wait_time(n, 1.0)
+    with pytest.raises(ValueError, match="^gap cycle count exceeds|^n_gap_cycles must be finite"):
+        SimulationParams(n_gap_cycles=n)
+
+
+@pytest.mark.parametrize("omega_if", [0.0, -0.0, -1e-300, -2.0])
+def test_gap_wait_needs_a_positive_infrared_amplitude(omega_if):
+    with pytest.raises(ValueError, match="^infrared Rabi amplitude must be positive$"):
+        gap_wait_time(1, omega_if)
+
+
 @pytest.mark.parametrize("field", [
     "omega", "omega_dp", "omega_if", "z0_um", "v_mps", "t_wait_us",
 ])
@@ -316,6 +364,41 @@ def test_config_file_roundtrip(tmp_path):
     assert cfg.wavevectors.k_wait == pytest.approx(ref.wavevectors.k_wait, rel=1e-9)
     assert cfg.interactions.entries == ref.interactions.entries
     assert cfg.species.mass_kg == pytest.approx(ref.species.mass_kg, rel=1e-5)
+
+
+@pytest.mark.parametrize("line, refusal", [
+    ("counterpropogating = false", "is not a preset key"),
+    ("lambda_ir = 2272.0", "is not a preset key"),
+    ("L_um = 7.0", "is not read without a c6_<na>_<nb> entry (it sets separation_um)"),
+])
+def test_config_key_that_sets_nothing_is_refused(tmp_path, line, refusal):
+    # a misspelled key, or a separation with no C6 entry, used to load
+    # with its value silently dropped
+    path = tmp_path / "presets.ini"
+    path.write_text(
+        "[p]\n"
+        "mass_kg = 1.44316e-25\n"
+        "tau_us = 787.0\n"
+        "lambda_lower_nm = 795.0\n"
+        "lambda_upper_nm = 474.0\n"
+        "lambda_ir_nm = 2272.0\n"
+        f"{line}\n"
+    )
+    key, value = line.lower().split(" = ")
+    with pytest.raises(ValueError) as refused:
+        load_configs(str(path))
+    assert str(refused.value) == f"{key} = {value} in preset [p] of {path} {refusal}"
+
+
+def test_readme_config_example_loads_as_the_default_preset(tmp_path):
+    # its values once carried trailing comments, which INI reads as value text
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    path = tmp_path / "readme.ini"
+    path.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+    (cfg,) = load_configs(str(path))
+    ref = get_config("rb87_5p12")
+    assert cfg.wavevectors == ref.wavevectors
+    assert cfg.interactions == ref.interactions
 
 
 def test_config_env_var(tmp_path, monkeypatch):

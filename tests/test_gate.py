@@ -231,6 +231,41 @@ def test_missing_interaction_table():
         make_params(config=bare).pair_shift("r1", "r1")
 
 
+@pytest.mark.parametrize("n", [1.5, 0.5, -1, -0.5])
+def test_params_refuse_a_count_that_is_not_whole_at_construction(n):
+    # at n = 1.5 the gate's rotation error reads 0.80, against 2.35e-4 at n = 1
+    message = f"^gap cycle count must be a whole number, 0 or more, got {n}$"
+    with pytest.raises(ValueError, match=message):
+        make_params(n)
+
+
+@pytest.mark.parametrize("omega_if", [-OMEGA, -1e-300])
+def test_params_refuse_a_negative_infrared_amplitude_at_construction(omega_if):
+    with pytest.raises(ValueError, match="^infrared Rabi amplitude must be positive$"):
+        make_params(omega_if=omega_if)
+
+
+def test_params_without_a_c6_table_are_refused_at_construction():
+    with pytest.raises(ValueError, match="^config 'cs133_6p12' carries no C6 table$"):
+        GateParams(OMEGA, -OMEGA, OMEGA, OMEGA, 1, get_config("cs133_6p12"))
+
+
+@pytest.mark.parametrize("method", ["dual_rail", "traditional"])
+def test_a_whole_float_count_builds_the_integer_counts_plan(method):
+    # built outside the plan cache, where 2.0 and 2 would share one entry
+    whole, integer = (_plan.__wrapped__(make_params(n), method) for n in (2.0, 2))
+    assert whole.duration == integer.duration
+    for (_, stages_f), (_, stages_i) in zip(whole.runs, integer.runs):
+        assert [(s.t0, s.t1) for s in stages_f] == [(s.t0, s.t1) for s in stages_i]
+
+
+def test_grids_need_a_cycle_count_and_judge_each_one():
+    with pytest.raises(ValueError, match="^rotation_error_grids needs at least one cycle count$"):
+        gate_module.rotation_error_grids(PARAMS, "dual_rail", (), 4)
+    with pytest.raises(ValueError, match="^gap cycle count must be a whole number"):
+        gate_module.rotation_error_grids(PARAMS, "dual_rail", (1, 1.5), 4)
+
+
 def test_traditional_wait_must_hold_target_pulse():
     params = make_params(omega_if=mhz_to_rad_per_us(8.0), omega_t=mhz_to_rad_per_us(8.0))
     with pytest.raises(ValueError):
