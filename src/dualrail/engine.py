@@ -25,15 +25,29 @@ arithmetic in one stacked pass per group of stages (one ``eigh`` over the
 group's distinct Hamiltonians at the velocities they see, and the frame
 phases with each stage's flip S folded in), then a stage loop that only
 projects and multiplies, one step per driven stage, then one stacked
-occupation integral per group.
+occupation integral per group.  What depends only on a stage tuple (its
+times, durations and undriven propagators) is looked up once per tuple
+(:func:`_run_program`); drives, stages and spaces keep their hashes.
+
+A call with one state vector (scalar velocities and coordinates, a 1-D
+state, no sampled end times) is what ``dualrail gap --v`` and every
+``gate_report`` input make.  It runs the same operations on the same
+operands, bit for bit, and skips only the batch bookkeeping: no batch
+axes on the products, its stage occupations added as Python floats.
+
+:func:`counting` opens a window that records the engine's work: calls,
+stages, ``eigh`` calls and matrices, reused eigensystems and the largest
+norm defect of the final states.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -110,6 +124,30 @@ class ComplexState:
         return scalar_or_array(np.linalg.norm(self.amplitudes, axis=-1))
 
 
+def _hash_once(cls: type) -> type:
+    """Keep a frozen dataclass's field hash once computed: drives, stage
+    lists and spaces key the engine's compiled programs on every call, and
+    the generated hash would rebuild and rehash every nested field each
+    time.  A value that does not hash (array stage times) keeps raising
+    TypeError.  The kept hash is not pickled, as string hashes differ
+    between processes."""
+    field_hash = cls.__hash__
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", field_hash(self))
+            return self._hash
+
+    def __getstate__(self) -> dict:
+        return {name: value for name, value in vars(self).items() if name != "_hash"}
+
+    cls.__hash__, cls.__getstate__ = __hash__, __getstate__
+    return cls
+
+
+@_hash_once
 @dataclass(frozen=True)
 class AtomDrive:
     """One atom's drive during a stage: amplitude, wavevector, topology."""
@@ -119,6 +157,7 @@ class AtomDrive:
     couplings: tuple[tuple[str, str, int], ...]
 
 
+@_hash_once
 @dataclass(frozen=True)
 class GateStage:
     """Absolute-time window with optional control and target drives."""
@@ -133,6 +172,7 @@ class GateStage:
         return self.t1 - self.t0
 
 
+@_hash_once
 @dataclass(frozen=True)
 class TwoAtomSpace:
     """Tensor basis (control x target) with per-pair interaction shifts.
@@ -351,6 +391,115 @@ def _stage_program(
     return tuple(groups), tuple(steps)
 
 
+class _Run(NamedTuple):
+    """A stage list's program (:func:`_stage_program`) with its clock, for
+    one space and one answer to whether both atoms' velocities share a
+    shape, its arrays read-only: per group its stages' times with a
+    trailing axis for the levels, (stage, t0 and t1, 1) or (N, stage, t0
+    and t1, 1) if N end times are sampled, their durations and -1j times
+    the durations; per stage None if it is driven, else its duration and
+    its propagator, the phases of the interaction shifts; whether every
+    time is a number; and how many stages reuse an earlier eigensystem."""
+
+    groups: tuple[_Group, ...]
+    steps: tuple
+    clocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    idles: tuple
+    scalar_times: bool
+    reused: int
+
+
+@lru_cache(maxsize=256)
+def _run_program(space: TwoAtomSpace, stages: tuple[GateStage, ...], merged: bool) -> _Run:
+    """The run of ``stages`` in ``space``, built once per stage tuple (by
+    content, through :func:`_cached`); its program comes from
+    :func:`_stage_program`, which no stage time keys."""
+    groups, steps = _stage_program(space, tuple((s.control, s.target) for s in stages), merged)
+    clocks, idles, arrays = [], [], []
+    for group in groups:
+        times = [(stages[i].t0, stages[i].t1) for i in group.stages]
+        try:  # (stage, t0 and t1), or (N, stage, t0 and t1) if N end times are sampled
+            times = np.array(times, dtype=float)
+        except ValueError:
+            flat = np.broadcast_arrays(*(t for pair in times for t in pair))
+            times = np.moveaxis(np.reshape(flat, (len(times), 2, -1)), -1, 0)
+        duration = times[..., 1:] - times[..., :1]
+        clocks.append((times[..., None], duration, -1j * duration))
+        arrays += clocks[-1]
+    for stage, step in zip(stages, steps):
+        idle = None
+        if step is None:
+            # Undriven: no frame, and H is the diagonal of interaction shifts.
+            duration = np.asarray(stage.duration, dtype=float)[..., None]
+            idle = duration, np.exp(-1j * duration * space.shift_diagonal)
+            arrays += idle
+        idles.append(idle)
+    for array in arrays:
+        array.flags.writeable = False
+    scalar_times = (all(duration.ndim == 2 for _, duration, _ in clocks)
+                    and all(idle is None or idle[0].ndim == 1 for idle in idles))
+    reused = sum(len(group.stages) - len(group.hamiltonians) for group in groups)
+    return _Run(groups, steps, tuple(clocks), tuple(idles), scalar_times, reused)
+
+
+def _cached(function: Callable, *key):
+    """``function(*key)`` through its cache, or computed for this call
+    alone when the key does not hash: array stage times (``dualrail
+    excite``'s sampled end times)."""
+    try:
+        return function(*key)
+    except TypeError:
+        return function.__wrapped__(*key)
+
+
+@dataclass(eq=False)
+class WorkRecord:
+    """The work of the :func:`propagate_stages` calls made while a
+    :func:`counting` window is open: calls, stages, ``eigh`` calls and the
+    matrices they diagonalized, stages that reused an earlier stage's
+    eigensystem, and the largest | |psi| - 1 | over the calls' final
+    states."""
+
+    calls: int = 0
+    stages: int = 0
+    eigh_calls: int = 0
+    eigh_matrices: int = 0
+    reused: int = 0
+    max_norm_defect: float = 0.0
+
+    def add(self, stages: int, eigh_calls: int, matrices: int, reused: int,
+            defect: float) -> None:
+        self.calls += 1
+        self.stages += stages
+        self.eigh_calls += eigh_calls
+        self.eigh_matrices += matrices
+        self.reused += reused
+        self.max_norm_defect = max(self.max_norm_defect, defect)
+
+
+# The engine's record: the open counting() windows.  Grid blocks run on
+# helper threads, so every window is added to under the lock.
+_WINDOWS: list[WorkRecord] = []
+_WINDOWS_LOCK = threading.Lock()
+
+
+@contextmanager
+def counting() -> Iterator[WorkRecord]:
+    """Count the engine's work while the block is open, in every thread:
+    ``with counting() as work:`` leaves ``work`` the :class:`WorkRecord`
+    of the :func:`propagate_stages` calls made meanwhile.  Windows may nest
+    or overlap, and each counts every call it sees; with none open, a call
+    counts nothing and pays nothing for it."""
+    record = WorkRecord()
+    with _WINDOWS_LOCK:
+        _WINDOWS.append(record)
+    try:
+        yield record
+    finally:
+        with _WINDOWS_LOCK:
+            _WINDOWS.remove(record)
+
+
 def propagate_stages(
     psi: np.ndarray,
     space: TwoAtomSpace,
@@ -371,18 +520,27 @@ def propagate_stages(
     are a B + (dim,) state stack and a B-shaped occupation array.  A stage's
     ``t0`` and ``t1`` may be 1-D arrays of length N too:
     ``[GateStage(0.0, ts, drive)]`` gives the state at every end time in
-    ``ts`` from one eigendecomposition.
+    ``ts`` from one eigendecomposition.  The state is always a new
+    writeable array, never ``psi``.
 
     The run's program (:func:`_stage_program`) is compiled once per space
-    and drives.  A call first does its velocity arithmetic in one stacked
-    pass per group of driven stages (rates, frame phases times each stage's
-    +-1 flip, one ``eigh`` over the group's distinct Hamiltonians,
-    eigenphases): one group when both atoms' velocities have one shape,
-    scalars included, else one per set of driven atoms, so that a stage
-    diagonalizes one matrix per velocity it sees (one per target velocity,
-    not per pair, for a target-only stage).  The stage loop then only
-    projects and multiplies, and the state takes the batch axes only as
-    stages reach them.
+    and drives, and its clock (:func:`_run_program`: times, durations, the
+    undriven stages' propagators) once per stage tuple.  A call first does
+    its velocity arithmetic in one stacked pass per group of driven stages
+    (rates, frame phases times each stage's +-1 flip, one ``eigh`` over the
+    group's distinct Hamiltonians, eigenphases, the eigenvectors made
+    complex once for the stage products): one group when both atoms'
+    velocities have one shape, scalars included, else one per set of
+    driven atoms, so that a stage diagonalizes one matrix per velocity it
+    sees (one per target velocity, not per pair, for a target-only stage).
+    The stage loop then only projects and multiplies, and the state takes
+    the batch axes only as stages reach them.
+
+    One state vector (scalar velocities and coordinates, a 1-D ``psi`` and
+    no sampled end times) runs the same products without the batch axes:
+    the occupation is a Python float, its stage terms added in stage
+    order, and the state ``psi + 0.0``, the bits of the broadcast that a
+    batched call ends with.
 
     Splitting a stage list into two calls, the second starting from the
     first's state, is the same arithmetic as one call; only the eigensystem
@@ -391,25 +549,25 @@ def propagate_stages(
     is the same, bit for bit.  With rows, each group takes one
     :func:`_occupation_integral` call, and the stages' terms, undriven ones
     included, are added in stage order, as a stage-by-stage integral adds
-    them.
+    them.  While a :func:`counting` window is open the call adds its work
+    to it.
     """
-    v_c, v_t, z_c, z_t = (np.asarray(x, dtype=float)
-                          for x in (v_control, v_target, z0_control, z0_target))
-    shapes = (v_c.shape, v_t.shape, z_c.shape, z_t.shape)
-    # Scalar calls skip broadcast_shapes, whose microseconds they would feel.
-    batch = np.broadcast_shapes(*shapes) if any(shapes) else ()
-    # Stacked arrays are (batch..., stage, level).
-    v_c, v_t, z_c, z_t = (x[..., None, None] for x in (v_c, v_t, z_c, z_t))
-    groups, steps = _stage_program(space, tuple((s.control, s.target) for s in stages),
-                                   v_c.shape == v_t.shape)
-    passes = []
-    for group in groups:
-        times = [(stages[i].t0, stages[i].t1) for i in group.stages]
-        try:  # (stage, t0 and t1), or (N, stage, t0 and t1) if N end times are sampled
-            times = np.array(times, dtype=float)
-        except ValueError:
-            flat = np.broadcast_arrays(*(t for pair in times for t in pair))
-            times = np.moveaxis(np.reshape(flat, (len(times), 2, -1)), -1, 0)
+    v_c, v_t, z_c, z_t = inputs = (v_control, v_target, z0_control, z0_target)
+    # Python floats multiply as 0-d arrays do: scalar calls skip the
+    # conversion and broadcast_shapes, whose microseconds they would feel.
+    batch, merged = (), True
+    if not all(type(x) is float for x in inputs):
+        v_c, v_t, z_c, z_t = (np.asarray(x, dtype=float) for x in inputs)
+        shapes = (v_c.shape, v_t.shape, z_c.shape, z_t.shape)
+        if any(shapes):  # stacked arrays are (batch..., stage, level)
+            batch = np.broadcast_shapes(*shapes)
+            v_c, v_t, z_c, z_t = (x[..., None, None] for x in (v_c, v_t, z_c, z_t))
+        merged = v_c.shape == v_t.shape
+    run = _cached(_run_program, space, tuple(stages), merged)
+    psi = np.asarray(psi, dtype=complex)
+    single = not batch and psi.ndim == 1 and run.scalar_times
+    passes, matrices = [], 0
+    for group, (times, duration, rotation) in zip(run.groups, run.clocks):
         # A stage's rates are the Doppler terms of the atoms it drives: an
         # atom it does not drive has an all-zero frame row.
         sees_c, sees_t = group.sees
@@ -417,59 +575,84 @@ def propagate_stages(
         if sees_t:
             rates = rates + group.frame_t * v_t
         offset = group.frame_c * z_c + group.frame_t * z_t
-        eigenvalues, vectors = np.linalg.eigh(
-            group.hamiltonians - rates[..., None] * space.identity)
+        hamiltonians = group.hamiltonians - rates[..., None] * space.identity
+        eigenvalues, vectors = np.linalg.eigh(hamiltonians)
+        matrices += hamiltonians.size // space.identity.size
         if group.slots is not None:  # from each Hamiltonian to each of its stages
             rates, offset, eigenvalues = (x[..., group.slots, :]
                                           for x in (rates, offset, eigenvalues))
-        duration = times[..., 1:] - times[..., :1]
-        theta = offset[..., None, :] + rates[..., None, :] * times[..., None]
-        frame = np.exp(_FRAME_SIGNS * theta)
+        frame = np.exp(_FRAME_SIGNS * (offset[..., None, :] + rates[..., None, :] * times))
         if group.signs is not None:
             # The stored eigenvectors with rows times a stage's flip are its
             # own: the +-1 goes on both of its frame phases, exactly.
             frame *= group.signs
-        passes.append((frame, np.exp(-1j * duration * eigenvalues),
-                       eigenvalues, vectors, duration, []))
-    psi = np.asarray(psi, dtype=complex)
+        # Complex once, the cast each stage product would make of them.
+        passes.append((frame, np.exp(rotation * eigenvalues), eigenvalues,
+                       vectors.astype(complex), duration, []))
     rows = np.asarray(occupation_rows, dtype=int)
     terms = []  # per stage: an undriven term, or the (group, position) of a driven one
-    for stage, step in zip(stages, steps):
+    for step, idle in zip(run.steps, run.idles):
         if step is None:
-            # Undriven: no frame, and H is the diagonal of interaction shifts.
-            duration = np.asarray(stage.duration, dtype=float)[..., None]
+            duration, propagator = idle
             if rows.size:
                 populations = np.abs(psi[..., rows]) ** 2
                 terms.append((duration * populations.sum(axis=-1, keepdims=True))[..., 0])
-            psi = np.exp(-1j * duration * space.shift_diagonal) * psi
+            psi = propagator * psi
             continue
         g, j, slot = step
         frame, phases, _, vectors, _, coefficients = passes[g]
         vectors = vectors[..., slot, :, :]
-        psi = frame[..., j, 0, :] * psi
-        coeffs = (psi[..., None, :] @ vectors)[..., 0, :]
+        if single:  # the same products, without the batch axes
+            psi = frame[j, 0] * psi
+            coeffs = psi @ vectors
+            turned = vectors @ (phases[j] * coeffs)
+        else:
+            psi = frame[..., j, 0, :] * psi
+            coeffs = (psi[..., None, :] @ vectors)[..., 0, :]
+            turned = (vectors @ (phases[..., j, :] * coeffs)[..., None])[..., 0]
         if rows.size:
             # A row's sign cancels in its population: the stored vectors do.
             terms.append((g, j))
             coefficients.append(coeffs)
-        psi = frame[..., j, 1, :] * (vectors @ (phases[..., j, :] * coeffs)[..., None])[..., 0]
-    occupation = np.zeros(batch)
+        psi = frame[..., j, 1, :] * turned
+    occupation = 0.0 if single else np.zeros(batch)
     if rows.size:
         integrals = []
-        for group, (*_, eigenvalues, vectors, duration, coefficients) in zip(groups, passes):
+        for group, (*_, eigenvalues, vectors, duration, coefficients) in zip(run.groups, passes):
             if group.slots is not None:
                 vectors = vectors[..., group.slots, :, :]
-            if len({coeffs.shape for coeffs in coefficients}) > 1:
+            if not single and len({coeffs.shape for coeffs in coefficients}) > 1:
                 coefficients = np.broadcast_arrays(*coefficients)
             coefficients = np.array(coefficients)  # the cheap stack, stage axis first
             if coefficients.ndim > 2:
                 coefficients = np.moveaxis(coefficients, 0, -2)
-            integrals.append(
-                _occupation_integral(vectors, coefficients, eigenvalues, duration, rows))
+            integral = _occupation_integral(vectors, coefficients, eigenvalues, duration, rows)
+            integrals.append(integral.tolist() if single else integral)
         for term in terms:
-            occupation = occupation + (integrals[term[0]][..., term[1]]
-                                       if isinstance(term, tuple) else term)
-    return np.zeros(batch + (space.dim,), dtype=complex) + psi, scalar_or_array(occupation)
+            if isinstance(term, tuple):
+                g, j = term
+                term = integrals[g][j] if single else integrals[g][..., j]
+            occupation = occupation + term
+    if single:  # a new array, with the signed zeros of the broadcast below
+        psi, occupation = psi + 0.0, float(occupation)
+    else:
+        psi = np.zeros(batch + (space.dim,), dtype=complex) + psi
+        occupation = scalar_or_array(occupation)
+    if _WINDOWS:
+        _count(run, len(stages), matrices, psi)
+    return psi, occupation
+
+
+def _count(run: _Run, stages: int, matrices: int, psi: np.ndarray) -> None:
+    """Add one call's work, with the norm defect of its final states, to
+    every open :func:`counting` window."""
+    if psi.ndim == 1:
+        defect = abs(math.sqrt(np.vdot(psi, psi).real) - 1.0)
+    else:
+        defect = float(np.max(np.abs(np.linalg.norm(psi, axis=-1) - 1.0), initial=0.0))
+    with _WINDOWS_LOCK:
+        for window in _WINDOWS:
+            window.add(stages, len(run.groups), matrices, run.reused, defect)
 
 
 def pulse_train(t0: float, *pulses: tuple[float, AtomDrive | None]) -> tuple[GateStage, ...]:
@@ -531,6 +714,13 @@ def _atom_space(levels: tuple[str, ...]) -> TwoAtomSpace:
     return TwoAtomSpace(levels, ("0",))
 
 
+@lru_cache(maxsize=256)
+def _train_space(train: tuple[GateStage, ...]) -> TwoAtomSpace:
+    """The :func:`_atom_space` of a train's levels, looked up once per
+    train (by content, through :func:`_cached`)."""
+    return _atom_space(_levels(train))
+
+
 def propagate_atom(
     train: Sequence[GateStage],
     v: float | np.ndarray,
@@ -549,7 +739,7 @@ def propagate_atom(
     excite``); the state and the Rydberg time then carry the broadcast
     axes, or a leading axis of length N.
     """
-    space = _atom_space(_levels(train))
+    space = _cached(_train_space, tuple(train))
     psi, rydberg_time = propagate_stages(
         space.first_state, space, train, v, 0.0, z0, 0.0, space.single_rydberg_indices
     )

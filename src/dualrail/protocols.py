@@ -138,9 +138,10 @@ def _outcome(final: ComplexState, rydberg_time) -> ProtocolOutcome:
     """Outcome of a run that ends in ``final``.  The r3 leak is the final
     r3 population: no pulse after the wait couples r3.  An atom without r3
     leaks nothing."""
-    population = final.population("1")
+    ground = final.amplitude("1")
+    population = abs(ground) ** 2
     r3_leak = final.population("r3") if "r3" in final.basis else 0.0 * population
-    return ProtocolOutcome(population, final.phase("1"), r3_leak, rydberg_time)
+    return ProtocolOutcome(population, scalar_or_array(np.angle(ground)), r3_leak, rydberg_time)
 
 
 def run_excite_restore(params: SimulationParams, k: float) -> ProtocolOutcome:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dualrail
-from dualrail import cli, core, gate, protocols
+from dualrail import cli, core, engine, gate, protocols
 from dualrail.cli import main
 from dualrail.engine import DUAL_RAIL_BASIS, dual_rail_rotation
 
@@ -502,9 +502,12 @@ def test_table2_eigendecomposition_budget(capsys, monkeypatch):
         return original(h, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
-    code, _, _ = run_cli(capsys, "table", "--which", "2", "--grid-points", "9")
+    with engine.counting() as work:
+        code, _, _ = run_cli(capsys, "table", "--which", "2", "--grid-points", "9")
     assert code == 0
     assert sum(matrices) == 243
+    # the engine's own record agrees, the grid's helper threads included
+    assert (work.eigh_calls, work.eigh_matrices) == (len(matrices), 243)
 
 
 @pytest.mark.parametrize("argv", [

@@ -348,6 +348,67 @@ def test_blockade_limited_error_at_rest():
     assert rep.rotation_error < 5.0 * floor
 
 
+@pytest.mark.parametrize("method, counts", [
+    # (calls, stages, eigh calls, matrices, stages reusing an eigensystem):
+    # "01" the target's pulses at +-Omega_t (one eigensystem) and its idle
+    # tail, "10" the control's three distinct pulses, "11" the control's
+    # excitation, the target's pulses over the shelving wait and the
+    # deexcitation; the traditional control's second pi pulse reuses its
+    # first, in "10" and in "11"
+    ("dual_rail", (3, 10, 3, 7, 2)),
+    ("traditional", (3, 9, 3, 4, 2)),
+])
+def test_scalar_report_runs_three_engine_calls(method, counts):
+    with engine.counting() as work:
+        gate_report(PARAMS, 0.1, -0.2, method)
+    assert (work.calls, work.stages, work.eigh_calls, work.eigh_matrices, work.reused) == counts
+    assert work.max_norm_defect < 1e-13
+    # a gap run is one call of three stages, each with its own drive
+    params = SimulationParams(omega=OMEGA, omega_dp=-mhz_to_rad_per_us(2.0339),
+                              omega_if=OMEGA, n_gap_cycles=1, v_mps=0.1, z0_um=0.4)
+    with engine.counting() as work:
+        protocols.run_gap_protocol(params, CFG.wavevectors)
+    assert (work.calls, work.stages, work.eigh_calls, work.eigh_matrices, work.reused) \
+        == (1, 3, 1, 3, 0)
+
+
+@pytest.mark.parametrize("method", ["dual_rail", "traditional"])
+def test_scalar_runs_are_the_bits_of_a_batch_of_one(method):
+    # a one-vector call runs the batched products without the batch axes
+    # and adds its stage terms in stage order: every input's state and
+    # residence time are the bits of the same run as a batch of one
+    rng = np.random.default_rng(5)
+    z0 = 0.8, -1.3
+    params = make_params(z0_control_um=z0[0], z0_target_um=z0[1])
+    for space, stages in _plan(params, method).runs:
+        rows = space.single_rydberg_indices
+        for v_c, v_t in rng.normal(0.0, 0.14, (10, 2)).tolist():
+            psi, t_r = propagate_stages(space.first_state, space, stages, v_c, v_t, *z0, rows)
+            batch, t_batch = propagate_stages(space.first_state, space, stages,
+                                              np.array([v_c]), np.array([v_t]), *z0, rows)
+            assert psi.tobytes() == batch[0].tobytes()
+            assert np.array([t_r]).tobytes() == t_batch.tobytes()
+
+
+@pytest.mark.parametrize("method", ["dual_rail", "traditional"])
+def test_rest_frame_blockade_error_scales_as_the_inverse_shift(method):
+    # at rest the blockade leaks c away from a by (Omega/V)^2 to leading
+    # order: |c - a| * V stays put as the trap separation shrinks and V
+    # grows as 1/L^6 (x8.5, x21.4, x64 for L * 0.7, 0.6, 0.5)
+    table = CFG.interactions
+    scaled = []
+    for factor in (0.7, 0.6, 0.5):
+        config = replace(CFG, interactions=InteractionTable(
+            dict(table.entries), table.separation_um * factor))
+        rep = gate_report(make_params(config=config), 0.0, 0.0, method)
+        scaled.append(abs(rep.c - rep.a) / factor ** 6)
+    assert scaled[1] == pytest.approx(scaled[0], rel=1e-3)
+    assert scaled[2] == pytest.approx(scaled[0], rel=1e-3)
+    # the dual rail leaks less than the single rail (measured 3.0079e-2 and 3.734e-2)
+    assert scaled[0] == pytest.approx({"dual_rail": 3.0079e-2, "traditional": 3.7346e-2}[method],
+                                      rel=1e-3)
+
+
 def test_rydberg_times_10_and_11_agree():
     rep = gate_report(PARAMS, 0.0, 0.0)
     t10 = rep.rydberg_times_us["10"]
@@ -638,8 +699,12 @@ def test_grid_eigendecomposition_budget(monkeypatch, method, n_cycles, budget):
     # pulse, 81 for a stage that drives both atoms.  Losing the broadcast
     # velocity axes or the sign-flipped or repeated stage sharing raises it.
     matrices = _count_eigh_matrices(monkeypatch)
-    averaged_rotation_error(make_params(n_cycles), 10.0, method, n_grid=9)
+    with engine.counting() as work:
+        averaged_rotation_error(make_params(n_cycles), 10.0, method, n_grid=9)
     assert sum(matrices) == budget
+    # the engine's own record agrees with the wrapper
+    assert (work.eigh_calls, work.eigh_matrices) == (len(matrices), budget)
+    assert work.max_norm_defect < 1e-12
 
 
 @pytest.mark.parametrize("method", ["dual_rail", "traditional"])

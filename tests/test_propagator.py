@@ -1,8 +1,12 @@
 import math
+import pickle
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from dualrail import engine
 from dualrail.core import mhz_to_rad_per_us
 from dualrail.engine import (
     DUAL_RAIL_BASIS,
@@ -16,6 +20,7 @@ from dualrail.engine import (
     _atom_space,
     _levels,
     _occupation_integral,
+    counting,
     pi_time,
     propagate_atom,
     propagate_stages,
@@ -316,3 +321,145 @@ def test_one_call_residence_time_is_the_sum_of_a_split_calls(v, sampled):
     assert np.array_equal(psi_split, psi)
     assert np.array_equal(t_head + t_last, t_one)
     assert np.shape(t_one) == np.broadcast_shapes(np.shape(v), np.shape(last.t1))
+
+
+# --- the one-vector call ---------------------------------------------------------
+
+GAP_TRAIN = resilient_pair(OMEGA, -1.01 * OMEGA, K_REF, (0.7, OMEGA, 5.53))
+GAP_SPACE = _atom_space(_levels(GAP_TRAIN))
+# a caller's complex state with negative zeros, which the returned state
+# never carries: a batched call adds its state to complex zeros
+SIGNED_ZEROS = np.array([1.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0)])
+
+
+@pytest.mark.parametrize("stages", [(), (GateStage(0.0, 0.3),), (GateStage(0.0, 0.0),),
+                                    GAP_TRAIN, GAP_TRAIN[1:]],
+                         ids=["empty", "undriven", "zero-length", "gap", "wait-restore"])
+@pytest.mark.parametrize("with_rows", [False, True], ids=["no-rows", "rows"])
+@pytest.mark.parametrize("psi0", [GAP_SPACE.first_state, SIGNED_ZEROS],
+                         ids=["first-state", "complex"])
+def test_scalar_call_returns_a_new_state_and_a_python_float(stages, with_rows, psi0):
+    rows = GAP_SPACE.single_rydberg_indices if with_rows else ()
+    for v, z0 in ((0.13, 0.4), (-0.21, -1.7), (0.0, 0.0)):
+        psi, t_r = propagate_stages(psi0, GAP_SPACE, stages, v, 0.0, z0, 0.0, rows)
+        assert psi is not psi0 and not np.shares_memory(psi, psi0)
+        assert psi.dtype == complex and psi.shape == (GAP_SPACE.dim,) and psi.flags.writeable
+        assert type(t_r) is float
+        # the bits of the same run as a batch of one, signed zeros included
+        batched, t_batched = propagate_stages(psi0, GAP_SPACE, stages, np.array([v]), 0.0,
+                                              z0, 0.0, rows)
+        assert psi.tobytes() == batched[0].tobytes()
+        assert np.array([t_r]).tobytes() == t_batched.tobytes()
+        if not stages:  # the caller's values, as a new array without negative zeros
+            assert psi.tolist() == list(psi0)
+            assert not np.signbit(psi.real).any() and not np.signbit(psi.imag).any()
+
+
+def test_undriven_run_at_batched_velocities_takes_the_batch():
+    # an undriven stage list never reads a velocity, but the state and the
+    # residence time still broadcast to the velocities' batch
+    rows = GAP_SPACE.single_rydberg_indices
+    v = np.array([[-0.2], [0.1]])
+    for stages in ((), (GateStage(0.0, 0.3),)):
+        psi, t_r = propagate_stages(GAP_SPACE.first_state, GAP_SPACE, stages, v,
+                                    0.0, np.array([0.0, 0.4, 1.1]), 0.0, rows)
+        assert psi.shape == (2, 3, GAP_SPACE.dim) and psi.flags.writeable
+        assert t_r.shape == (2, 3) and not t_r.any()
+        assert (psi == GAP_SPACE.first_state).all()
+
+
+def test_stage_products_take_complex_eigenvectors(monkeypatch):
+    # each group's eigenvectors are made complex once, right after eigh,
+    # instead of being cast by every stage product: a call whose atoms'
+    # velocities differ in shape has one group per set of driven atoms
+    kinds = []
+    original = engine._occupation_integral
+    monkeypatch.setattr(engine, "_occupation_integral",
+                        lambda vectors, *rest: kinds.append(vectors.dtype) or original(vectors, *rest))
+    shifts = {("r1", "r1"): 30.0}
+    space = engine.TwoAtomSpace(("1", "r1"), ("1", "r1"), shifts)
+    control, target = AtomDrive(OMEGA, K_REF, OPTICAL_SINGLE), AtomDrive(-OMEGA, K_REF, OPTICAL_SINGLE)
+    stages = (GateStage(0.0, 0.2, control=control), GateStage(0.2, 0.5, target=target),
+              GateStage(0.5, 0.6, control=control, target=target))
+    rows = space.single_rydberg_indices
+    propagate_stages(space.first_state, space, stages, 0.13, -0.2, 0.4, 0.0, rows)
+    propagate_stages(space.first_state, space, stages, np.array([[0.1], [0.2]]),
+                     np.array([0.0, 0.3, -0.1]), 0.4, 0.0, rows)
+    assert kinds == [np.dtype(complex)] * 4
+
+
+def test_stage_hashes_are_kept_but_not_pickled():
+    # drives, stages and spaces key the engine's programs: each keeps its
+    # hash once computed, and a copy from another process computes its own
+    stage = GAP_TRAIN[1]
+    assert hash(stage) == hash(GateStage(stage.t0, stage.t1, stage.control, stage.target))
+    for value in (stage, stage.control, GAP_SPACE):
+        hash(value)
+        assert "_hash" in vars(value)
+        copy = pickle.loads(pickle.dumps(value))
+        assert copy == value and "_hash" not in vars(copy) and hash(copy) == hash(value)
+    with pytest.raises(TypeError):  # array times hash by nothing, every time
+        hash(GateStage(0.0, np.array([0.1, 0.2])))
+
+
+# --- the engine's record ---------------------------------------------------------
+
+def test_counting_records_each_call():
+    with counting() as work:
+        propagate_atom(GAP_TRAIN, 0.13, 0.4)
+    # three stages, three distinct drives in one eigh, none reused
+    assert (work.calls, work.stages, work.eigh_calls, work.eigh_matrices, work.reused) \
+        == (1, 3, 1, 3, 0)
+    assert 0.0 <= work.max_norm_defect < 1e-13
+    # a batch diagonalizes per velocity; a state of norm 2 stays at norm 2
+    v = np.linspace(-0.3, 0.3, 5)
+    with counting() as outer:
+        with counting() as inner:
+            propagate_stages(2.0 * GAP_SPACE.first_state, GAP_SPACE, GAP_TRAIN, v, 0.0, 0.4, 0.0)
+        propagate_stages(GAP_SPACE.first_state, GAP_SPACE, GAP_TRAIN, 0.1, 0.0, 0.4, 0.0)
+    assert (inner.calls, inner.eigh_matrices) == (1, 15)
+    assert (outer.calls, outer.stages, outer.eigh_calls, outer.eigh_matrices) == (2, 6, 2, 18)
+    assert inner.max_norm_defect == outer.max_norm_defect == pytest.approx(1.0, abs=1e-12)
+    # a batch of states at one velocity: the defect of the largest
+    states = np.array([GAP_SPACE.first_state, 0.5 * GAP_SPACE.first_state])
+    with counting() as work:
+        psi, _ = propagate_stages(states, GAP_SPACE, GAP_TRAIN, 0.1, 0.0, 0.4, 0.0)
+    assert psi.shape == (2, GAP_SPACE.dim)
+    assert (work.calls, work.eigh_matrices) == (1, 3)
+    assert work.max_norm_defect == pytest.approx(0.5, abs=1e-12)
+    # a stage that repeats an earlier one up to its amplitude's sign reuses
+    # its eigensystem; a closed window counts no more
+    pair = resilient_pair(OMEGA, -OMEGA, K_REF)
+    with counting() as work:
+        propagate_atom(pair, 0.13, 0.4)
+        propagate_atom(pair, np.array([0.1, 0.2]), 0.4)
+    propagate_atom(pair, 0.13, 0.4)
+    assert (work.calls, work.stages, work.eigh_calls, work.eigh_matrices, work.reused) \
+        == (2, 4, 2, 3, 2)
+    assert not engine._WINDOWS
+
+
+def test_counting_adds_every_call_once_across_threads(monkeypatch):
+    # each add reads a count, yields, and writes it back: without the lock,
+    # two threads' adds would interleave and one call would be lost
+    add = engine.WorkRecord.add
+
+    def yielding_add(self, *args):
+        calls = self.calls
+        time.sleep(2e-4)
+        add(self, *args)
+        self.calls = calls + 1
+
+    monkeypatch.setattr(engine.WorkRecord, "add", yielding_add)
+
+    def work():
+        for _ in range(10):
+            propagate_atom(GAP_TRAIN, 0.13, 0.4)
+
+    with counting() as record:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    assert (record.calls, record.stages, record.eigh_matrices) == (40, 120, 120)

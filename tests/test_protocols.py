@@ -285,9 +285,13 @@ def test_optimizer_diagonalizes_the_excitation_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda h: matrices.append(h.shape) or eigh(h))
     monkeypatch.setattr(protocols, "_minimize_bounded",
                         lambda f, *rest: minimize(lambda x: points.append(x) or f(x), *rest))
-    optimize_deexcitation(OMEGA2, K_MINUS, sign=+1)
+    with engine.counting() as work:
+        optimize_deexcitation(OMEGA2, K_MINUS, sign=+1)
     assert len(points) > 5
     assert len(matrices) == 1 + len(points)
+    # the engine's own record agrees: one matrix per eigh, one call each
+    assert work.eigh_calls == work.calls == len(matrices)
+    assert work.eigh_matrices == sum(np.prod(shape[:-2], dtype=int) for shape in matrices)
 
 
 @pytest.mark.parametrize("case", [
