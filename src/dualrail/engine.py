@@ -29,6 +29,15 @@ occupation integral per group.  What depends only on a stage tuple (its
 times, durations and undriven propagators) is looked up once per tuple
 (:func:`_run_program`); drives, stages and spaces keep their hashes.
 
+A batched call writes its pass's four largest arrays per group (the
+shifted Hamiltonians, the frame-phase argument, the frame phases and the
+complex eigenvectors) into the ones its thread kept from its last batched
+call, when that call's group at the same position had the same shapes,
+and keeps them for the next: a grid's row blocks, one call each, stop
+allocating and faulting them in anew.  Each element is written over with
+the operation that would have made it, so the bits are those of new
+arrays; no returned array is a view of a kept one.
+
 A call with one state vector (scalar velocities and coordinates, a 1-D
 state, no sampled end times) is what ``dualrail gap --v`` and every
 ``gate_report`` input make.  It runs the same operations on the same
@@ -37,7 +46,7 @@ axes on the products, its stage occupations added as Python floats.
 
 :func:`counting` opens a window that records the engine's work: calls,
 stages, ``eigh`` calls and matrices, reused eigensystems and the largest
-norm defect of the final states.
+norm defect of the final states (NaN for good once one holds a NaN).
 """
 
 from __future__ import annotations
@@ -458,7 +467,8 @@ class WorkRecord:
     :func:`counting` window is open: calls, stages, ``eigh`` calls and the
     matrices they diagonalized, stages that reused an earlier stage's
     eigensystem, and the largest | |psi| - 1 | over the calls' final
-    states."""
+    states, which turns NaN for good at the first final state that holds
+    a NaN."""
 
     calls: int = 0
     stages: int = 0
@@ -474,13 +484,21 @@ class WorkRecord:
         self.eigh_calls += eigh_calls
         self.eigh_matrices += matrices
         self.reused += reused
-        self.max_norm_defect = max(self.max_norm_defect, defect)
+        # max() would drop a NaN defect (NaN compares false): it sticks.
+        if defect > self.max_norm_defect or math.isnan(defect):
+            self.max_norm_defect = defect
 
 
 # The engine's record: the open counting() windows.  Grid blocks run on
 # helper threads, so every window is added to under the lock.
 _WINDOWS: list[WorkRecord] = []
 _WINDOWS_LOCK = threading.Lock()
+
+# Per thread, the work arrays of its last batched propagate_stages call,
+# by group position: (the shapes they were made for, the shifted
+# Hamiltonians, the frame-phase argument, the frame phases, the complex
+# eigenvectors).  A helper thread's arrays go with the thread.
+_KEPT = threading.local()
 
 
 @contextmanager
@@ -534,7 +552,13 @@ def propagate_stages(
     driven atoms, so that a stage diagonalizes one matrix per velocity it
     sees (one per target velocity, not per pair, for a target-only stage).
     The stage loop then only projects and multiplies, and the state takes
-    the batch axes only as stages reach them.
+    the batch axes only as stages reach them.  A call with batch axes
+    writes each group's shifted Hamiltonians, frame-phase argument, frame
+    phases and complex eigenvectors into the arrays its thread kept for
+    that group position from its last batched call, if they were made for
+    the same rate, offset and clock shapes, and else keeps new ones: at
+    most one array per role and group position per thread.  The returned
+    state and occupation are always new arrays.
 
     One state vector (scalar velocities and coordinates, a 1-D ``psi`` and
     no sampled end times) runs the same products without the batch axes:
@@ -567,7 +591,8 @@ def propagate_stages(
     psi = np.asarray(psi, dtype=complex)
     single = not batch and psi.ndim == 1 and run.scalar_times
     passes, matrices = [], 0
-    for group, (times, duration, rotation) in zip(run.groups, run.clocks):
+    kept = _KEPT.__dict__ if batch else None  # this thread's work arrays
+    for g, (group, (times, duration, rotation)) in enumerate(zip(run.groups, run.clocks)):
         # A stage's rates are the Doppler terms of the atoms it drives: an
         # atom it does not drive has an all-zero frame row.
         sees_c, sees_t = group.sees
@@ -575,20 +600,45 @@ def propagate_stages(
         if sees_t:
             rates = rates + group.frame_t * v_t
         offset = group.frame_c * z_c + group.frame_t * z_t
-        hamiltonians = group.hamiltonians - rates[..., None] * space.identity
+        # The shapes fix those of the four work arrays: a kept set made for
+        # them is written over, element for element, else the arrays are new
+        # (and the old set is let go first, so that they can take its place).
+        work = None
+        if kept is not None:
+            shapes = rates.shape, offset.shape, times.shape
+            work = kept.get(g)
+            if work is not None and work[0] != shapes:
+                work = kept[g] = None
+        if work is None:
+            hamiltonians = group.hamiltonians - rates[..., None] * space.identity
+        else:
+            hamiltonians = np.multiply(rates[..., None], space.identity, out=work[1])
+            np.subtract(group.hamiltonians, hamiltonians, out=hamiltonians)
         eigenvalues, vectors = np.linalg.eigh(hamiltonians)
         matrices += hamiltonians.size // space.identity.size
         if group.slots is not None:  # from each Hamiltonian to each of its stages
             rates, offset, eigenvalues = (x[..., group.slots, :]
                                           for x in (rates, offset, eigenvalues))
-        frame = np.exp(_FRAME_SIGNS * (offset[..., None, :] + rates[..., None, :] * times))
+        if work is None:
+            argument = offset[..., None, :] + rates[..., None, :] * times
+            frame = np.exp(_FRAME_SIGNS * argument)
+            # Complex once, the cast each stage product would make of them.
+            vectors = vectors.astype(complex)
+            if kept is not None:
+                kept[g] = shapes, hamiltonians, argument, frame, vectors
+        else:
+            _, _, argument, frame, complex_vectors = work
+            np.multiply(rates[..., None, :], times, out=argument)
+            np.add(offset[..., None, :], argument, out=argument)
+            np.exp(np.multiply(_FRAME_SIGNS, argument, out=frame), out=frame)
+            np.copyto(complex_vectors, vectors)
+            vectors = complex_vectors
         if group.signs is not None:
             # The stored eigenvectors with rows times a stage's flip are its
             # own: the +-1 goes on both of its frame phases, exactly.
             frame *= group.signs
-        # Complex once, the cast each stage product would make of them.
         passes.append((frame, np.exp(rotation * eigenvalues), eigenvalues,
-                       vectors.astype(complex), duration, []))
+                       vectors, duration, []))
     rows = np.asarray(occupation_rows, dtype=int)
     terms = []  # per stage: an undriven term, or the (group, position) of a driven one
     for step, idle in zip(run.steps, run.idles):

@@ -14,13 +14,15 @@ coordinates, with each atom in its own slot.  An atom in |0> is an
 uncoupled spectator: its slot has no drive, so neither its velocity nor
 its coordinate enters the run.  The 100 x 100 grid runs input "11" in
 blocks of grid rows (control velocities on one axis against every target
-velocity on the other), each block no larger than one 100-point
-dual-rail row, and several cycle counts of one gate share the stages they
-have in common (:func:`rotation_error_grids`).  The blocks are split into
-contiguous shares, one per usable CPU: the calling thread runs the first
-and a helper thread each of the others, as NumPy's ``eigh`` releases the
-GIL.  Each block writes only its own rows, so the grids are the same bits
-for any number of shares; nothing else in the package runs threads.
+velocity on the other), each block no larger than two 100-point
+dual-rail rows, and several cycle counts of one gate share the stages they
+have in common (:func:`rotation_error_grids`).  Each thread's block calls
+write into the work arrays the engine kept from its block before.  The
+blocks are split into contiguous shares, one per usable CPU: the calling
+thread runs the first and a helper thread each of the others, as NumPy's
+``eigh`` releases the GIL.  Each block writes only its own rows, so the
+grids are the same bits for any number of shares; nothing else in the
+package runs threads.
 
 Everything about a gate that no velocity changes is its plan
 (:class:`GatePlan`): the duration, and each input's space and stage
@@ -69,10 +71,12 @@ Method = Literal["dual_rail", "traditional"]
 # Principal quantum numbers keying the interaction table per rail level.
 DEFAULT_PRINCIPAL = {"r1": 95, "r2": 97, "r3": 99}
 
-# No matrix stack of a grid block holds more elements than one 100-point
-# dual-rail row (100 x 12 x 12).  A grid runs one block per thread at once,
-# so its peak memory is that bound times the number of threads.
-MAX_STACK_ELEMENTS = 100 * 12 * 12
+# No matrix stack of a grid block holds more elements than two 100-point
+# dual-rail rows (2 x 100 x 12 x 12), 18 rows of a traditional one: half
+# the engine calls of one-row blocks, each writing into the work arrays
+# its thread kept from the block before.  A grid runs one block per thread
+# at once, so its peak memory is that bound times the number of threads.
+MAX_STACK_ELEMENTS = 2 * 100 * 12 * 12
 
 
 @dataclass(frozen=True)
@@ -329,8 +333,9 @@ def rotation_error_grids(
     velocities its drives see: a stage that drives only the control takes
     one matrix per row, and the traditional target's 2*pi pulse, which
     drives only the target, one per target velocity.  A block holds as many
-    rows as keep every matrix stack within ``MAX_STACK_ELEMENTS``: one row
-    of a 100-point dual-rail grid, nine of a traditional one.  Within one
+    rows as keep every matrix stack within ``MAX_STACK_ELEMENTS``: two rows
+    of a 100-point dual-rail grid, 18 of a traditional one, and one row
+    from 101 dual-rail points on.  Within one
     :func:`propagate_stages` call, a stage that repeats an earlier one up to
     amplitude signs reuses its eigensystem (the dual-rail target's
     deexcitation at -Omega_t; see :mod:`dualrail.engine`).
@@ -339,12 +344,14 @@ def rotation_error_grids(
     train; each block runs that shared prefix once and finishes every cycle
     count from its state, which is the arithmetic of one run.  A dual-rail
     100 x 100 grid diagonalizes 10,600 matrices for one cycle count and
-    11,200 for n = 1 and 2 together.  The reuse does not reach across
-    calls: for a single cycle count the prefix is the whole stage list, so
+    11,100 for n = 1 and 2 together, in any blocks; a traditional one 900
+    and 1,200, as its target's 2*pi pulse takes 100 matrices in each of
+    its 6 blocks.  The reuse does not reach across calls: for a single
+    cycle count the prefix is the whole stage list, so
     the traditional control's second pi pulse reuses the first's
     eigensystem, but with several counts each count's remainder is its own
     call and diagonalizes that pulse again, one matrix per control velocity
-    (100 per traditional count at 100 points, 200 of the 12,900 matrices of
+    (100 per traditional count at 100 points, 200 of the 12,300 matrices of
     ``dualrail table --which 2``).  Input "01"'s line runs once for all
     counts.  The error reads no residence time, so no run computes one:
     every line and block takes the call of :func:`_run_input` without
@@ -355,7 +362,9 @@ def rotation_error_grids(
     started for this call each other.  Each block writes only its own
     rows, so the grids are the same bits for any split, and as many
     blocks, each within ``MAX_STACK_ELEMENTS``, are in flight at once as
-    there are shares.
+    there are shares.  A thread's blocks of one shape write into the work
+    arrays the engine kept for it from the block before (see
+    :func:`~dualrail.engine.propagate_stages`), the same bits as new ones.
     """
     if not cycle_counts:
         raise ValueError("rotation_error_grids needs at least one cycle count")

@@ -116,6 +116,25 @@ def test_sweep_empty_range_is_usage_error(capsys):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize("start, stop", [("nan", "1"), ("0", "nan")])
+def test_sweep_bounds_that_are_not_finite_are_a_usage_error(capsys, start, stop):
+    # linspace ends on the stop value, so an axis can hold finite and
+    # non-finite points at once: nan..1 gives (nan, nan, 1)
+    code, out, err = run_cli(capsys, "sweep", "--axis", "v", f"--start={start}",
+                             f"--stop={stop}", "--num", "3")
+    assert code == 2 and out == ""
+    assert "usage error: sweep bounds must be finite" in err
+
+
+@pytest.mark.parametrize("points", ["0", "2", "100"])
+def test_table_1_refuses_every_grid_size(capsys, points):
+    # table 1 averages over each row's own Maxwell grid: a grid size of 0
+    # is refused like any other, not dropped as if it were unset
+    code, out, err = run_cli(capsys, "table", "--which", "1", "--grid-points", points)
+    assert code == 2 and out == ""
+    assert "usage error: --grid-points sets table 2's velocity grid" in err
+
+
 def test_unknown_flag_rejected(capsys):
     code, _, _ = run_cli(capsys, "excite", "--bogus-flag", "1")
     assert code == 2

@@ -72,6 +72,21 @@ def test_maxwell_weight_rejects_bad_temperature():
         maxwell_weight(0.1, -4.0, RB87)
 
 
+@pytest.mark.parametrize("temp", [0.0, -4.0, math.inf, -math.inf, math.nan])
+def test_rms_speed_needs_a_positive_finite_temperature(temp):
+    # an infinite temperature would give an infinite rms speed and a flat,
+    # weightless Maxwell rule instead of an error
+    with pytest.raises(ValueError, match="positive and finite"):
+        thermal_rms_speed(temp, RB87)
+
+
+@pytest.mark.parametrize("lambda_nm", [0.0, -0.0, -780.0])
+def test_a_wavelength_must_be_positive(lambda_nm):
+    # zero is refused with the others, not left to divide by zero
+    with pytest.raises(ValueError, match="wavelength must be positive"):
+        wavelength_to_wavevector(lambda_nm)
+
+
 @pytest.mark.parametrize("temp", [10.0, 200.0])
 def test_default_grid_covers_distribution(temp):
     grid = maxwell_grid(temp, RB87)

@@ -749,12 +749,12 @@ def _row_by_row_grid(params, method, n_grid):
 
 
 @pytest.mark.parametrize("method, n_grid, blocks", [
-    ("dual_rail", 12, [8, 4]), ("traditional", 40, [22, 18]),
+    ("dual_rail", 16, [12, 4]), ("traditional", 56, [32, 24]),
 ])
 @pytest.mark.parametrize("n_cycles", [1, 2])
 def test_row_blocks_that_do_not_divide_the_grid(monkeypatch, method, n_grid, blocks, n_cycles):
-    # a block holds as many rows as keep a stack within one 100-point
-    # dual-rail row: 14,400 // (12 * 144) = 8, 14,400 // (40 * 16) = 22
+    # a block holds as many rows as keep a stack within two 100-point
+    # dual-rail rows: 28,800 // (16 * 144) = 12, 28,800 // (56 * 16) = 32
     params = make_params(n_cycles, z0_control_um=0.7, z0_target_um=-1.1)
     expected = _row_by_row_grid(params, method, n_grid)
     rows = []
@@ -776,27 +776,27 @@ def test_row_blocks_that_do_not_divide_the_grid(monkeypatch, method, n_grid, blo
         assert np.max(np.abs(errors - expected) / expected) < 1e-12
 
 
-def test_a_dual_rail_grid_of_51_points_runs_one_row_per_block(monkeypatch):
-    # 14,400 // (51 * 144) = 1: from 51 points on, a dual-rail block is a
-    # single row, or its stacks outgrow one 100-point row
+def test_a_dual_rail_grid_of_101_points_runs_one_row_per_block(monkeypatch):
+    # 28,800 // (101 * 144) = 1: from 101 points on, a dual-rail block is a
+    # single row, or its stacks outgrow two 100-point rows
     rows = []
     original = gate_module.propagate_stages
     monkeypatch.setattr(gate_module, "propagate_stages", lambda psi, space, stages, v_c, *args:
                         rows.append(np.shape(v_c)[:1]) or original(psi, space, stages, v_c, *args))
-    gate_module.rotation_error_grids(PARAMS, "dual_rail", (1,), n_grid=51)
-    assert rows == [(51,)] * 2 + [(1,)] * 51  # the lone lines, then one call per block
+    gate_module.rotation_error_grids(PARAMS, "dual_rail", (1,), n_grid=101)
+    assert rows == [(101,)] * 2 + [(1,)] * 101  # the lone lines, then one call per block
 
 
 @pytest.mark.parametrize("method", ["dual_rail", "traditional"])
 def test_cycle_counts_share_their_prefix_exactly(monkeypatch, method):
     params = make_params(1, z0_control_um=0.7, z0_target_um=-1.1)
     single = [averaged_rotation_error(make_params(n, z0_control_um=0.7, z0_target_um=-1.1),
-                                      10.0, method, n_grid=12).errors for n in (1, 2)]
+                                      10.0, method, n_grid=16).errors for n in (1, 2)]
     calls = []
     original = gate_module.propagate_stages
     monkeypatch.setattr(gate_module, "propagate_stages", lambda *args: calls.append(
         (len(args[2]), np.ndim(args[3]))) or original(*args))
-    both = gate_module.rotation_error_grids(params, method, (1, 2), n_grid=12)
+    both = gate_module.rotation_error_grids(params, method, (1, 2), n_grid=16)
     assert all(np.array_equal(a, b) for a, b in zip(both, single))
     # first the three lone lines (input "01"'s once, input "10"'s per
     # count) on the 1-D velocity line, then per block of rows: the stages
@@ -815,10 +815,10 @@ def test_cycle_counts_share_their_prefix_exactly(monkeypatch, method):
 @pytest.mark.parametrize("n_grid", [12, 40, 51])
 @pytest.mark.parametrize("workers", [None, 3])
 def test_threaded_grid_equals_the_one_worker_grid(monkeypatch, method, n_grid, workers):
-    # None: as many workers as the host's usable CPUs (two split 51 blocks
-    # 25 + 26); 3: on any host, up to three shares of the 2, 20 or 51
-    # blocks of a dual-rail grid and the 1, 2 or 3 of a traditional one
-    # (20 split 6 + 7 + 7)
+    # None: as many workers as the host's usable CPUs (two split 17 blocks
+    # 8 + 9); 3: on any host, up to three shares of the 1, 8 or 17 blocks
+    # of a dual-rail grid and the 1, 1 or 2 of a traditional one (8 split
+    # 2 + 3 + 3)
     params = make_params(1, z0_control_um=0.7, z0_target_um=-1.1)
     with monkeypatch.context() as one:
         one.setattr(gate_module, "_workers", lambda n_items: 1)
@@ -859,6 +859,17 @@ def test_worker_count_is_the_usable_cpus_and_at_most_one_per_block():
     assert gate_module._workers(2) == min(2, cpus)
 
 
+@pytest.mark.parametrize("cpu_count, cpus", [(3, 3), (None, 1)])
+def test_worker_count_without_cpu_affinity_is_the_cpu_count(monkeypatch, cpu_count, cpus):
+    # platforms without os.sched_getaffinity read os.cpu_count(), which
+    # may not know (None): then one worker
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    assert gate_module._workers(10) == cpus
+    assert gate_module._workers(2) == min(2, cpus)
+    assert gate_module._workers(1) == 1
+
+
 def test_helper_blocks_see_the_callers_error_state(monkeypatch):
     # NumPy keeps its error state in a context variable, which a plain
     # thread starts without: it would see the default "warn"
@@ -872,7 +883,7 @@ def test_helper_blocks_see_the_callers_error_state(monkeypatch):
 
     monkeypatch.setattr(gate_module, "propagate_stages", recording)
     with np.errstate(invalid="raise"):
-        gate_module.rotation_error_grids(PARAMS, "dual_rail", (1,), n_grid=12)
+        gate_module.rotation_error_grids(PARAMS, "dual_rail", (1,), n_grid=16)
     assert {ident for ident, _ in seen} - {threading.get_ident()}  # a helper ran
     assert {mode for _, mode in seen} == {"raise"}
 

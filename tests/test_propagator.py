@@ -463,3 +463,104 @@ def test_counting_adds_every_call_once_across_threads(monkeypatch):
         for thread in threads:
             thread.join()
     assert (record.calls, record.stages, record.eigh_matrices) == (40, 120, 120)
+
+
+def test_a_nan_final_state_makes_the_norm_defect_nan_for_good():
+    # max() would keep 0.0 over a NaN defect, which compares false
+    nan_state = np.full(GAP_SPACE.dim, np.nan, dtype=complex)
+    with counting() as work:
+        propagate_stages(nan_state, GAP_SPACE, GAP_TRAIN, 0.13, 0.0, 0.4, 0.0)
+    assert work.calls == 1 and math.isnan(work.max_norm_defect)
+    # one NaN row of a batch
+    states = np.array([GAP_SPACE.first_state, nan_state, GAP_SPACE.first_state])
+    with counting() as work:
+        propagate_stages(states, GAP_SPACE, GAP_TRAIN, np.array([0.1, 0.2, 0.3]), 0.0, 0.4, 0.0)
+    assert math.isnan(work.max_norm_defect)
+    # once NaN, later finite calls, a state of norm 2 among them, keep it
+    with counting() as work:
+        propagate_atom(GAP_TRAIN, 0.13, 0.4)
+        propagate_stages(nan_state, GAP_SPACE, GAP_TRAIN, 0.13, 0.0, 0.4, 0.0)
+        propagate_stages(2.0 * GAP_SPACE.first_state, GAP_SPACE, GAP_TRAIN, 0.1, 0.0, 0.4, 0.0)
+        propagate_atom(GAP_TRAIN, np.array([0.1, 0.2]), 0.4)
+    assert work.calls == 4 and math.isnan(work.max_norm_defect)
+
+
+# --- the batched pass's kept work arrays ------------------------------------------
+
+# Two atoms, one stage per set of driven atoms: a call whose velocities
+# differ in shape has three groups, one of equal shapes one.
+PAIR_SPACE = engine.TwoAtomSpace(("1", "r1"), ("1", "r1"), {("r1", "r1"): 30.0})
+PAIR_STAGES = (GateStage(0.0, 0.2, control=AtomDrive(OMEGA, K_REF, OPTICAL_SINGLE)),
+               GateStage(0.2, 0.5, target=AtomDrive(-OMEGA, K_REF, OPTICAL_SINGLE)),
+               GateStage(0.5, 0.6, control=AtomDrive(OMEGA, K_REF, OPTICAL_SINGLE),
+                         target=AtomDrive(0.7 * OMEGA, K_REF, OPTICAL_SINGLE)))
+PAIR_ROWS = PAIR_SPACE.single_rydberg_indices
+
+
+def _pair_call(v_c, v_t, z_c=0.4, z_t=-0.3):
+    psi, occupation = propagate_stages(PAIR_SPACE.first_state, PAIR_SPACE, PAIR_STAGES,
+                                       v_c, v_t, z_c, z_t, PAIR_ROWS)
+    return psi, np.asarray(occupation)
+
+
+def _in_a_new_thread(work):
+    """``work()``'s value, computed in a thread that starts with no kept arrays."""
+    result = []
+    thread = threading.Thread(target=lambda: result.append(work()))
+    thread.start()
+    thread.join()
+    return result[0]
+
+
+def _other_shapes_and_groups():
+    """Batched calls of other shapes, stage lists and group counts."""
+    propagate_atom(GAP_TRAIN, np.linspace(-0.3, 0.3, 5), 0.4)
+    _pair_call(np.array([[0.1], [0.2]]), np.array([0.0, 0.3, -0.1, 0.2]))
+    _pair_call(np.array([0.1, -0.2, 0.3, 0.05]), np.array([0.0, 0.3, -0.1, 0.2]))
+    _pair_call(np.array([[0.1], [0.2], [-0.3]]), np.array([0.0, 0.3, -0.1, 0.2]),
+               np.array([[0.4], [1.1], [-0.2]]), np.array([0.0, 0.5, -0.5, 1.0]))
+
+
+@pytest.mark.parametrize("v_c, v_t", [
+    (np.array([[-0.31], [0.05], [0.44]]), np.array([-0.2, 0.0, 0.17, 0.5])),
+    (np.array([-0.31, 0.05, 0.44]), np.array([-0.2, 0.0, 0.17])),
+], ids=["three-groups", "one-group"])
+def test_a_batched_call_reads_the_same_bits_after_other_calls_or_in_a_new_thread(v_c, v_t):
+    fresh_psi, fresh_occupation = _in_a_new_thread(lambda: _pair_call(v_c, v_t))
+    _other_shapes_and_groups()
+    for _ in range(2):  # after other shapes, then over its own kept arrays
+        psi, occupation = _pair_call(v_c, v_t)
+        assert psi.tobytes() == fresh_psi.tobytes()
+        assert occupation.tobytes() == fresh_occupation.tobytes()
+        _pair_call(np.array([[0.3], [0.1], [0.0]]), np.array([0.4, -0.4, 0.1, 0.2]))
+
+
+def test_a_batched_result_is_never_a_kept_array():
+    v_t = np.array([-0.2, 0.0, 0.17, 0.5])
+    first = _pair_call(np.array([[-0.31], [0.05], [0.44]]), v_t)
+    saved = [x.copy() for x in first]
+    second = _pair_call(np.array([[0.2], [-0.1], [0.3]]), v_t[::-1].copy())
+    assert not np.array_equal(first[0], second[0])
+    for held, copy in zip(first, saved):
+        assert held.tobytes() == copy.tobytes()
+        for _, *arrays in engine._KEPT.__dict__.values():
+            assert not any(np.shares_memory(held, array) for array in arrays)
+
+
+def test_a_thread_keeps_one_array_per_role():
+    # five batch shapes, each call with three groups: one set of four
+    # arrays per group position, made for the last call's shapes
+    def work():
+        for n in (2, 3, 4, 5, 6):
+            _pair_call(np.linspace(-0.3, 0.3, n)[:, None], np.linspace(-0.2, 0.2, n + 1))
+        return {g: tuple(x.shape for x in arrays)
+                for g, (_, *arrays) in engine._KEPT.__dict__.items()}
+
+    kept = _in_a_new_thread(work)
+    assert sorted(kept) == [0, 1, 2]
+    for hamiltonians, argument, frame, vectors in kept.values():
+        assert hamiltonians == vectors and argument == frame
+    # one distinct drive per group, at the last call's 6 control and 7
+    # target velocities: the control's, the target's and both atoms'
+    assert sorted(shapes[0] for shapes in kept.values()) == sorted(
+        [(6, 1, 1, 4, 4), (7, 1, 4, 4), (6, 7, 1, 4, 4)])
