@@ -328,9 +328,10 @@ def cmd_sweep(args, cfg) -> int:
     k = cfg.wavevectors.k_excite
     if args.num < 2:
         raise UsageError("sweep needs at least two points")
-    axis = np.linspace(args.start, args.stop, args.num)
-    if not np.all(np.isfinite(axis)):
+    # An infinite bound or span would fail inside linspace, as a numerical error.
+    if not all(map(math.isfinite, (args.start, args.stop, args.stop - args.start))):
         raise UsageError("sweep bounds must be finite")
+    axis = np.linspace(args.start, args.stop, args.num)
     if args.protocol == "phase":
         if args.axis != "v":
             raise UsageError("the phase sweep is defined over the v axis")

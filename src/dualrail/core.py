@@ -104,11 +104,6 @@ class WavevectorSet:
     k_excite: float
     k_wait: float
 
-    @property
-    def mismatch(self) -> float:
-        """Fractional difference |1 - k_wait/k_excite| between the drives."""
-        return abs(1.0 - self.k_wait / self.k_excite)
-
 
 class MissingPairError(KeyError):
     """Raised when an interaction lookup has no entry for a level pair."""
@@ -418,11 +413,6 @@ _BUILTIN = (
 
 DEFAULT_CONFIG_NAME = "rb87_5p12"
 CONFIG_PATH_ENV_VAR = "DUALRAIL_CONFIG"
-
-
-def builtin_configs() -> list[AtomLaserConfig]:
-    """The bundled atom/laser presets, default first."""
-    return list(_BUILTIN)
 
 
 def get_config(name: str | None = None, path: str | None = None) -> AtomLaserConfig:

@@ -15,19 +15,18 @@ stage gives the exact propagator and, for the rows a caller asks for, the
 exact time-integrated Rydberg occupation, which never feeds back into the
 state (a caller that asks for none pays nothing for it).
 
-What no velocity or time changes is compiled once per space and drives
-into a stage program (:func:`_stage_program`): the in-frame Hamiltonians,
-frame rates and, as flipping the sign of one atom's amplitude is the exact
-diagonal similarity H(-amp) = S H(+amp) S with S = +-1, which stages share
-an eigensystem up to such a flip (the gate's target deexcitation at
--Omega_t after its excitation at +Omega_t).  A call does its velocity
+What no velocity changes is compiled once per space and stage tuple
+(:func:`_run_program`): the in-frame Hamiltonians, frame rates, stage
+times, durations and undriven propagators and, as flipping the sign of
+one atom's amplitude is the exact diagonal similarity H(-amp) = S H(+amp) S
+with S = +-1, which stages share an eigensystem up to such a flip (the
+gate's target deexcitation at -Omega_t after its excitation at +Omega_t).  A call does its velocity
 arithmetic in one stacked pass per group of stages (one ``eigh`` over the
 group's distinct Hamiltonians at the velocities they see, and the frame
 phases with each stage's flip S folded in), then a stage loop that only
 projects and multiplies, one step per driven stage, then one stacked
-occupation integral per group.  What depends only on a stage tuple (its
-times, durations and undriven propagators) is looked up once per tuple
-(:func:`_run_program`); drives, stages and spaces keep their hashes.
+occupation integral per group.  Drives, stages and spaces keep their
+hashes, so a stage tuple's program is one cache lookup.
 
 A batched call writes its pass's four largest arrays per group (the
 shifted Hamiltonians, the frame-phase argument, the frame phases and the
@@ -342,8 +341,11 @@ class _Group(NamedTuple):
     """Driven stages of a run that share a batch shape: whether any of them
     drives the control and the target, their positions, the frame-rate rows
     and in-frame Hamiltonians of their distinct drives, ``slots`` mapping
-    each stage to its Hamiltonian (None if each has its own), and ``signs``,
-    each stage's +-1 flip (None if no stage flips)."""
+    each stage to its Hamiltonian (None if each has its own), ``signs``,
+    each stage's +-1 flip (None if no stage flips), and the stages' clock:
+    their times with a trailing axis for the levels, (stage, t0 and t1, 1)
+    or (N, stage, t0 and t1, 1) if N end times are sampled, their durations
+    and -1j times the durations."""
 
     sees: tuple[bool, bool]
     stages: tuple[int, ...]
@@ -352,67 +354,21 @@ class _Group(NamedTuple):
     hamiltonians: np.ndarray  # (distinct, dim, dim)
     slots: np.ndarray | None  # (stage,)
     signs: np.ndarray | None  # (stage, 1, dim)
-
-
-@lru_cache(maxsize=256)
-def _stage_program(
-    space: TwoAtomSpace,
-    drives: tuple[tuple[AtomDrive | None, AtomDrive | None], ...],
-    merged: bool,
-) -> tuple[tuple[_Group, ...], tuple]:
-    """The program of a run with these (control, target) drives per stage,
-    compiled once by content (never by times), its arrays read-only: the
-    groups, and per stage None (undriven) or (group, position in it, slot).
-    With ``merged`` (both atoms' velocities have one shape) the driven
-    stages are one group, else one per set of driven atoms.  A stage whose
-    drives match an earlier one's up to amplitude signs
-    (:func:`_sign_free_key`) takes its slot, and its sign vector times the
-    earlier one's is the +-1 flip that carries the stored eigenvectors to
-    its own (all ones for the stage that fills a slot)."""
-    members, steps, slots = {}, [], {}
-    for i, (control, target) in enumerate(drives):
-        if control is None and target is None:
-            steps.append(None)
-            continue
-        # Equal sign-free keys drive the same atoms: a slot stays in its group.
-        sees = (control is not None, target is not None)
-        stages, distinct, flips = members.setdefault(merged or sees, ([], [], []))
-        key, signs = _sign_free_key(space, control, target)
-        if key not in slots:
-            slots[key] = len(distinct), signs
-            distinct.append((*_build_hamiltonian(space, control, target), sees))
-        slot, first_signs = slots[key]
-        steps.append((list(members).index(merged or sees), len(stages), slot))
-        stages.append((i, slot))
-        flips.append(first_signs * signs)
-    groups = []
-    for stages, distinct, flips in members.values():
-        positions, stage_slots = zip(*stages)
-        hamiltonians, frame_c, frame_t, sees = zip(*distinct)
-        signs = np.array(flips)[:, None, :]
-        arrays = [np.array(frame_c), np.array(frame_t), np.array(hamiltonians),
-                  np.array(stage_slots) if len(distinct) < len(stages) else None,
-                  signs if (signs < 0).any() else None]
-        for array in arrays:
-            if array is not None:
-                array.flags.writeable = False
-        groups.append(_Group(tuple(map(any, zip(*sees))), positions, *arrays))
-    return tuple(groups), tuple(steps)
+    times: np.ndarray  # ([N,] stage, 2, 1)
+    duration: np.ndarray  # ([N,] stage, 1)
+    rotation: np.ndarray  # -1j * duration
 
 
 class _Run(NamedTuple):
-    """A stage list's program (:func:`_stage_program`) with its clock, for
-    one space and one answer to whether both atoms' velocities share a
-    shape, its arrays read-only: per group its stages' times with a
-    trailing axis for the levels, (stage, t0 and t1, 1) or (N, stage, t0
-    and t1, 1) if N end times are sampled, their durations and -1j times
-    the durations; per stage None if it is driven, else its duration and
-    its propagator, the phases of the interaction shifts; whether every
-    time is a number; and how many stages reuse an earlier eigensystem."""
+    """A stage list compiled for one space and one answer to whether both
+    atoms' velocities share a shape, its arrays read-only: the groups; per
+    stage None (undriven) or (group, position in it, slot); per stage None
+    if it is driven, else its duration and its propagator, the phases of
+    the interaction shifts; whether every time is a number; and how many
+    stages reuse an earlier eigensystem."""
 
     groups: tuple[_Group, ...]
     steps: tuple
-    clocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     idles: tuple
     scalar_times: bool
     reused: int
@@ -420,35 +376,59 @@ class _Run(NamedTuple):
 
 @lru_cache(maxsize=256)
 def _run_program(space: TwoAtomSpace, stages: tuple[GateStage, ...], merged: bool) -> _Run:
-    """The run of ``stages`` in ``space``, built once per stage tuple (by
-    content, through :func:`_cached`); its program comes from
-    :func:`_stage_program`, which no stage time keys."""
-    groups, steps = _stage_program(space, tuple((s.control, s.target) for s in stages), merged)
-    clocks, idles, arrays = [], [], []
-    for group in groups:
-        times = [(stages[i].t0, stages[i].t1) for i in group.stages]
+    """The run of ``stages`` in ``space``, compiled once per stage tuple (by
+    content, through :func:`_cached`).  With ``merged`` (both atoms'
+    velocities have one shape) the driven stages are one group, else one
+    per set of driven atoms.  A stage whose drives match an earlier one's
+    up to amplitude signs (:func:`_sign_free_key`) takes its slot, and its
+    sign vector times the earlier one's is the +-1 flip that carries the
+    stored eigenvectors to its own (all ones for the stage that fills a
+    slot)."""
+    members, steps, slots, idles = {}, [], {}, []
+    for i, stage in enumerate(stages):
+        control, target = stage.control, stage.target
+        if control is None and target is None:
+            # Undriven: no frame, and H is the diagonal of interaction shifts.
+            duration = np.asarray(stage.duration, dtype=float)[..., None]
+            idles.append((duration, np.exp(-1j * duration * space.shift_diagonal)))
+            steps.append(None)
+            continue
+        idles.append(None)
+        # Equal sign-free keys drive the same atoms: a slot stays in its group.
+        sees = (control is not None, target is not None)
+        driven, distinct, flips = members.setdefault(merged or sees, ([], [], []))
+        key, signs = _sign_free_key(space, control, target)
+        if key not in slots:
+            slots[key] = len(distinct), signs
+            distinct.append((*_build_hamiltonian(space, control, target), sees))
+        slot, first_signs = slots[key]
+        steps.append((list(members).index(merged or sees), len(driven), slot))
+        driven.append((i, slot))
+        flips.append(first_signs * signs)
+    groups = []
+    for driven, distinct, flips in members.values():
+        positions, stage_slots = zip(*driven)
+        hamiltonians, frame_c, frame_t, sees = zip(*distinct)
+        signs = np.array(flips)[:, None, :]
+        times = [(stages[i].t0, stages[i].t1) for i in positions]
         try:  # (stage, t0 and t1), or (N, stage, t0 and t1) if N end times are sampled
             times = np.array(times, dtype=float)
         except ValueError:
             flat = np.broadcast_arrays(*(t for pair in times for t in pair))
             times = np.moveaxis(np.reshape(flat, (len(times), 2, -1)), -1, 0)
         duration = times[..., 1:] - times[..., :1]
-        clocks.append((times[..., None], duration, -1j * duration))
-        arrays += clocks[-1]
-    for stage, step in zip(stages, steps):
-        idle = None
-        if step is None:
-            # Undriven: no frame, and H is the diagonal of interaction shifts.
-            duration = np.asarray(stage.duration, dtype=float)[..., None]
-            idle = duration, np.exp(-1j * duration * space.shift_diagonal)
-            arrays += idle
-        idles.append(idle)
-    for array in arrays:
-        array.flags.writeable = False
-    scalar_times = (all(duration.ndim == 2 for _, duration, _ in clocks)
+        groups.append(_Group(tuple(map(any, zip(*sees))), positions,
+                             np.array(frame_c), np.array(frame_t), np.array(hamiltonians),
+                             np.array(stage_slots) if len(distinct) < len(driven) else None,
+                             signs if (signs < 0).any() else None,
+                             times[..., None], duration, -1j * duration))
+    for array in (*(a for group in groups for a in group[2:]), *(a for idle in idles if idle for a in idle)):
+        if array is not None:
+            array.flags.writeable = False
+    scalar_times = (all(group.duration.ndim == 2 for group in groups)
                     and all(idle is None or idle[0].ndim == 1 for idle in idles))
     reused = sum(len(group.stages) - len(group.hamiltonians) for group in groups)
-    return _Run(groups, steps, tuple(clocks), tuple(idles), scalar_times, reused)
+    return _Run(tuple(groups), tuple(steps), tuple(idles), scalar_times, reused)
 
 
 def _cached(function: Callable, *key):
@@ -541,9 +521,9 @@ def propagate_stages(
     ``ts`` from one eigendecomposition.  The state is always a new
     writeable array, never ``psi``.
 
-    The run's program (:func:`_stage_program`) is compiled once per space
-    and drives, and its clock (:func:`_run_program`: times, durations, the
-    undriven stages' propagators) once per stage tuple.  A call first does
+    The run's program (:func:`_run_program`: Hamiltonians, frame rates,
+    times, durations, the undriven stages' propagators) is compiled once
+    per space and stage tuple.  A call first does
     its velocity arithmetic in one stacked pass per group of driven stages
     (rates, frame phases times each stage's +-1 flip, one ``eigh`` over the
     group's distinct Hamiltonians, eigenphases, the eigenvectors made
@@ -592,7 +572,7 @@ def propagate_stages(
     single = not batch and psi.ndim == 1 and run.scalar_times
     passes, matrices = [], 0
     kept = _KEPT.__dict__ if batch else None  # this thread's work arrays
-    for g, (group, (times, duration, rotation)) in enumerate(zip(run.groups, run.clocks)):
+    for g, group in enumerate(run.groups):
         # A stage's rates are the Doppler terms of the atoms it drives: an
         # atom it does not drive has an all-zero frame row.
         sees_c, sees_t = group.sees
@@ -605,7 +585,7 @@ def propagate_stages(
         # (and the old set is let go first, so that they can take its place).
         work = None
         if kept is not None:
-            shapes = rates.shape, offset.shape, times.shape
+            shapes = rates.shape, offset.shape, group.times.shape
             work = kept.get(g)
             if work is not None and work[0] != shapes:
                 work = kept[g] = None
@@ -620,7 +600,7 @@ def propagate_stages(
             rates, offset, eigenvalues = (x[..., group.slots, :]
                                           for x in (rates, offset, eigenvalues))
         if work is None:
-            argument = offset[..., None, :] + rates[..., None, :] * times
+            argument = offset[..., None, :] + rates[..., None, :] * group.times
             frame = np.exp(_FRAME_SIGNS * argument)
             # Complex once, the cast each stage product would make of them.
             vectors = vectors.astype(complex)
@@ -628,7 +608,7 @@ def propagate_stages(
                 kept[g] = shapes, hamiltonians, argument, frame, vectors
         else:
             _, _, argument, frame, complex_vectors = work
-            np.multiply(rates[..., None, :], times, out=argument)
+            np.multiply(rates[..., None, :], group.times, out=argument)
             np.add(offset[..., None, :], argument, out=argument)
             np.exp(np.multiply(_FRAME_SIGNS, argument, out=frame), out=frame)
             np.copyto(complex_vectors, vectors)
@@ -637,8 +617,8 @@ def propagate_stages(
             # The stored eigenvectors with rows times a stage's flip are its
             # own: the +-1 goes on both of its frame phases, exactly.
             frame *= group.signs
-        passes.append((frame, np.exp(rotation * eigenvalues), eigenvalues,
-                       vectors, duration, []))
+        passes.append((frame, np.exp(group.rotation * eigenvalues), eigenvalues,
+                       vectors, group.duration, []))
     rows = np.asarray(occupation_rows, dtype=int)
     terms = []  # per stage: an undriven term, or the (group, position) of a driven one
     for step, idle in zip(run.steps, run.idles):

@@ -232,12 +232,6 @@ def decay_error(
     return (t_r01 + t_r10 + t_r11) / (4.0 * tau_us)
 
 
-def decay_error_analytic(omega: float, tau_us: float) -> float:
-    """Closed-form estimate 7*sqrt(2)*pi/(4*Omega*tau) for the resilient
-    gate with |Omega_dp| ~ Omega and the standard pulse budget."""
-    return 7.0 * math.sqrt(2.0) * math.pi / (4.0 * omega * tau_us)
-
-
 @dataclass(frozen=True)
 class GateReport:
     """Single-velocity-pair gate metrics."""

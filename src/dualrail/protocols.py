@@ -24,7 +24,6 @@ roundoff; compare phases modulo 2*pi.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -105,33 +104,6 @@ class PhaseFit:
     residual: float
     velocities: np.ndarray
     ratios: np.ndarray
-
-
-def analytic_w(t, omega: float, k: float, z0: float, v: float):
-    """Perturbative rail amplitudes (w1, w2) of the cos/sin drive.
-
-    Valid for k*v << Omega; a warning is emitted above k*v = 0.1*Omega.
-    Accepts scalar or array t.  In the v -> 0, z0 = 0 limit
-    w1 = -i sin(Omega t), w2 = 0 and |w1|^2 + |w2|^2 = sin^2(Omega t).
-    """
-    if abs(k * v) > 0.1 * abs(omega):
-        warnings.warn(
-            "analytic rail amplitudes requested outside their validity "
-            f"range: k*v/Omega = {k * v / omega:.3f} > 0.1",
-            stacklevel=2,
-        )
-    t = np.asarray(t, dtype=float)
-    kz0 = k * z0
-    kv = k * v
-    out = []
-    for alpha, f in ((1, np.sin), (2, np.cos)):
-        w = np.zeros_like(t, dtype=complex)
-        for eta in (+1.0, -1.0):
-            rate = kv + eta * omega
-            w += (f(kz0) - f(kz0 + rate * t)) / (2.0 * rate)
-        w = (1j) ** (2 - alpha) * omega * w
-        out.append(scalar_or_array(w))
-    return out[0], out[1]
 
 
 def _outcome(final: ComplexState, rydberg_time) -> ProtocolOutcome:

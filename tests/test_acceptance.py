@@ -28,7 +28,6 @@ from dualrail.core import (
 from dualrail.gate import (
     GateParams,
     averaged_rotation_error,
-    decay_error_analytic,
     gate_duration,
     gate_report,
     rotation_error,
@@ -56,6 +55,7 @@ from dualrail.protocols import (
     run_gap_protocol,
     traditional_runner,
 )
+from oracle import decay_error_analytic
 
 CFG = get_config("rb87_5p12")
 K_MINUS = CFG.wavevectors.k_excite

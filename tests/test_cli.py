@@ -116,7 +116,8 @@ def test_sweep_empty_range_is_usage_error(capsys):
     assert "usage error" in err
 
 
-@pytest.mark.parametrize("start, stop", [("nan", "1"), ("0", "nan")])
+@pytest.mark.parametrize("start, stop", [("nan", "1"), ("0", "nan"), ("inf", "1"), ("0", "-inf"),
+                                         ("-1.7e308", "1.7e308")])
 def test_sweep_bounds_that_are_not_finite_are_a_usage_error(capsys, start, stop):
     # linspace ends on the stop value, so an axis can hold finite and
     # non-finite points at once: nan..1 gives (nan, nan, 1)
@@ -581,6 +582,14 @@ def test_unwritable_output_is_refused_before_computing(capsys, monkeypatch, tmp_
     assert "Traceback" not in err
 
 
+def test_a_bare_output_name_is_written_in_the_working_directory(capsys, monkeypatch, tmp_path):
+    # a name with no directory part lies in ".", which exists
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, "gap", "--v", "0.05", "--output", "gap.csv")
+    assert code == 0, err
+    assert (tmp_path / "gap.csv").read_text().startswith(",".join(cli.OUTCOME_HEADER))
+
+
 @pytest.mark.parametrize("error, code, message", [
     (PermissionError(13, "Permission denied"), 2, "usage error: [Errno 13] Permission denied\n"),
     (MemoryError(), 3, "numerical failure: out of memory\n"),
@@ -855,7 +864,8 @@ def test_cli_import_loads_no_process_pool_or_ini_parser(tmp_path):
     # start-up loads neither; the pool name perfbench patches still resolves
     path = _write_ini(tmp_path, "[p]\ntau_us = 787.0\n" + PRESET_KEYS)
     unused = ("concurrent.futures.process", "multiprocessing", "socket",
-              "subprocess", "logging", "configparser")
+              "subprocess", "logging", "configparser", "dualrail.propagator",
+              "dualrail.hamiltonians")
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, dualrail.cli; "

@@ -29,7 +29,7 @@ from dualrail.engine import (
     _build_hamiltonian,
     _levels,
     _sign_free_key,
-    _stage_program,
+    _run_program,
     pi_time,
     propagate_stages,
 )
@@ -37,7 +37,6 @@ from dualrail.gate import (
     GateParams,
     averaged_rotation_error,
     decay_error,
-    decay_error_analytic,
     gate_duration,
     gate_report,
     rotation_error,
@@ -48,6 +47,7 @@ from dualrail.hamiltonians import (
     NINE_BASIS, h_dual_rail, h_gate_nine, lab_hamiltonian, nine_level_shifts,
 )
 from dualrail.propagator import evolve
+from oracle import decay_error_analytic
 
 CFG = get_config("rb87_5p12")
 OMEGA = mhz_to_rad_per_us(2.0)
@@ -553,9 +553,8 @@ def test_spaces_differing_in_one_shift_get_their_own_hamiltonian():
     # the shifts are content: insertion order does not matter
     assert TwoAtomSpace(*levels, dict(reversed(shifts.items()))) == space
     other = TwoAtomSpace(*levels, {**shifts, pair: shifts[pair] + 1.0})
-    drives = ((stages[1].control, stages[1].target),)
-    (group,), _ = _stage_program(space, drives, True)
-    (group_other,), _ = _stage_program(other, drives, True)
+    (group,) = _run_program(space, (stages[1],), True).groups
+    (group_other,) = _run_program(other, (stages[1],), True).groups
     h, h_other = group.hamiltonians[0], group_other.hamiltonians[0]
     i = space.index(*pair)
     assert h_other[i, i] == h[i, i] + 1.0
@@ -564,9 +563,9 @@ def test_spaces_differing_in_one_shift_get_their_own_hamiltonian():
 
 def test_cached_hamiltonian_is_read_only():
     space, stages = input_run("11", PARAMS)
-    drives = tuple((s.control, s.target) for s in stages)
-    (group,), steps = _stage_program(space, drives, True)
-    assert _stage_program(space, drives, True)[0][0] is group  # compiled once
+    run = _run_program(space, stages, True)
+    (group,), steps = run.groups, run.steps
+    assert _run_program(space, stages, True).groups[0] is group  # compiled once
     # the target's deexcitation reuses its excitation's eigensystem, flipped
     assert group.slots.tolist() == [0, 1, 1, 2] and group.sees == (True, True)
     assert steps == ((0, 0, 0), (0, 1, 1), (0, 2, 1), (0, 3, 2))  # (group, position, slot)
@@ -576,11 +575,50 @@ def test_cached_hamiltonian_is_read_only():
     assert space.first_state.tolist() == [1.0] + [0.0] * (space.dim - 1)
     assert space.identity is space.identity
     assert np.shares_memory(space.first_state, space.identity)
+    # each group carries its stages' clock: (t0, t1), durations, -1j * durations
+    assert group.times[..., 0].tolist() == [[s.t0, s.t1] for s in stages]
+    assert (group.rotation == -1j * group.duration).all()
     for array in (group.hamiltonians, group.frame_c, group.frame_t,
-                  group.slots, group.signs, space.first_state, space.identity,
-                  space.single_rydberg_indices):
+                  group.slots, group.signs, group.times, group.duration, group.rotation,
+                  space.first_state, space.identity, space.single_rydberg_indices):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
+
+
+@pytest.mark.parametrize("method", ["dual_rail", "traditional"])
+def test_each_group_reads_the_clock_of_its_own_stages(method):
+    # the grid path splits a run into one group per set of driven atoms,
+    # and an undriven stage takes an idle step between or after them
+    for space, stages in _plan(PARAMS, method).runs:
+        run = _run_program(space, stages, False)
+        assert [i for i, step in enumerate(run.steps) if step is None] == [
+            i for i, idle in enumerate(run.idles) if idle is not None]
+        for g, group in enumerate(run.groups):
+            assert group.times[..., 0].tolist() == [[stages[i].t0, stages[i].t1]
+                                                    for i in group.stages]
+            assert group.duration[:, 0].tolist() == [stages[i].duration for i in group.stages]
+            assert [run.steps[i][:2] for i in group.stages] == [
+                (g, j) for j in range(len(group.stages))]
+        for stage, idle in zip(stages, run.idles):
+            if idle is not None:
+                duration, propagator = idle
+                assert duration.tolist() == [stage.duration]
+                for array in idle:
+                    with pytest.raises(ValueError, match="read-only"):
+                        array[0] = 1.0
+
+
+def test_sampled_end_times_compile_for_their_call_alone():
+    drive = AtomDrive(OMEGA, CFG.wavevectors.k_excite, OPTICAL_DUAL)
+    train = [GateStage(0.0, np.linspace(0.05, 0.5, 10), control=drive)]
+    before = _run_program.cache_info()
+    (first, t_first), (second, t_second) = (engine.propagate_atom(train, 0.05, 0.1)
+                                            for _ in range(2))
+    # an array stage time does not hash: the run compiles for its call alone
+    assert _run_program.cache_info() == before
+    assert first.amplitudes.shape == (10, 3)
+    assert first.amplitudes.tobytes() == second.amplitudes.tobytes()
+    assert t_first.tobytes() == t_second.tobytes()
 
 
 def test_params_rebuilt_from_an_equal_preset_hit_the_plan_cache():

@@ -44,7 +44,6 @@ from dualrail.protocols import (
     ConvergenceError,
     OptimizationError,
     PhaseExtractionError,
-    analytic_w,
     extract_phase_phi,
     gap_runner,
     maxwell_average,
@@ -55,6 +54,7 @@ from dualrail.protocols import (
     run_gap_protocol,
     run_traditional_restore,
 )
+from oracle import analytic_w
 
 CFG = get_config("rb87_5p12")
 K_MINUS = CFG.wavevectors.k_excite
