@@ -422,7 +422,8 @@ def _run_program(space: TwoAtomSpace, stages: tuple[GateStage, ...], merged: boo
                              np.array(stage_slots) if len(distinct) < len(driven) else None,
                              signs if (signs < 0).any() else None,
                              times[..., None], duration, -1j * duration))
-    for array in (*(a for group in groups for a in group[2:]), *(a for idle in idles if idle for a in idle)):
+    arrays = [array for group in groups for array in group[2:]]
+    for array in arrays + [array for idle in idles if idle for array in idle]:
         if array is not None:
             array.flags.writeable = False
     scalar_times = (all(group.duration.ndim == 2 for group in groups)
@@ -523,11 +524,11 @@ def propagate_stages(
 
     The run's program (:func:`_run_program`: Hamiltonians, frame rates,
     times, durations, the undriven stages' propagators) is compiled once
-    per space and stage tuple.  A call first does
-    its velocity arithmetic in one stacked pass per group of driven stages
-    (rates, frame phases times each stage's +-1 flip, one ``eigh`` over the
-    group's distinct Hamiltonians, eigenphases, the eigenvectors made
-    complex once for the stage products): one group when both atoms'
+    per space and stage tuple.  A call first does its velocity arithmetic
+    in one stacked pass per group of driven stages (rates, frame phases
+    times each stage's +-1 flip, one ``eigh`` over the group's distinct
+    Hamiltonians, eigenphases, the eigenvectors made complex once for the
+    stage products): one group when both atoms'
     velocities have one shape, scalars included, else one per set of
     driven atoms, so that a stage diagonalizes one matrix per velocity it
     sees (one per target velocity, not per pair, for a target-only stage).
